@@ -27,7 +27,10 @@ def main() -> None:
         SystemConfig(
             name="admission-demo",
             table_pattern=[1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-            servers=[ServerConfig(0, 20, 8), ServerConfig(1, 20, 6)],
+            servers=[
+                ServerConfig(0, pi=20, theta=8),
+                ServerConfig(1, pi=20, theta=6),
+            ],
         )
     )
 

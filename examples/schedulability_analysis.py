@@ -28,7 +28,6 @@ from repro.api import (
     sbf_sigma,
     theorem2_bound,
     theorem4_bound,
-    use_engine,
 )
 
 
@@ -101,19 +100,19 @@ def acceptance_ratio_experiment() -> None:
     for engine_name in ("scalar", "vectorized"):
         started = time.perf_counter()
         rows = []
-        with use_engine(engine_name):
-            for utilization in (0.3, 0.4, 0.5, 0.6, 0.7):
-                accepted = 0
-                for seed in range(samples):
-                    tasks = generate_random_taskset(
-                        seed=1000 + seed,
-                        task_count=5,
-                        total_utilization=utilization,
-                        name=f"u{utilization}s{seed}",
-                    )
-                    if lsched_schedulable(pi, theta, tasks).schedulable:
-                        accepted += 1
-                rows.append((utilization, accepted))
+        for utilization in (0.3, 0.4, 0.5, 0.6, 0.7):
+            accepted = 0
+            for seed in range(samples):
+                tasks = generate_random_taskset(
+                    seed=1000 + seed,
+                    task_count=5,
+                    total_utilization=utilization,
+                    name=f"u{utilization}s{seed}",
+                )
+                verdict = lsched_schedulable(pi, theta, tasks, engine=engine_name)
+                if verdict.schedulable:
+                    accepted += 1
+            rows.append((utilization, accepted))
         elapsed = time.perf_counter() - started
         print(f"  engine={engine_name} ({elapsed * 1000:.1f} ms):")
         for utilization, accepted in rows:

@@ -18,11 +18,12 @@
   value-identical by construction and cross-checked by the property
   tests.
 * :mod:`repro.analysis.engine` -- selects the step-point sweep
-  implementation: the "scalar" reference loop, the "vectorized" numpy +
-  QPA engine in :mod:`repro.analysis.vectorized`, or the whole-batch
-  "batched" engine in :mod:`repro.analysis.batched` (shared
-  hyper-period-tiled grids, lock-step QPA over many requests at once);
-  all three are bit-identical, enforced by the property suite.
+  implementation: the "scalar" reference loop or the default
+  "vectorized" numpy + QPA engine.  Single pairs run the per-pair
+  kernels in :mod:`repro.analysis.vectorized`; the batch entry points in
+  :mod:`repro.analysis.batched` pack many requests into one pass (shared
+  hyper-period-tiled grids, lock-step QPA).  Every path is
+  bit-identical, enforced by the property suite.
 * :mod:`repro.analysis.result` -- the :class:`SchedulabilityResult`
   protocol every verdict class satisfies.
 """
@@ -31,12 +32,7 @@ from repro.analysis.cache import (
     cache_stats,
     clear_caches,
 )
-from repro.analysis.engine import (
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.analysis.engine import resolve_engine
 from repro.analysis.result import SchedulabilityResult
 from repro.analysis.supply import (
     sbf_server,
@@ -96,10 +92,7 @@ __all__ = [
     "SystemSchedulabilityResult",
     "analyze_system",
     "dbf_server",
-    "default_engine",
     "resolve_engine",
-    "set_default_engine",
-    "use_engine",
     "dbf_sporadic",
     "dbf_taskset",
     "dbf_taskset_uncached",

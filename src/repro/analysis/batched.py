@@ -1,12 +1,12 @@
-"""Batched analysis engine: many (taskset, server) pairs per numpy pass.
+"""Batched analysis: many (taskset, server) pairs per numpy pass.
 
 The vectorized engine (:mod:`repro.analysis.vectorized`) decides one
 (taskset, server) pair at a time; every pair pays the Python-level cost
 of engine dispatch, QPA probes and a handful of small numpy calls.
 Production sweeps -- synthesis search, admission columns, acceptance
 grids -- ask *millions* of such questions, and at that scale the
-per-pair overhead dominates the arithmetic.  This module is the engine
-behind ``engine="batched"``: it packs N demand signatures and server
+per-pair overhead dominates the arithmetic.  This module is the packed
+path of the default engine: it packs N demand signatures and server
 parameters into padded 2-D int64 arrays and evaluates the Theorem-1/2/4
 inequalities for the whole batch per numpy pass.
 
@@ -874,15 +874,13 @@ def lsched_schedulable_batch(
     """Theorem 4 over a whole batch of ``(pi, theta, tasks)`` lanes.
 
     Result ``i`` equals ``lsched_schedulable(*requests[i])`` bit for bit
-    -- same decisions, witnesses, horizons and methods.  ``engine``
-    defaults to ``"batched"`` here (this *is* the batch entry point);
-    passing ``"scalar"``/``"vectorized"`` degrades to the per-pair loop,
-    which the differential tests use as the reference.
+    -- same decisions, witnesses, horizons and methods.  Any engine but
+    ``"scalar"`` packs the batch; ``"scalar"`` runs the per-pair
+    reference loop, which the differential tests compare against.
     """
-    resolved = resolve_engine(engine) if engine is not None else "batched"
-    if resolved != "batched":
+    if resolve_engine(engine) == "scalar":
         return [
-            lsched_schedulable(pi, theta, tasks, engine=resolved)
+            lsched_schedulable(pi, theta, tasks, engine="scalar")
             for pi, theta, tasks in requests
         ]
     if stats is not None:
@@ -920,7 +918,7 @@ def lsched_schedulable_batch(
             # Theorem-3 fallback, exactly as the per-pair test; exact
             # windows are the classic ragged outlier (LCM horizons).
             results[index] = lsched_schedulable_exact(
-                pi, theta, tasks, engine="batched"
+                pi, theta, tasks, engine="vectorized"
             )
             if stats is not None:
                 stats.fallback_lanes += 1
@@ -1069,10 +1067,9 @@ def gsched_schedulable_batch(
     bit; see :func:`lsched_schedulable_batch` for the ``engine``
     semantics.
     """
-    resolved = resolve_engine(engine) if engine is not None else "batched"
-    if resolved != "batched":
+    if resolve_engine(engine) == "scalar":
         return [
-            gsched_schedulable(table, servers, engine=resolved)
+            gsched_schedulable(table, servers, engine="scalar")
             for table, servers in requests
         ]
     if stats is not None:
@@ -1110,7 +1107,7 @@ def gsched_schedulable_batch(
             )
         elif slack == 0:
             results[index] = gsched_schedulable_exact(
-                table, servers, engine="batched"
+                table, servers, engine="vectorized"
             )
             if stats is not None:
                 stats.fallback_lanes += 1

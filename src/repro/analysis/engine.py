@@ -1,43 +1,42 @@
-"""Analysis engine selection: scalar reference vs vectorized kernels.
+"""Analysis engine selection: scalar reference vs numpy kernels.
 
-The schedulability tests ship three decision engines:
+The schedulability tests ship two decision engines:
 
 * ``"scalar"`` -- the original per-``t`` Python loops over the memoized
   kernels.  This is the ground-truth reference implementation.
-* ``"vectorized"`` -- :mod:`repro.analysis.vectorized`: numpy evaluation
-  of the dbf/sbf curves over *all* step points at once, fronted by a
-  QPA-style descent that usually decides schedulability after a handful
-  of probes instead of enumerating the full Theorem-2/4 horizon.
-* ``"batched"`` -- :mod:`repro.analysis.batched`: many (taskset, server)
-  pairs packed into padded 2-D int64 arrays and decided per numpy pass.
-  On a *single* pair the batched engine is the vectorized engine (a
-  batch of one); the throughput win comes from the batch entry points
-  (``lsched_schedulable_batch``/``gsched_schedulable_batch`` and
-  ``repro.api.analyze_many``), which sweep columns of systems at once.
+* ``"vectorized"`` (the default) -- numpy evaluation of the dbf/sbf
+  curves over *all* step points at once, fronted by a QPA-style descent
+  that usually decides schedulability after a handful of probes instead
+  of enumerating the full Theorem-2/4 horizon.
 
-All engines are decision-bit-identical by construction (they share the
+Whether a numpy evaluation runs per pair or packed follows from the
+function called, not from a setting: the single-pair tests
+(``gsched_schedulable``/``lsched_schedulable``) use the per-pair kernels
+in :mod:`repro.analysis.vectorized`, while the batch entry points
+(``lsched_schedulable_batch``/``gsched_schedulable_batch`` in
+:mod:`repro.analysis.batched`, ``repro.api.analyze_many``, acceptance
+cells and the service's epoch flush) pack whole columns of requests
+into padded int64 arrays whenever the engine is not ``"scalar"``.
+
+Both engines are decision-bit-identical by construction (they share the
 same preambles, horizons and step-point grids, and the property suite
 cross-checks every result field), so the choice only affects wall-clock
-time.  The default resolves with the precedence *explicit argument* >
-:func:`set_default_engine` > ``REPRO_ANALYSIS_ENGINE`` environment
-variable > ``"vectorized"``.
+time.  Pass ``engine="scalar"`` to get the reference loop; ``None``
+means ``"vectorized"``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterator, Optional
-
-from contextlib import contextmanager
+from typing import Optional
 
 #: Supported engines, in reference-first order.
-ENGINES = ("scalar", "vectorized", "batched")
+ENGINES = ("scalar", "vectorized")
 
 #: Windows with fewer step points than this run the plain Python loop
-#: even under the vectorized/batched engines: numpy's per-call overhead
-#: only amortizes on larger grids, and all paths are bit-identical
-#: anyway.  Single source of truth -- the theorem-test modules re-export
-#: it, so the cutoff cannot drift between G-Sched and L-Sched.
+#: even under the vectorized engine: numpy's per-call overhead only
+#: amortizes on larger grids, and all paths are bit-identical anyway.
+#: Single source of truth -- the theorem-test modules re-export it, so
+#: the cutoff cannot drift between G-Sched and L-Sched.
 VECTORIZE_MIN_POINTS = 96
 
 #: Largest horizon/step-point magnitude the numpy int64 kernels accept.
@@ -52,57 +51,16 @@ VECTORIZE_MIN_POINTS = 96
 #: Single source of truth, like :data:`VECTORIZE_MIN_POINTS`.
 INT64_SAFE_HORIZON = 1 << 60
 
-#: Environment knob consulted when no explicit engine is given,
-#: mirroring ``REPRO_JOBS`` / ``REPRO_SCALE``.
-ENGINE_ENV_VAR = "REPRO_ANALYSIS_ENGINE"
 
-_default_override: Optional[str] = None
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """Validate an engine name; ``None`` resolves to ``"vectorized"``.
 
-
-def _validate(engine: str) -> str:
+    Unknown names raise ``ValueError`` naming :data:`ENGINES`.
+    """
+    if engine is None:
+        return "vectorized"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown analysis engine {engine!r}; expected one of {ENGINES}"
         )
     return engine
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine name: argument > override > env var > vectorized."""
-    if engine is not None:
-        return _validate(engine)
-    if _default_override is not None:
-        return _default_override
-    raw = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    if raw:
-        return _validate(raw)
-    return "vectorized"
-
-
-def default_engine() -> str:
-    """The engine used when callers pass ``engine=None``."""
-    return resolve_engine(None)
-
-
-def set_default_engine(engine: Optional[str]) -> Optional[str]:
-    """Set (or clear, with ``None``) the process-wide engine override.
-
-    Returns the previous override so callers can restore it; prefer the
-    :func:`use_engine` context manager for scoped switches.
-    """
-    global _default_override
-    if engine is not None:
-        _validate(engine)
-    previous = _default_override
-    _default_override = engine
-    return previous
-
-
-@contextmanager
-def use_engine(engine: str) -> Iterator[str]:
-    """Scoped engine override (benchmarks and differential tests)."""
-    previous = set_default_engine(engine)
-    try:
-        yield _validate(engine)
-    finally:
-        set_default_engine(previous)

@@ -95,7 +95,7 @@ def response_time_bound(
     """
     task = tasks[task_name]
     demand = task.wcet + edf_demand_before(tasks, task, task.deadline)
-    if resolve_engine(engine) == "vectorized":
+    if resolve_engine(engine) != "scalar":
         # The scalar loop scans f = 0, 1, ... and gives up at the first
         # unsatisfied f past the deadline, so the smallest satisfying
         # window is reported iff it is <= deadline + 1.

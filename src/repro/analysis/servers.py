@@ -86,7 +86,7 @@ class BudgetSearchStats:
     """Accounting for one batched minimum-budget search.
 
     ``oracle_calls`` counts Theorem-4 lanes submitted to the batch
-    oracle (the quantity the ``synth-bench`` gate bounds), ``pruned``
+    oracle (the quantity the synthesis differential tests bound), ``pruned``
     the candidate lanes eliminated by the utilization lower bound
     before any oracle call, and ``rounds`` the lock-step binary-search
     iterations (each round is one :func:`lsched_schedulable_batch`

@@ -21,8 +21,8 @@ witness, ``summary()`` for a rendering.
 
 The commonly needed building blocks (:class:`~repro.tasks.task.IOTask`,
 :class:`~repro.tasks.taskset.TaskSet`,
-:class:`~repro.core.timeslot.TimeSlotTable`, the dbf/sbf kernels, the
-engine selectors) are re-exported here so example code and downstream
+:class:`~repro.core.timeslot.TimeSlotTable`, the dbf/sbf kernels,
+``resolve_engine``) are re-exported here so example code and downstream
 scripts need exactly one import.
 """
 
@@ -36,12 +36,7 @@ from repro.analysis.batched import (
     lsched_schedulable_batch,
 )
 from repro.analysis.demand import dbf_server, dbf_sporadic, dbf_taskset
-from repro.analysis.engine import (
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.analysis.engine import resolve_engine
 from repro.analysis.gsched_test import (
     GSchedResult,
     gsched_schedulable,
@@ -75,7 +70,6 @@ from repro.core.admission import (
     AdmissionDecision,
     ConfigurationError,
     ControllerSnapshot,
-    _warn_deprecated_once,
 )
 from repro.core.gsched import ServerSpec
 from repro.core.hypervisor import HypervisorConfig, IOGuardHypervisor
@@ -100,13 +94,6 @@ from repro.hw import (
 from repro.sim.trace import TraceRecorder
 from repro.synth.report import SynthesisReport
 from repro.synth.servers import ServerSearchOutcome, synthesize_servers
-from repro.synth.solvers import (
-    SolverUnavailableError,
-    default_solver,
-    resolve_solver,
-    set_default_solver,
-    use_solver,
-)
 from repro.synth.table import TableConstraint, synthesize_table
 from repro.tasks.generators import generate_random_taskset
 from repro.tasks.task import Criticality, IOTask, Job, TaskKind
@@ -132,7 +119,6 @@ __all__ = [
     "synthesize_servers",
     "synthesize_table",
     "TableConstraint",
-    "SolverUnavailableError",
     # cause-effect chains
     "ChainConfig",
     "ChainWorkload",
@@ -182,15 +168,7 @@ __all__ = [
     "design_servers",
     "ServerDesign",
     # engine selection
-    "default_engine",
     "resolve_engine",
-    "set_default_engine",
-    "use_engine",
-    # solver selection (synthesis backends)
-    "default_solver",
-    "resolve_solver",
-    "set_default_solver",
-    "use_solver",
 ]
 
 
@@ -204,10 +182,9 @@ class ServerConfig:
     ``servers`` block synthesizes both parameters (see
     :func:`synthesize`).
 
-    Passing ``pi``/``theta`` positionally -- ``ServerConfig(0, 20, 8)``
-    -- is deprecated (one-shot ``DeprecationWarning``): now that
-    ``theta`` is optional the positional field order invites silently
-    swapped arguments; spell ``ServerConfig(0, pi=20, theta=8)``.
+    ``pi`` and ``theta`` are keyword-only -- ``ServerConfig(0, pi=20,
+    theta=8)`` -- because with ``theta`` optional a positional field
+    order would invite silently swapped arguments.
     """
 
     vm_id: int
@@ -217,30 +194,10 @@ class ServerConfig:
     def __init__(
         self,
         vm_id: int,
-        *args: int,
+        *,
         pi: Optional[int] = None,
         theta: Optional[int] = None,
     ) -> None:
-        if args:
-            _warn_deprecated_once(
-                "server-config-positional",
-                "positional ServerConfig(vm_id, pi, theta) field order is "
-                "deprecated; pass the server parameters by keyword: "
-                "ServerConfig(vm_id, pi=..., theta=...)",
-            )
-            if len(args) > 2:
-                raise TypeError(
-                    "ServerConfig takes at most 3 positional arguments "
-                    f"(vm_id, pi, theta), got {1 + len(args)}"
-                )
-            if pi is not None or (theta is not None and len(args) == 2):
-                raise TypeError(
-                    "ServerConfig got both positional and keyword values "
-                    "for pi/theta"
-                )
-            pi = args[0]
-            if len(args) == 2:
-                theta = args[1]
         if pi is None:
             raise TypeError("ServerConfig requires pi (the server period)")
         self.vm_id = vm_id
@@ -284,12 +241,9 @@ class SystemConfig:
     stagger: bool = True
     #: Slot length for simulation (cycles).
     cycles_per_slot: int = 2_000
-    #: Analysis engine ("scalar"/"vectorized"); ``None`` uses the
-    #: session default (see :mod:`repro.analysis.engine`).
+    #: Analysis engine ("scalar"/"vectorized"); ``None`` means
+    #: "vectorized" (see :mod:`repro.analysis.engine`).
     engine: Optional[str] = None
-    #: Synthesis solver backend ("python"/"ortools"); ``None`` uses the
-    #: session default (see :mod:`repro.synth.solvers`).
-    solver: Optional[str] = None
 
 
 class System:
@@ -476,12 +430,7 @@ def _validate_pinned_table(table: TimeSlotTable, predefined: TaskSet) -> None:
             available.discard(slot % h)
 
 
-def _build_table(
-    config: SystemConfig,
-    predefined: TaskSet,
-    *,
-    solver: Optional[str] = None,
-) -> TimeSlotTable:
+def _build_table(config: SystemConfig, predefined: TaskSet) -> TimeSlotTable:
     """The sigma* for a config: pinned, synthesized, or greedily packed."""
     if config.table_pattern is not None:
         table = TimeSlotTable.from_pattern(list(config.table_pattern))
@@ -489,9 +438,7 @@ def _build_table(
         return table
     if config.table_constraints:
         synthesis = synthesize_table(
-            predefined,
-            constraints=config.table_constraints,
-            solver=solver if solver is not None else config.solver,
+            predefined, constraints=config.table_constraints
         )
         if not synthesis.feasible or synthesis.table is None:
             raise ConfigurationError(
@@ -509,7 +456,6 @@ def _synthesize_servers_for(
     taskset: TaskSet,
     *,
     engine: Optional[str] = None,
-    solver: Optional[str] = None,
 ) -> Tuple[Optional[SynthesisReport], Optional[ServerSearchOutcome]]:
     """Run server synthesis for every VM the config leaves open.
 
@@ -557,8 +503,7 @@ def _synthesize_servers_for(
             ServerSpec(vm_id, pi, theta)
             for vm_id, (pi, theta) in sorted(outcome.servers.items())
         ],
-        engine=resolve_engine(engine) if engine is not None else "batched",
-        solver=resolve_solver(solver if solver is not None else config.solver),
+        engine=resolve_engine(engine),
         global_result=outcome.global_result,
         local_results=dict(outcome.local_results),
         reason=reason,
@@ -609,10 +554,7 @@ def build_system(config: SystemConfig) -> System:
 
 
 def synthesize(
-    config: SystemConfig,
-    *,
-    engine: Optional[str] = None,
-    solver: Optional[str] = None,
+    config: SystemConfig, *, engine: Optional[str] = None
 ) -> SynthesisReport:
     """Compute a verified design for the config's open parameters.
 
@@ -628,19 +570,16 @@ def synthesize(
     predefined = taskset.predefined()
     if config.stagger and not config.table_constraints:
         predefined = stagger_offsets(predefined)
-    table = _build_table(config, predefined, solver=solver)
+    table = _build_table(config, predefined)
     report, _outcome = _synthesize_servers_for(
-        config, table, taskset, engine=engine, solver=solver
+        config, table, taskset, engine=engine
     )
     if report is None:
         return SynthesisReport(
             schedulable=True,
             table=table,
             servers=[],
-            engine=resolve_engine(engine if engine is not None else config.engine)
-            if (engine is not None or config.engine is not None)
-            else "batched",
-            solver=resolve_solver(solver if solver is not None else config.solver),
+            engine=resolve_engine(engine if engine is not None else config.engine),
             reason="nothing to synthesize: no run-time VMs",
         )
     return report
@@ -653,7 +592,7 @@ def analyze(system: System, *, engine: Optional[str] = None) -> AnalysisReport:
     over its run-time tasks (tasks admitted via :func:`admit` count).
     ``engine`` overrides the config's analysis engine for this call.
     """
-    engine = engine if engine is not None else system.config.engine
+    engine = resolve_engine(engine if engine is not None else system.config.engine)
     population = system.runtime_population()
     pairs = [(spec.pi, spec.theta) for spec in system.servers]
     global_result = (
@@ -707,16 +646,16 @@ def analyze_many(
 ) -> List[AnalysisReport]:
     """:func:`analyze` over many systems, batching the analysis kernels.
 
-    With the ``"batched"`` engine (explicitly, or via the session
-    default) every system's Theorem-2 request and every VM's Theorem-4
-    lane across *all* systems are packed into two batch calls
-    (:mod:`repro.analysis.batched`) instead of one engine dispatch per
-    pair; report ``i`` is bit-identical to ``analyze(systems[i])``.  Any
-    other engine degrades to the per-system loop.
+    Unless ``engine`` is ``"scalar"``, every system's Theorem-2 request
+    and every VM's Theorem-4 lane across *all* systems are packed into
+    two batch calls (:mod:`repro.analysis.batched`) instead of one
+    engine dispatch per pair; report ``i`` is bit-identical to
+    ``analyze(systems[i])``.  ``"scalar"`` runs the per-system reference
+    loop.
     """
     systems = list(systems)
-    if resolve_engine(engine) != "batched":
-        return [analyze(system, engine=engine) for system in systems]
+    if resolve_engine(engine) == "scalar":
+        return [analyze(system, engine="scalar") for system in systems]
     gsched_requests = []
     gsched_owners: List[int] = []
     lsched_requests = []

@@ -39,10 +39,9 @@ warm-restarted through exactly this round trip.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # repro.core (for the time slot table); importing them lazily inside the
 # methods below keeps the packages acyclic at import time.
 
-_MISSING = object()
-
 #: Default bound on the retained decision ring.  The controller is
 #: designed to live inside a long-running service (:mod:`repro.serve`);
 #: an unbounded ``decisions`` list is a memory leak there.  Totals are
@@ -71,24 +68,6 @@ DEFAULT_MAX_DECISIONS = 4096
 
 #: Version stamp of the :class:`ControllerSnapshot` wire format.
 SNAPSHOT_SCHEMA_VERSION = 1
-
-#: Deprecation shims that already warned in this process.  Server
-#: request loops hit the shims once per request; warning on every call
-#: would flood the log, so each shim fires exactly once per process.
-_WARNED_DEPRECATIONS: Set[str] = set()
-
-
-def _warn_deprecated_once(key: str, message: str) -> None:
-    """Emit ``message`` as a DeprecationWarning once per process."""
-    if key in _WARNED_DEPRECATIONS:
-        return
-    _WARNED_DEPRECATIONS.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process deprecation shims (test hook)."""
-    _WARNED_DEPRECATIONS.clear()
 
 
 class ConfigurationError(ValueError):
@@ -123,61 +102,25 @@ class ConfigurationError(ValueError):
         self.slot = slot
 
 
+@dataclass
 class AdmissionDecision:
     """Outcome of one admission request.
 
     Satisfies the :class:`repro.api.SchedulabilityResult` protocol:
     ``schedulable`` carries the verdict, ``failing_t`` the Theorem-4
     witness (when one exists) and ``summary()`` a one-line rendering.
-    The pre-facade name for the verdict, ``admitted``, remains available
-    as a deprecated alias (attribute *and* constructor keyword).
     """
 
     schedulable: bool
-    task_name: str
-    vm_id: int
-    reason: str
+    task_name: str = ""
+    vm_id: int = -1
+    reason: str = ""
     #: The Theorem-4 result backing the decision (None for structural
     #: rejections such as an unknown VM).
-    test_result: Optional[LSchedResult]
+    test_result: Optional[LSchedResult] = None
 
-    def __init__(
-        self,
-        schedulable: object = _MISSING,
-        task_name: str = "",
-        vm_id: int = -1,
-        reason: str = "",
-        test_result: Optional[LSchedResult] = None,
-        *,
-        admitted: object = _MISSING,
-    ) -> None:
-        if admitted is not _MISSING:
-            _warn_deprecated_once(
-                "AdmissionDecision.__init__.admitted",
-                "AdmissionDecision(admitted=...) is deprecated; "
-                "pass schedulable=... instead",
-            )
-            if schedulable is _MISSING:
-                schedulable = admitted
-        if schedulable is _MISSING:
-            raise TypeError(
-                "AdmissionDecision() missing required argument: 'schedulable'"
-            )
-        self.schedulable = bool(schedulable)
-        self.task_name = task_name
-        self.vm_id = vm_id
-        self.reason = reason
-        self.test_result = test_result
-
-    @property
-    def admitted(self) -> bool:
-        """Deprecated alias for :attr:`schedulable`."""
-        _warn_deprecated_once(
-            "AdmissionDecision.admitted",
-            "AdmissionDecision.admitted is deprecated; "
-            "use AdmissionDecision.schedulable",
-        )
-        return self.schedulable
+    def __post_init__(self) -> None:
+        self.schedulable = bool(self.schedulable)
 
     @property
     def failing_t(self) -> Optional[int]:
@@ -195,24 +138,6 @@ class AdmissionDecision:
 
     def __bool__(self) -> bool:
         return self.schedulable
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdmissionDecision):
-            return NotImplemented
-        return (
-            self.schedulable == other.schedulable
-            and self.task_name == other.task_name
-            and self.vm_id == other.vm_id
-            and self.reason == other.reason
-            and self.test_result == other.test_result
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"AdmissionDecision(schedulable={self.schedulable!r}, "
-            f"task_name={self.task_name!r}, vm_id={self.vm_id!r}, "
-            f"reason={self.reason!r}, test_result={self.test_result!r})"
-        )
 
 
 def result_to_dict(result: Optional[LSchedResult]) -> Optional[Dict[str, Any]]:

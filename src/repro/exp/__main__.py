@@ -11,14 +11,8 @@ Usage::
     python -m repro.exp isolation
     python -m repro.exp faults [--fault-trace PATH]
     python -m repro.exp acceptance
-    python -m repro.exp analysis-bench [--batched] [--min-speedup X]
-                                       [--bench-history PATH]
-    python -m repro.exp admission-serve [--serve-shards 1,2]
-                                        [--bench-history PATH]
     python -m repro.exp chains [--trials N] [--horizon SLOTS] [--out DIR]
     python -m repro.exp synth
-    python -m repro.exp synth-bench [--max-oracle-calls N]
-                                    [--bench-history PATH]
     python -m repro.exp export --out results/   # CSV/JSON artefacts
 
 Set ``REPRO_SCALE`` (e.g. 0.2 for a smoke run, 5 for a long run) to
@@ -30,33 +24,16 @@ because all randomness is derived per cell from the experiment seed
 writes ``timing.json``, a machine-readable wall-clock/cache summary of
 the run.
 
-``analysis-bench`` and ``chains`` are the subcommands ``all`` does not
-include.  ``analysis-bench`` times the scalar vs vectorized analysis
-engines on a pinned sweep (plus the batched engine with ``--batched``),
-so its output is inherently non-deterministic (wall clock); it exits
-non-zero when the engines disagree or a speedup falls below
-``--min-speedup`` (vectorized over scalar and, with ``--batched``,
-batched over vectorized).  ``--bench-history PATH`` writes the
-schema-stable ``BENCH_analysis.json`` record the repo commits at its
-root.
+``chains`` and ``synth`` are the subcommands ``all`` does not include.
 ``chains`` sweeps chain length x utilization, compares analytical
 end-to-end bounds against simulated chain latencies, writes
 ``chains.json``/``chains.csv`` artifacts to ``--out`` and exits 2 when
-any simulated instance violates its bound -- CI runs both as
-regression gates.
-``synth`` runs the pinned synthesis sweep (every scenario under every
-analysis engine and every available solver backend) and exits 2 unless
-each design passes scalar re-verification, beats the hand-written
-baselines and is byte-identical across backends; ``synth-bench``
-additionally pins the search effort (``--max-oracle-calls``, exit 3)
-and writes the committed ``BENCH_synth.json`` via ``--bench-history``.
-``admission-serve`` benchmarks the admission service (:mod:`repro.serve`):
-it fires the same deterministic concurrent burst at servers with each
-``--serve-shards`` count (twice each), reports requests/sec, and exits
-2 unless every run's decision log is byte-identical -- sharding must
-not change any admission outcome.  ``--bench-history PATH`` writes the
-schema-stable ``BENCH_admission.json`` record the repo commits at its
-root.
+any simulated instance violates its bound -- CI runs it as a
+regression gate.
+``synth`` runs the pinned synthesis sweep (one cell per scenario with
+the default analysis engine) and exits 2 unless each design passes
+scalar re-verification and is at or below the hand-written baselines.
+Performance is measured by the standalone harness under ``bench/``.
 """
 
 from __future__ import annotations
@@ -66,17 +43,6 @@ import sys
 from pathlib import Path
 
 from repro.exp.acceptance import render_acceptance, run_acceptance
-from repro.exp.admission_serve import (
-    render_admission_serve,
-    run_admission_serve,
-    write_admission_serve_history,
-)
-from repro.exp.analysis_bench import (
-    export_analysis_bench_json,
-    render_analysis_bench,
-    run_analysis_bench,
-    write_bench_history,
-)
 from repro.exp.export import (
     export_fig7_csv,
     export_fig7_json,
@@ -102,12 +68,7 @@ from repro.exp.isolation import (
 )
 from repro.exp.predictability import render_predictability, run_predictability
 from repro.exp.runner import ExperimentRunner
-from repro.exp.synth import (
-    SYNTH_BENCH_MAX_ORACLE_CALLS,
-    render_synth_sweep,
-    run_synth_sweep,
-    write_synth_bench_history,
-)
+from repro.exp.synth import render_synth_sweep, run_synth_sweep
 from repro.exp.table1 import render_table1
 
 EXPERIMENTS = [
@@ -120,11 +81,8 @@ EXPERIMENTS = [
     "isolation",
     "faults",
     "acceptance",
-    "analysis-bench",
-    "admission-serve",
     "chains",
     "synth",
-    "synth-bench",
     "export",
 ]
 
@@ -158,42 +116,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", type=Path, default=Path("results"),
-        help="output directory for the export/analysis-bench subcommands",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0,
-        help="analysis-bench: fail (exit 3) unless the vectorized engine "
-        "beats the scalar engine by this factor on the pinned sweep "
-        "(with --batched, also required of batched over vectorized)",
-    )
-    parser.add_argument(
-        "--batched", action="store_true",
-        help="analysis-bench: include the batched engine (whole-column "
-        "lsched_schedulable_batch submission) in the comparison",
-    )
-    parser.add_argument(
-        "--bench-history", type=Path, default=None,
-        help="analysis-bench: write the schema-stable BENCH_analysis.json "
-        "record here (the repo commits one at its root)",
-    )
-    parser.add_argument(
-        "--serve-shards", default="1,2",
-        help="admission-serve: comma list of shard counts to benchmark "
-        "(each run twice; decision logs must be byte-identical)",
-    )
-    parser.add_argument(
-        "--serve-backend", choices=("process", "inline"), default="process",
-        help="admission-serve: shard backend (worker processes or inline)",
-    )
-    parser.add_argument(
-        "--serve-ops", type=int, default=25,
-        help="admission-serve: scripted operations per VM in the burst",
-    )
-    parser.add_argument(
-        "--max-oracle-calls", type=int, default=SYNTH_BENCH_MAX_ORACLE_CALLS,
-        help="synth-bench: fail (exit 3) when the sweep's total oracle "
-        "calls exceed this (call counts are deterministic, so this is an "
-        "exact search-effort regression pin)",
+        help="output directory for the export/chains subcommands",
     )
     parser.add_argument(
         "--fault-trace", type=Path, default=None,
@@ -273,94 +196,14 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.experiment == "analysis-bench":
-        # Always serial: parallel workers would overlap the two engine
-        # measurements and poison the wall-clock comparison.
-        bench_runner = ExperimentRunner(
-            1, progress=True if args.progress else None, profile=args.profile
-        )
-        engines = (
-            ("scalar", "vectorized", "batched")
-            if args.batched
-            else ("scalar", "vectorized")
-        )
-        bench = run_analysis_bench(
-            seed=args.seed, engines=engines, runner=bench_runner
-        )
-        print(render_analysis_bench(bench))
-        args.out.mkdir(parents=True, exist_ok=True)
-        written = [
-            export_analysis_bench_json(bench, args.out / "analysis_bench.json"),
-            export_timing_json(bench_runner.timing, args.out / "timing.json"),
-        ]
-        if args.bench_history is not None:
-            args.bench_history.parent.mkdir(parents=True, exist_ok=True)
-            written.append(write_bench_history(bench, args.bench_history))
-        for path in written:
-            print(f"wrote {path}", file=sys.stderr)
-        if not bench.outputs_identical:
-            print(
-                "FAIL: the analysis engines rendered different "
-                "acceptance output",
-                file=sys.stderr,
-            )
-            return 2
-        if bench.speedup < args.min_speedup:
-            print(
-                f"FAIL: vectorized speedup {bench.speedup:.2f}x is below "
-                f"the required {args.min_speedup:.1f}x",
-                file=sys.stderr,
-            )
-            return 3
-        if args.batched and bench.batched_speedup < args.min_speedup:
-            print(
-                f"FAIL: batched speedup {bench.batched_speedup:.2f}x over "
-                f"vectorized is below the required {args.min_speedup:.1f}x",
-                file=sys.stderr,
-            )
-            return 3
-    if args.experiment in ("synth", "synth-bench"):
+    if args.experiment == "synth":
         sweep = run_synth_sweep(runner=runner)
         print(render_synth_sweep(sweep))
-        if args.experiment == "synth-bench":
-            if args.bench_history is not None:
-                args.bench_history.parent.mkdir(parents=True, exist_ok=True)
-                path = write_synth_bench_history(sweep, args.bench_history)
-                print(f"wrote {path}", file=sys.stderr)
-            if sweep.total_oracle_calls > args.max_oracle_calls:
-                print(
-                    f"FAIL: {sweep.total_oracle_calls} oracle calls exceed "
-                    f"the pinned budget of {args.max_oracle_calls}",
-                    file=sys.stderr,
-                )
-                return 3
         if not sweep.ok:
             print(
                 "FAIL: synthesis sweep violated its contract "
                 "(infeasible design, scalar re-verification failure, "
-                "bandwidth regression, or backend disagreement)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.experiment == "admission-serve":
-        shard_counts = [
-            int(part) for part in args.serve_shards.split(",") if part
-        ]
-        record = run_admission_serve(
-            shard_counts,
-            ops_per_vm=args.serve_ops,
-            seed=args.seed,
-            backend=args.serve_backend,
-        )
-        print(render_admission_serve(record))
-        if args.bench_history is not None:
-            args.bench_history.parent.mkdir(parents=True, exist_ok=True)
-            path = write_admission_serve_history(record, args.bench_history)
-            print(f"wrote {path}", file=sys.stderr)
-        if not record["deterministic"]:
-            print(
-                "FAIL: decision-log digests diverged across shard counts "
-                "or reruns",
+                "or bandwidth regression)",
                 file=sys.stderr,
             )
             return 2

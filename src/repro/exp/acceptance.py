@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.batched import lsched_schedulable_batch
 from repro.analysis.linear_test import lsched_schedulable_linear
-from repro.analysis.lsched_test import lsched_schedulable
 from repro.exp.reporting import render_table
 from repro.exp.runner import ExperimentRunner
 from repro.tasks.generators import generate_random_taskset
@@ -44,11 +43,11 @@ class AcceptanceCell:
     encoding the cell's utilization, exactly as in the serial loop, so
     parallel execution reproduces serial ratios bit for bit.
 
-    ``engine`` selects the Theorem-4 implementation: ``"batched"``
-    submits the cell's whole column of task sets as one
-    :func:`~repro.analysis.batched.lsched_schedulable_batch` call,
-    anything else dispatches :func:`lsched_schedulable` per sample.
-    Verdicts are bit-identical either way.
+    ``engine`` selects the Theorem-4 implementation; the cell's whole
+    column of task sets goes to one
+    :func:`~repro.analysis.batched.lsched_schedulable_batch` call, which
+    packs it unless the engine is ``"scalar"``.  Verdicts are
+    bit-identical either way.
     """
 
     pi: int
@@ -79,15 +78,10 @@ def run_acceptance_cell(cell: AcceptanceCell) -> AcceptancePoint:
         )
         for index in range(cell.samples)
     ]
-    if cell.engine == "batched":
-        verdicts = lsched_schedulable_batch(
-            [(cell.pi, cell.theta, tasks) for tasks in tasksets]
-        )
-    else:
-        verdicts = [
-            lsched_schedulable(cell.pi, cell.theta, tasks, engine=cell.engine)
-            for tasks in tasksets
-        ]
+    verdicts = lsched_schedulable_batch(
+        [(cell.pi, cell.theta, tasks) for tasks in tasksets],
+        engine=cell.engine,
+    )
     for tasks, verdict in zip(tasksets, verdicts):
         if tasks.utilization <= bandwidth:
             counts["bandwidth"] += 1

@@ -1,10 +1,10 @@
-"""Synthesis sweep and benchmark: designs the analysis layer verifies.
+"""Synthesis sweep: designs the analysis layer verifies.
 
 ``python -m repro.exp synth`` runs a pinned set of synthesis scenarios
 -- the hand-configured example workloads plus a harmonic fast-path case
 and a precedence-constrained table case -- through
-:func:`repro.api.synthesize` under **every** analysis engine, and
-asserts the redesign contract:
+:func:`repro.api.synthesize` with the default analysis engine, one cell
+per scenario, and asserts the redesign contract:
 
 * **feasible**: every synthesized design passes its Theorem-2 and
   Theorem-4 verification, re-checked here with the ``"scalar"``
@@ -14,42 +14,23 @@ asserts the redesign contract:
   hand-written example baseline where one exists, and at or below the
   policy designer's seed everywhere;
 * **deterministic**: the canonical payload (engine field excluded) is
-  byte-identical across engines, solver backends and ``--jobs`` worker
-  counts.
+  byte-identical across engines, reruns and ``--jobs`` worker counts.
 
-``synth-bench`` times the same sweep and gates the search *effort*
-(oracle calls, pruned nodes) rather than wall clock -- call counts are
-host-independent, so CI can pin them exactly.
-:func:`write_synth_bench_history` records the run as the committed
-``BENCH_synth.json`` (schema checked by
-:func:`validate_synth_bench_schema` on both sides, mirroring
-``BENCH_analysis.json``).
+Search effort (oracle calls, pruned nodes) is reported per scenario;
+call counts are host-independent, so the tests pin them exactly.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.analysis.engine import ENGINES
 from repro.analysis.gsched_test import gsched_schedulable
 from repro.analysis.lsched_test import lsched_schedulable
 from repro.exp.reporting import render_table
 from repro.exp.runner import ExperimentRunner
-from repro.synth.solvers import SOLVERS, solver_available
 from repro.tasks.task import IOTask, TaskKind
-
-#: Version of the committed ``BENCH_synth.json`` record; bump when its
-#: structure changes, and keep :func:`validate_synth_bench_schema` in step.
-SYNTH_BENCH_SCHEMA_VERSION = 1
-
-#: Search-effort ceiling the bench gate enforces (total oracle calls
-#: across the whole sweep, one engine).  Oracle calls are deterministic,
-#: so this is an exact regression pin, not a noisy wall-clock bound.
-SYNTH_BENCH_MAX_ORACLE_CALLS = 200
 
 
 def _admission_control_config():
@@ -169,11 +150,10 @@ def _scenario(name: str) -> Tuple[object, Optional[float]]:
 
 @dataclass(frozen=True)
 class SynthCell:
-    """One (scenario, engine, solver) synthesis run."""
+    """One scenario's synthesis run (``engine=None``: the default)."""
 
     scenario: str
-    engine: str
-    solver: str
+    engine: Optional[str] = None
 
 
 @dataclass
@@ -181,8 +161,6 @@ class SynthCellResult:
     """Picklable outcome of one cell (no numpy state crosses workers)."""
 
     scenario: str
-    engine: str
-    solver: str
     schedulable: bool
     scalar_verified: bool
     bandwidth: float
@@ -196,7 +174,6 @@ class SynthCellResult:
     fast_path_vms: int
     improved: bool
     payload_digest: str
-    elapsed_seconds: float
 
     @property
     def bandwidth_ok(self) -> bool:
@@ -214,16 +191,13 @@ def run_synth_cell(cell: SynthCell) -> SynthCellResult:
 
     The scalar re-check below is the differential half of the contract:
     the searched design must pass the *reference* engine's Theorem-2 and
-    Theorem-4 tests, not just the (vectorized/batched) oracle that
-    steered the search.
+    Theorem-4 tests, not just the numpy oracle that steered the search.
     """
     from repro.api import synthesize
 
     builder, baseline = _scenario(cell.scenario)
     config = builder()
-    started = time.perf_counter()  # iolint: disable=IOL003 -- host-side benchmark timing
-    report = synthesize(config, engine=cell.engine, solver=cell.solver)
-    elapsed = time.perf_counter() - started  # iolint: disable=IOL003 -- host-side benchmark timing
+    report = synthesize(config, engine=cell.engine)
 
     scalar_verified = bool(report.schedulable)
     if report.schedulable:
@@ -244,14 +218,12 @@ def run_synth_cell(cell: SynthCell) -> SynthCellResult:
             ).schedulable
 
     payload = report.to_payload()
-    # The engine is the one field *allowed* to differ across cells; the
+    # The engine is the one field *allowed* to differ across engines; the
     # digest pins everything else byte-for-byte.
     payload.pop("engine")
     digest = json.dumps(payload, sort_keys=True)
     return SynthCellResult(
         scenario=cell.scenario,
-        engine=cell.engine,
-        solver=cell.solver,
         schedulable=report.schedulable,
         scalar_verified=scalar_verified,
         bandwidth=report.bandwidth,
@@ -267,7 +239,6 @@ def run_synth_cell(cell: SynthCell) -> SynthCellResult:
         fast_path_vms=report.fast_path_vms,
         improved=report.improved,
         payload_digest=digest,
-        elapsed_seconds=elapsed,
     )
 
 
@@ -276,7 +247,6 @@ class SynthSweepResult:
     """Every cell of the sweep plus the invariants CI asserts on."""
 
     cells: List[SynthCellResult]
-    solvers: List[str]
 
     def for_scenario(self, scenario: str) -> List[SynthCellResult]:
         return [cell for cell in self.cells if cell.scenario == scenario]
@@ -294,24 +264,9 @@ class SynthSweepResult:
         return all(cell.bandwidth_ok for cell in self.cells)
 
     @property
-    def outputs_identical(self) -> bool:
-        """One design per scenario across every engine and solver."""
-        for scenario in scenario_names():
-            digests = {
-                cell.payload_digest for cell in self.for_scenario(scenario)
-            }
-            if len(digests) > 1:
-                return False
-        return True
-
-    @property
     def total_oracle_calls(self) -> int:
-        """Search effort of one engine's pass (they are identical)."""
-        return sum(
-            cell.oracle_calls
-            for cell in self.cells
-            if cell.engine == "batched" and cell.solver == "python"
-        )
+        """Search effort of the whole sweep."""
+        return sum(cell.oracle_calls for cell in self.cells)
 
     @property
     def ok(self) -> bool:
@@ -319,42 +274,24 @@ class SynthSweepResult:
             self.all_feasible
             and self.all_scalar_verified
             and self.all_bandwidth_ok
-            and self.outputs_identical
         )
 
 
 def run_synth_sweep(
-    *,
-    engines: Sequence[str] = ENGINES,
-    solvers: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
+    *, runner: Optional[ExperimentRunner] = None
 ) -> SynthSweepResult:
-    """The pinned sweep: every scenario x engine (x available solver).
-
-    The optional CP-SAT backend joins automatically when importable --
-    its designs must match the pure-python backend's byte for byte
-    (lex-min w.r.t. the same canonical model), so CI runs green with or
-    without it installed.
-    """
-    if solvers is None:
-        solvers = [name for name in SOLVERS if solver_available(name)]
+    """The pinned sweep: one cell per scenario, default engine."""
     runner = runner if runner is not None else ExperimentRunner(1)
-    cells = [
-        SynthCell(scenario=scenario, engine=engine, solver=solver)
-        for scenario in scenario_names()
-        for engine in engines
-        for solver in solvers
-    ]
+    cells = [SynthCell(scenario=scenario) for scenario in scenario_names()]
     results = runner.map(run_synth_cell, cells, label="synth")
-    return SynthSweepResult(cells=results, solvers=list(solvers))
+    return SynthSweepResult(cells=results)
 
 
 def render_synth_sweep(result: SynthSweepResult) -> str:
     """Deterministic rendering (no timing: stdout is byte-compared)."""
     rows = []
     for scenario in scenario_names():
-        cells = result.for_scenario(scenario)
-        cell = cells[0]
+        cell = result.for_scenario(scenario)[0]
         baseline = (
             cell.baseline_bandwidth
             if cell.baseline_bandwidth is not None
@@ -370,7 +307,7 @@ def render_synth_sweep(result: SynthSweepResult) -> str:
                 cell.oracle_calls,
                 cell.pruned_nodes,
                 cell.fast_path_vms,
-                "yes" if all(c.scalar_verified for c in cells) else "NO",
+                "yes" if cell.scalar_verified else "NO",
             )
         )
     table = render_table(
@@ -386,17 +323,9 @@ def render_synth_sweep(result: SynthSweepResult) -> str:
             "verified",
         ],
         rows,
-        title=(
-            "Bandwidth-minimal synthesis "
-            f"(engines x solvers: {len(result.cells)} runs, "
-            f"solvers: {', '.join(result.solvers)})"
-        ),
+        title=f"Bandwidth-minimal synthesis ({len(result.cells)} scenarios)",
     )
     lines = [table, ""]
-    lines.append(
-        "designs identical across engines/solvers: "
-        + ("yes" if result.outputs_identical else "NO - BACKENDS DISAGREE")
-    )
     lines.append(
         "scalar re-verification: "
         + ("pass" if result.all_scalar_verified else "FAIL")
@@ -407,114 +336,3 @@ def render_synth_sweep(result: SynthSweepResult) -> str:
     )
     return "\n".join(lines)
 
-
-# -- BENCH_synth.json history record -----------------------------------------
-
-
-def synth_bench_record(result: SynthSweepResult) -> Dict[str, object]:
-    """The schema-stable record committed as ``BENCH_synth.json``.
-
-    Search-effort counters (oracle calls, pruned nodes) are
-    deterministic and compared exactly; wall time is recorded for
-    humans but never gated.
-    """
-    scenarios: Dict[str, object] = {}
-    for scenario in scenario_names():
-        cells = result.for_scenario(scenario)
-        cell = next(
-            (
-                c
-                for c in cells
-                if c.engine == "batched" and c.solver == "python"
-            ),
-            cells[0],
-        )
-        scenarios[scenario] = {
-            "hyperperiod": cell.hyperperiod,
-            "servers": [list(entry) for entry in cell.servers],
-            "bandwidth": cell.bandwidth,
-            "seed_bandwidth": cell.seed_bandwidth,
-            "baseline_bandwidth": cell.baseline_bandwidth,
-            "oracle_calls": cell.oracle_calls,
-            "pruned_nodes": cell.pruned_nodes,
-            "nodes_expanded": cell.nodes_expanded,
-            "fast_path_vms": cell.fast_path_vms,
-            "improved": cell.improved,
-            "elapsed_seconds": cell.elapsed_seconds,
-        }
-    return {
-        "schema_version": SYNTH_BENCH_SCHEMA_VERSION,
-        "scenarios": scenarios,
-        "solvers": list(result.solvers),
-        "total_oracle_calls": result.total_oracle_calls,
-        "outputs_identical": result.outputs_identical,
-        "all_scalar_verified": result.all_scalar_verified,
-        "all_bandwidth_ok": result.all_bandwidth_ok,
-    }
-
-
-def write_synth_bench_history(
-    result: SynthSweepResult, path: Path
-) -> Path:
-    record = synth_bench_record(result)
-    problems = validate_synth_bench_schema(record)
-    if problems:
-        raise ValueError(
-            "refusing to write an invalid bench record: " + "; ".join(problems)
-        )
-    path = Path(path)
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-_SCENARIO_KEYS = (
-    "hyperperiod",
-    "servers",
-    "bandwidth",
-    "oracle_calls",
-    "pruned_nodes",
-    "nodes_expanded",
-    "fast_path_vms",
-    "improved",
-    "elapsed_seconds",
-)
-
-
-def validate_synth_bench_schema(doc: object) -> List[str]:
-    """Structural check of a ``BENCH_synth.json`` document.
-
-    Returns a list of human-readable problems; empty means valid.  Used
-    by CI against both the committed baseline and a fresh run.
-    """
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not a JSON object"]
-    if doc.get("schema_version") != SYNTH_BENCH_SCHEMA_VERSION:
-        problems.append(
-            f"schema_version is {doc.get('schema_version')!r}, "
-            f"expected {SYNTH_BENCH_SCHEMA_VERSION}"
-        )
-    scenarios = doc.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        problems.append("missing non-empty 'scenarios' object")
-    else:
-        for name, entry in scenarios.items():
-            if not isinstance(entry, dict):
-                problems.append(f"scenario {name!r} is not an object")
-                continue
-            for key in _SCENARIO_KEYS:
-                if key not in entry:
-                    problems.append(f"scenario {name!r} lacks {key!r}")
-    solvers = doc.get("solvers")
-    if not isinstance(solvers, list) or "python" not in solvers:
-        problems.append("'solvers' must be a list including 'python'")
-    if not isinstance(doc.get("total_oracle_calls"), int):
-        problems.append("missing integer 'total_oracle_calls'")
-    for key in (
-        "outputs_identical",
-        "all_scalar_verified",
-        "all_bandwidth_ok",
-    ):
-        if not isinstance(doc.get(key), bool):
-            problems.append(f"missing boolean {key!r}")
-    return problems

@@ -121,11 +121,6 @@ class LintConfig:
     engine_registry_module: str = "repro.analysis.engine"
     engine_registry_name: str = "ENGINES"
 
-    #: Where IOL010 finds the synthesis solver registry (same contract:
-    #: ``solver=`` dispatch must resolve through it).
-    solver_registry_module: str = "repro.synth.solvers"
-    solver_registry_name: str = "SOLVERS"
-
     #: Relative-path fragments excluded from analysis entirely.  The
     #: fixture corpus contains deliberate violations and must never be
     #: linted as production code.

@@ -120,10 +120,6 @@ class FunctionSummary:
     engine_kwarg_literals: List[Tuple[int, int, str]] = field(default_factory=list)
     #: Whether the ``engine`` parameter is passed on to some call.
     engine_forwarded: bool = False
-    #: Same observations for the synthesis ``solver`` registry (IOL010
-    #: covers both dispatch surfaces).
-    solver_compares: List[EngineCompare] = field(default_factory=list)
-    solver_kwarg_literals: List[Tuple[int, int, str]] = field(default_factory=list)
     runner_submits: List[RunnerSubmit] = field(default_factory=list)
     #: IOL008 lattice results, precomputed at extraction so they cache
     #: with the summary (only populated for top-level functions in
@@ -516,20 +512,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 self.writes.add(name)
 
     def _record_engine_compare(self, node: ast.Compare) -> None:
-        self._record_registry_compare(
-            node, "engine", "resolve_engine", self.summary.engine_compares
-        )
-        self._record_registry_compare(
-            node, "solver", "resolve_solver", self.summary.solver_compares
-        )
-
-    def _record_registry_compare(
-        self,
-        node: ast.Compare,
-        param: str,
-        resolver: str,
-        sink: List[EngineCompare],
-    ) -> None:
         if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
             return
         sides = [node.left, *node.comparators]
@@ -543,10 +525,10 @@ class _FunctionExtractor(ast.NodeVisitor):
         kind: Optional[str] = None
         for side in sides:
             if isinstance(side, ast.Name):
-                if side.id == param and param in self.summary.params:
+                if side.id == "engine" and "engine" in self.summary.params:
                     kind = "param"
                     break
-                if param in side.id.lower():
+                if "engine" in side.id.lower():
                     kind = kind or "other"
             elif isinstance(side, ast.Call):
                 callee = side.func
@@ -555,15 +537,15 @@ class _FunctionExtractor(ast.NodeVisitor):
                     if isinstance(callee, ast.Name)
                     else getattr(callee, "attr", "")
                 )
-                if callee_name == resolver:
+                if callee_name == "resolve_engine":
                     kind = "resolved"
                     break
-            elif isinstance(side, ast.Attribute) and param in side.attr.lower():
+            elif isinstance(side, ast.Attribute) and "engine" in side.attr.lower():
                 kind = kind or "other"
         if kind is None:
             return
         for literal in literals:
-            sink.append(
+            self.summary.engine_compares.append(
                 EngineCompare(
                     lineno=node.lineno,
                     col=node.col_offset,
@@ -574,15 +556,9 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def _record_engine_kwargs(self, node: ast.Call) -> None:
         for kw in node.keywords:
-            if isinstance(kw.value, ast.Constant) and isinstance(
-                kw.value.value, str
-            ):
-                if kw.arg == "engine":
+            if kw.arg == "engine" and isinstance(kw.value, ast.Constant):
+                if isinstance(kw.value.value, str):
                     self.summary.engine_kwarg_literals.append(
-                        (node.lineno, node.col_offset, kw.value.value)
-                    )
-                elif kw.arg == "solver":
-                    self.summary.solver_kwarg_literals.append(
                         (node.lineno, node.col_offset, kw.value.value)
                     )
         if "engine" in self.summary.params:

@@ -330,34 +330,31 @@ class RunnerClosureRule(ProgramRule):
 
 
 class EngineParityRule(ProgramRule):
-    """IOL010: ``engine=``/``solver=`` dispatch goes through its registry.
+    """IOL010: ``engine=`` dispatch goes through the registry, period.
 
-    The three analysis engines are interchangeable by contract, and so
-    are the synthesis solver backends; that only stays true if every
-    entry point resolves the ``engine``/``solver`` argument through
-    ``resolve_engine``/``ENGINES`` (resp. ``resolve_solver``/``SOLVERS``)
-    rather than comparing the raw string.  Raw comparison silently
-    mis-dispatches when the default is env-overridden
-    (``REPRO_ANALYSIS_ENGINE``, ``REPRO_SYNTH_SOLVER``), and a literal
+    The two analysis engines are interchangeable by contract; that
+    only stays true if every entry point resolves the ``engine``
+    argument through ``resolve_engine``/``ENGINES`` rather than
+    comparing the raw string.  Raw comparison silently mis-dispatches
+    the ``None`` default (which means ``"vectorized"``), and a literal
     outside the registry would never match anything.
     """
 
     rule_id = "IOL010"
     severity = Severity.ERROR
-    summary = "engine/solver dispatch bypasses its registry"
+    summary = "engine dispatch bypasses the ENGINES registry"
     fix_hint = (
-        "call resolve_engine(engine) / resolve_solver(solver) before "
-        "comparing, and only pass literals that appear in "
-        "repro.analysis.engine.ENGINES / repro.synth.solvers.SOLVERS"
+        "call resolve_engine(engine) before comparing, and only pass "
+        "engine literals that appear in repro.analysis.engine.ENGINES"
     )
 
-    def _registry(
-        self, program: Program, module_name: str, constant: str
-    ) -> Optional[Tuple[str, ...]]:
-        module = program.graph.modules.get(module_name)
+    def _registry(self, program: Program) -> Optional[Tuple[str, ...]]:
+        module = program.graph.modules.get(
+            program.config.engine_registry_module
+        )
         if module is None:
             return None
-        value = module.constants.get(constant)
+        value = module.constants.get(program.config.engine_registry_name)
         if isinstance(value, tuple) and all(
             isinstance(item, str) for item in value
         ):
@@ -365,55 +362,21 @@ class EngineParityRule(ProgramRule):
         return None
 
     def check_program(self, program: Program) -> Iterator[Finding]:
-        engines = self._registry(
-            program,
-            program.config.engine_registry_module,
-            program.config.engine_registry_name,
-        )
-        solvers = self._registry(
-            program,
-            program.config.solver_registry_module,
-            program.config.solver_registry_name,
-        )
+        engines = self._registry(program)
         for summary in program.modules():
             for fn in summary.functions:
-                yield from self._check_surface(
-                    program,
-                    summary,
-                    fn,
-                    fn.engine_compares,
-                    fn.engine_kwarg_literals,
-                    engines,
-                    param="engine",
-                    resolver="resolve_engine",
-                    registry_name="ENGINES",
-                )
-                yield from self._check_surface(
-                    program,
-                    summary,
-                    fn,
-                    fn.solver_compares,
-                    fn.solver_kwarg_literals,
-                    solvers,
-                    param="solver",
-                    resolver="resolve_solver",
-                    registry_name="SOLVERS",
-                )
+                yield from self._check_function(program, summary, fn, engines)
 
-    def _check_surface(
+    def _check_function(
         self,
         program: Program,
         summary: ModuleSummary,
         fn: FunctionSummary,
-        compares,
-        kwarg_literals,
-        registry: Optional[Tuple[str, ...]],
-        *,
-        param: str,
-        resolver: str,
-        registry_name: str,
+        engines: Optional[Tuple[str, ...]],
     ) -> Iterator[Finding]:
-        for cmp in sorted(compares, key=lambda c: (c.lineno, c.col)):
+        for cmp in sorted(
+            fn.engine_compares, key=lambda c: (c.lineno, c.col)
+        ):
             if cmp.kind == "param":
                 yield self.finding(
                     program,
@@ -421,37 +384,36 @@ class EngineParityRule(ProgramRule):
                     cmp.lineno,
                     cmp.col,
                     (
-                        f"'{fn.qualname}' compares the raw {param} "
+                        f"'{fn.qualname}' compares the raw engine "
                         f"parameter against '{cmp.literal}'; resolve it "
-                        f"via {resolver}() first (env/default "
+                        f"via resolve_engine() first (env/default "
                         f"overrides never match raw comparisons)"
                     ),
                 )
-            elif registry is not None and cmp.literal not in registry:
-                article = "an" if param[0] in "aeiou" else "a"
+            elif engines is not None and cmp.literal not in engines:
                 yield self.finding(
                     program,
                     summary.rel_path,
                     cmp.lineno,
                     cmp.col,
                     (
-                        f"'{fn.qualname}' compares {article} {param} value "
+                        f"'{fn.qualname}' compares an engine value "
                         f"against '{cmp.literal}', which is not in "
-                        f"{registry_name} {registry}"
+                        f"ENGINES {engines}"
                     ),
                 )
-        if registry is not None:
-            for lineno, col, literal in sorted(kwarg_literals):
-                if literal not in registry:
+        if engines is not None:
+            for lineno, col, literal in sorted(fn.engine_kwarg_literals):
+                if literal not in engines:
                     yield self.finding(
                         program,
                         summary.rel_path,
                         lineno,
                         col,
                         (
-                            f"{param}='{literal}' passed in "
-                            f"'{fn.qualname}' is not in {registry_name} "
-                            f"{registry}"
+                            f"engine='{literal}' passed in "
+                            f"'{fn.qualname}' is not in ENGINES "
+                            f"{engines}"
                         ),
                     )
 

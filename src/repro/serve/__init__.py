@@ -8,9 +8,8 @@ scheduling epoch through :func:`repro.api.analyze_many`, and sheds
 load through the :class:`~repro.core.manager.DegradationPolicy` when
 a shard saturates.
 
-Entry points: ``python -m repro.serve serve`` (run a server),
-``... client`` (drive one), ``... bench`` (the determinism/throughput
-benchmark behind ``BENCH_admission.json``).
+Entry points: ``python -m repro.serve serve`` (run a server) and
+``... client`` (drive one).
 """
 
 from repro.serve.client import ServeClient, load_script, run_script

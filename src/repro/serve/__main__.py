@@ -5,7 +5,6 @@ Subcommands::
     python -m repro.serve serve  --system system.json [--port 0 ...]
     python -m repro.serve client --port 40123 --op ping
     python -m repro.serve client --port 40123 --script burst.json
-    python -m repro.serve bench  --shards 1,2 --output BENCH_admission.json
 
 ``serve`` prints one machine-readable ``LISTENING <host> <port>`` line
 once the socket is bound (the CI smoke job reads it to find the
@@ -20,13 +19,6 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.serve.bench import (
-    DEFAULT_NUM_VMS,
-    DEFAULT_OPS_PER_VM,
-    DEFAULT_SEED,
-    run_admission_bench,
-    write_admission_bench,
-)
 from repro.serve.client import ServeClient, load_script, run_script
 from repro.serve.protocol import ProtocolError
 from repro.serve.server import AdmissionServer, ServeConfig, load_system_file
@@ -86,39 +78,10 @@ def _cmd_client(args: argparse.Namespace) -> int:
     return 0 if response.get("ok") else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    shard_counts = [int(part) for part in args.shards.split(",") if part]
-    record = run_admission_bench(
-        shard_counts,
-        repeats=args.repeats,
-        num_vms=args.num_vms,
-        ops_per_vm=args.ops_per_vm,
-        seed=args.seed,
-        backend=args.backend,
-    )
-    for run in record["runs"]:
-        print(
-            f"shards={run['shards']} requests={run['requests']} "
-            f"rate={run['requests_per_sec']:.0f}/s "
-            f"log={run['log_entries']} digest={run['log_digest'][:12]}"
-        )
-    print(f"deterministic={record['deterministic']}")
-    if args.output:
-        write_admission_bench(record, args.output)
-        print(f"wrote {args.output}")
-    if not record["deterministic"]:
-        print(
-            "bench: decision log digests diverged across runs",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Admission service: server, client and benchmark.",
+        description="Admission service: server and client.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -144,17 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--script", help="JSON file with a request list")
     client.set_defaults(func=_cmd_client)
 
-    bench = sub.add_parser("bench", help="throughput/determinism benchmark")
-    bench.add_argument("--shards", default="1,2", help="comma list, e.g. 1,2")
-    bench.add_argument("--repeats", type=int, default=2)
-    bench.add_argument("--num-vms", type=int, default=DEFAULT_NUM_VMS)
-    bench.add_argument("--ops-per-vm", type=int, default=DEFAULT_OPS_PER_VM)
-    bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument(
-        "--backend", choices=("process", "inline"), default="process"
-    )
-    bench.add_argument("--output", help="write BENCH_admission.json here")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -11,8 +11,8 @@ Request flow
   flushed as one batch: the epoch loop materializes one
   :class:`repro.api.System` per request against the epoch-consistent
   population and submits the whole column through
-  :func:`repro.api.analyze_many` -- the PR-7 batched engine is the
-  service's inner oracle, paying one numpy pass for the batch instead
+  :func:`repro.api.analyze_many`, which packs the whole column into
+  the batched analysis kernels -- one numpy pass for the batch instead
   of one engine dispatch per request.
 * Overload sheds load instead of queueing without bound: when a
   shard's in-flight count reaches ``queue_limit`` the request is
@@ -74,9 +74,6 @@ class ServeConfig:
     incremental: bool = True
     #: Per-shard decision-ring bound (see AdmissionController).
     max_decisions: Optional[int] = 4096
-    #: Engine for the epoch analyze batch; ``"batched"`` packs every
-    #: request of the epoch into one kernel submission.
-    engine: Optional[str] = "batched"
     #: Scheduling-epoch length in seconds: analyze requests arriving
     #: within one epoch are answered from one consistent batch.
     epoch_interval: float = 0.01
@@ -548,7 +545,7 @@ class AdmissionServer:
                     )
                 )
             )
-        reports = analyze_many(systems, engine=self.config.engine)
+        reports = analyze_many(systems)
         return [self._report_to_dict(report) for report in reports]
 
     @staticmethod

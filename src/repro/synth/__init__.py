@@ -11,14 +11,11 @@ integrator is assumed to supply.  This package computes them:
 * :func:`~repro.synth.table.synthesize_table` solves an integer model
   of sigma* (release offsets, precedence/time-lag constraints, wrapping
   jobs) to a canonical lex-min assignment;
-* :mod:`~repro.synth.solvers` is the ``SOLVERS`` backend registry
-  (pure-python default, optional CP-SAT), mirroring the analysis
-  ``ENGINES`` registry;
 * :class:`~repro.synth.report.SynthesisReport` is the verdict type the
   :func:`repro.api.synthesize` facade returns.
 
 Everything is deterministic: byte-identical designs across reruns,
-solver backends and ``REPRO_JOBS`` settings.
+analysis engines and ``REPRO_JOBS`` settings.
 """
 
 from repro.synth.report import SynthesisReport
@@ -28,17 +25,6 @@ from repro.synth.servers import (
     candidate_periods_for,
     harmonic_fast_budget,
     synthesize_servers,
-)
-from repro.synth.solvers import (
-    SOLVER_ENV_VAR,
-    SOLVERS,
-    SolverUnavailableError,
-    default_solver,
-    require_solver,
-    resolve_solver,
-    set_default_solver,
-    solver_available,
-    use_solver,
 )
 from repro.synth.table import (
     OBJECTIVES,
@@ -56,15 +42,6 @@ __all__ = [
     "candidate_periods_for",
     "harmonic_fast_budget",
     "synthesize_servers",
-    "SOLVERS",
-    "SOLVER_ENV_VAR",
-    "SolverUnavailableError",
-    "default_solver",
-    "require_solver",
-    "resolve_solver",
-    "set_default_solver",
-    "solver_available",
-    "use_solver",
     "OBJECTIVES",
     "TableConstraint",
     "TableSynthesis",

@@ -7,7 +7,7 @@
 shared :class:`~repro.analysis.result.ReportBase`), carries the witness
 design (servers + table), the Theorem-2/Theorem-4 evidence it was
 verified against, and the search provenance (oracle calls, pruned
-nodes, bound trajectory) the ``synth-bench`` gate and the observability
+nodes, bound trajectory) the synthesis sweep and the observability
 layer consume.
 """
 
@@ -39,8 +39,7 @@ class SynthesisReport(ReportBase):
     schedulable: bool
     table: TimeSlotTable
     servers: List[ServerSpec] = field(default_factory=list)
-    engine: str = "batched"
-    solver: str = "python"
+    engine: str = "vectorized"
     global_result: Optional[GSchedResult] = None
     local_results: Dict[int, LSchedResult] = field(default_factory=dict)
     reason: str = ""
@@ -90,7 +89,6 @@ class SynthesisReport(ReportBase):
         return {
             "schedulable": self.schedulable,
             "engine": self.engine,
-            "solver": self.solver,
             "hyperperiod": self.table.total_slots,
             "free_slots": self.table.free_slots,
             "servers": [

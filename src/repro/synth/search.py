@@ -13,13 +13,12 @@ ordering -- candidate orders are explicit, bounds are exact
   numpy pass per round.
 * :func:`lexmin_backtrack` -- depth-first backtracking returning the
   lexicographically minimal feasible assignment under a caller-supplied
-  choice order (the slot-table synthesis model).  Lex-minimality is what
-  makes the pure-python and CP-SAT backends byte-identical: both are
-  specified against the same canonical order, so "the" answer is unique.
+  choice order (the slot-table synthesis model).  Lex-minimality makes
+  "the" answer unique for a given canonical order.
 
 Both drivers account their work in :class:`SearchStats`, which the
 :class:`~repro.synth.report.SynthesisReport` carries as provenance and
-the ``synth-bench`` gate bounds.
+the synthesis differential tests bound.
 """
 
 from __future__ import annotations
@@ -183,8 +182,7 @@ def lexmin_backtrack(
     order; the DFS commits the first value, recurses, and backtracks on
     dead ends.  Because every branch is explored in preference order,
     the first complete assignment is the lexicographically minimal
-    feasible one w.r.t. that order -- the canonical solution both
-    solver backends must produce.  Returns ``None`` when the model is
+    feasible one w.r.t. that order -- the canonical solution.  Returns ``None`` when the model is
     infeasible or the ``max_nodes`` cap trips (recorded distinctly via
     ``stats.nodes_expanded`` hitting the cap).
     """

@@ -18,10 +18,7 @@ The model is solved to the *lexicographically minimal* feasible
 assignment under a canonical decision order (jobs by release then
 constraint rank, slots of a job ascending, candidate offsets in the
 chosen ``objective`` order) by
-:func:`~repro.synth.search.lexmin_backtrack`; the optional CP-SAT
-backend (``solver="ortools"``) reproduces the same assignment by
-sequential fixing against the identical order and constraint set, so
-both backends emit byte-identical tables by construction.
+:func:`~repro.synth.search.lexmin_backtrack`.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.timeslot import MAX_TABLE_LENGTH, TimeSlotTable
 from repro.synth.search import SearchStats, lexmin_backtrack
-from repro.synth.solvers import require_solver
 from repro.tasks.task import IOTask
 from repro.tasks.taskset import TaskSet
 
@@ -89,7 +85,6 @@ class TableSynthesis:
 
     feasible: bool
     hyperperiod: int
-    solver: str
     table: Optional[TimeSlotTable] = None
     #: task name -> per-job absolute slot lists (sorted by job index).
     placements: Dict[str, List[List[int]]] = field(default_factory=dict)
@@ -107,9 +102,8 @@ class TableSynthesis:
 class _TableModel:
     """The integer model in its canonical decision order.
 
-    Shared verbatim by both solver backends: :meth:`choices` is the
-    single source of truth for domains and constraints, so lex-min
-    w.r.t. it defines "the" solution independent of backend.
+    :meth:`choices` is the single source of truth for domains and
+    constraints, so lex-min w.r.t. it defines "the" solution.
     """
 
     def __init__(
@@ -337,7 +331,6 @@ def synthesize_table(
     constraints: Sequence[TableConstraint] = (),
     hyperperiod: Optional[int] = None,
     objective: str = "spread",
-    solver: Optional[str] = None,
     fixed_free: Sequence[int] = (),
     stats: Optional[SearchStats] = None,
     max_nodes: int = 200_000,
@@ -355,14 +348,12 @@ def synthesize_table(
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {OBJECTIVES}"
         )
-    resolved = require_solver(solver)
     stats = stats if stats is not None else SearchStats()
     tasks = sorted(predefined, key=lambda task: (task.period, task.name))
     if not tasks:
         return TableSynthesis(
             feasible=True,
             hyperperiod=1,
-            solver=resolved,
             table=TimeSlotTable.empty(1),
             stats=stats,
         )
@@ -370,14 +361,9 @@ def synthesize_table(
     model = _TableModel(
         tasks, constraints, h, objective, {slot % h for slot in fixed_free}
     )
-
-    if resolved == "ortools":  # pragma: no cover - needs ortools installed
-        assignment = _lexmin_cpsat(model, stats=stats, max_nodes=max_nodes)
-    else:
-        assignment = lexmin_backtrack(
-            model.depth, model.choices, stats=stats, max_nodes=max_nodes
-        )
-
+    assignment = lexmin_backtrack(
+        model.depth, model.choices, stats=stats, max_nodes=max_nodes
+    )
     if assignment is None:
         blocked = model.standalone_blocked()
         reason = (
@@ -393,7 +379,6 @@ def synthesize_table(
         return TableSynthesis(
             feasible=False,
             hyperperiod=h,
-            solver=resolved,
             stats=stats,
             reason=reason,
             failed_device=None if blocked is None else blocked.task.device,
@@ -415,95 +400,8 @@ def synthesize_table(
     return TableSynthesis(
         feasible=True,
         hyperperiod=h,
-        solver=resolved,
         table=table,
         placements=placements,
         stats=stats,
     )
 
-
-def _lexmin_cpsat(  # pragma: no cover - needs ortools installed
-    model: _TableModel,
-    *,
-    stats: SearchStats,
-    max_nodes: int,
-) -> Optional[Tuple[int, ...]]:
-    """Sequential-fixing CP-SAT solve of the identical lex-min model.
-
-    Walks the same canonical decision order; at each level it asks
-    CP-SAT whether *some* completion exists with the prefix plus the
-    candidate value fixed, committing the first feasible candidate.
-    Because the candidate order and the constraint set match the
-    pure-python backtracker exactly, the committed assignment is the
-    same lexicographically minimal one, byte for byte.
-    """
-    prefix: List[int] = []
-    for level in range(model.depth):
-        committed = None
-        for value in model.choices(tuple(prefix), level):
-            stats.nodes_expanded += 1
-            if stats.nodes_expanded > max_nodes:
-                return None
-            if _cpsat_completable(model, prefix + [value]):
-                committed = value
-                break
-            stats.backtracks += 1
-        if committed is None:
-            return None
-        prefix.append(committed)
-    return tuple(prefix)
-
-
-def _cpsat_completable(  # pragma: no cover - needs ortools installed
-    model: _TableModel, prefix: List[int]
-) -> bool:
-    """Whether the fixed prefix extends to a full feasible assignment."""
-    from ortools.sat.python import cp_model as cp
-
-    if len(prefix) == model.depth:
-        return True
-    problem = cp.CpModel()
-    variables = []
-    for level in range(model.depth):
-        position, _k = model.decisions[level]
-        job = model.jobs[position]
-        if level < len(prefix):
-            variables.append(problem.NewConstant(prefix[level]))
-        else:
-            variables.append(
-                problem.NewIntVar(
-                    job.release, job.window_end - 1, f"d{level}"
-                )
-            )
-    # Ascending slots within each job.
-    for position, job in enumerate(model.jobs):
-        start = model.first_level[position]
-        for k in range(1, job.task.wcet):
-            problem.Add(variables[start + k] > variables[start + k - 1])
-    # Slot exclusivity mod H (including caller-forbidden slots).
-    mods = []
-    for level, variable in enumerate(variables):
-        mod = problem.NewIntVar(0, model.h - 1, f"m{level}")
-        problem.AddModuloEquality(mod, variable, model.h)
-        for slot in sorted(model.forbidden):
-            problem.Add(mod != slot)
-        mods.append(mod)
-    problem.AddAllDifferent(mods)
-    # Precedence lags between same-index jobs.
-    for position in sorted(model.predecessors):
-        job = model.jobs[position]
-        first = variables[model.first_level[position]]
-        for before, min_lag, max_lag in model.predecessors[position]:
-            pred_job = model.jobs[before]
-            pred_last = variables[
-                model.first_level[before] + pred_job.task.wcet - 1
-            ]
-            problem.Add(first >= pred_last + 1 + min_lag)
-            if max_lag is not None:
-                problem.Add(first <= pred_last + 1 + max_lag)
-    solver = cp.CpSolver()
-    solver.parameters.max_time_in_seconds = 30.0
-    solver.parameters.num_search_workers = 1
-    solver.parameters.random_seed = 0
-    status = solver.Solve(problem)
-    return status in (cp.OPTIMAL, cp.FEASIBLE)

@@ -7,7 +7,7 @@ and constrained deadlines drawn uniformly from ``[C, T]`` (or implicit,
 ``D = T``).
 
 For hyper-period-sensitive consumers (exact Theorem-1/3 tests, the
-batched engine's tiled step-point grids) :class:`HyperperiodBasis`
+batched analysis's tiled step-point grids) :class:`HyperperiodBasis`
 replaces the log-uniform period draw with the prime-factorization
 sampler from the end-to-end-latency literature: every period is a
 product of a sub-multiset of a bounded factor basis, so the LCM of *any*

@@ -2,47 +2,41 @@
 
 import pytest
 
-from repro.analysis import engine as engine_mod
 from repro.analysis import gsched_test, linear_test, lsched_test
-from repro.analysis.engine import (
-    ENGINES,
-    VECTORIZE_MIN_POINTS,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-    use_engine,
-)
+from repro.analysis.batched import lsched_schedulable_batch
+from repro.analysis.engine import ENGINES, VECTORIZE_MIN_POINTS, resolve_engine
+from repro.api import IOTask, SystemConfig, analyze, analyze_many, build_system
 
 
 class TestResolution:
-    def test_precedence_argument_over_override(self):
-        previous = set_default_engine("scalar")
-        try:
-            assert resolve_engine("batched") == "batched"
-            assert resolve_engine(None) == "scalar"
-        finally:
-            set_default_engine(previous)
-
-    def test_env_var_consulted_when_unset(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "_default_override", None)
-        monkeypatch.setenv(engine_mod.ENGINE_ENV_VAR, "batched")
-        assert default_engine() == "batched"
-        monkeypatch.delenv(engine_mod.ENGINE_ENV_VAR)
-        assert default_engine() == "vectorized"
+    def test_none_resolves_to_vectorized(self):
+        assert resolve_engine(None) == "vectorized"
+        for engine in ENGINES:
+            assert resolve_engine(engine) == engine
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown analysis engine"):
             resolve_engine("simd")
 
-    def test_use_engine_restores(self):
-        before = default_engine()
-        with use_engine("scalar") as active:
-            assert active == "scalar"
-            assert default_engine() == "scalar"
-        assert default_engine() == before
+    def test_registry_has_two_engines(self):
+        assert ENGINES == ("scalar", "vectorized")
 
-    def test_batched_is_a_supported_engine(self):
-        assert ENGINES == ("scalar", "vectorized", "batched")
+    def test_batched_engine_name_rejected_everywhere(self):
+        """The retired third engine name fails loudly at every entry
+        point instead of silently running some other path."""
+        system = build_system(
+            SystemConfig(tasks=[IOTask(name="t", period=50, wcet=5, vm_id=0)])
+        )
+        tasks = system.tasks.runtime()
+        retired = "batched"
+        calls = (
+            lambda: analyze(system, engine=retired),
+            lambda: analyze_many([system], engine=retired),
+            lambda: lsched_schedulable_batch([(10, 5, tasks)], engine=retired),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"expected one of \('scalar', 'vectorized'\)"):
+                call()
 
 
 class TestVectorizeMinPointsSingleSource:

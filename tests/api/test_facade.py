@@ -134,7 +134,7 @@ class TestAnalyzeMany:
 
     def test_batched_matches_per_system_analyze(self):
         systems = self.systems()
-        reports = analyze_many(systems, engine="batched")
+        reports = analyze_many(systems)
         assert len(reports) == len(systems)
         for system, report in zip(systems, reports):
             reference = analyze(system)
@@ -142,7 +142,7 @@ class TestAnalyzeMany:
             assert report.global_result == reference.global_result
             assert report.local_results == reference.local_results
 
-    def test_non_batched_engines_degrade_to_per_system(self):
+    def test_every_engine_matches_per_system_analyze(self):
         systems = self.systems()
         for engine in ("scalar", "vectorized"):
             reports = analyze_many(systems, engine=engine)
@@ -152,7 +152,7 @@ class TestAnalyzeMany:
                 assert report.local_results == reference.local_results
 
     def test_mixed_verdicts_keep_order(self):
-        reports = analyze_many(self.systems(), engine="batched")
+        reports = analyze_many(self.systems())
         assert [r.schedulable for r in reports] == [True, False, True]
 
 

@@ -1,4 +1,4 @@
-"""The redesigned api surface: optional servers, synthesize(), shims.
+"""The redesigned api surface: optional servers, synthesize(), ServerConfig.
 
 Covers the api_redesign contract end to end:
 
@@ -6,7 +6,7 @@ Covers the api_redesign contract end to end:
   entries route through :mod:`repro.synth` and land a
   :class:`SynthesisReport` on ``System.synthesis``;
 * ``repro.api.synthesize`` round-trips with ``build_system``;
-* positional ``ServerConfig`` field order deprecated (one-shot);
+* ``ServerConfig`` takes ``pi``/``theta`` by keyword only;
 * ``ConfigurationError`` names the conflicting device/slot pair for
   infeasible hand-written tables;
 * the ``ReportBase`` extraction changes neither reprs nor behavior of
@@ -33,7 +33,6 @@ from repro.api import (
     build_system,
     synthesize,
 )
-from repro.core.admission import reset_deprecation_warnings
 
 
 def runtime_tasks():
@@ -190,24 +189,7 @@ class TestSynthesizeFacade:
 
 
 class TestPositionalDeprecation:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def test_positional_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = ServerConfig(0, 20, 8)
-            second = ServerConfig(1, 20, 6)
-        messages = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(messages) == 1
-        assert "keyword" in str(messages[0].message)
-        assert (first.pi, first.theta) == (20, 8)
-        assert (second.pi, second.theta) == (20, 6)
+    """The positional ``ServerConfig`` form is removed, not deprecated."""
 
     def test_keyword_form_is_silent(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -218,12 +200,9 @@ class TestPositionalDeprecation:
         ] == []
 
     def test_positional_and_keyword_conflict_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(TypeError, match="both"):
-                ServerConfig(0, 20, pi=30)
+        for args, kwargs in (((0, 20, 8), {}), ((0, 20), {"pi": 30})):
             with pytest.raises(TypeError, match="positional"):
-                ServerConfig(0, 20, 8, 9)
+                ServerConfig(*args, **kwargs)
 
     def test_pi_required(self):
         with pytest.raises(TypeError, match="pi"):

@@ -1,13 +1,10 @@
 """Unit tests for the online admission controller."""
 
-import warnings
-
 import pytest
 
 from repro.core.admission import (
     AdmissionController,
     ConfigurationError,
-    reset_deprecation_warnings,
 )
 from repro.core.gsched import ServerSpec
 from repro.core.timeslot import TimeSlotTable
@@ -276,69 +273,15 @@ class TestWithdrawInvalidation:
 
 
 class TestDeprecationShims:
-    def test_admitted_attribute_warns_and_aliases(self):
-        reset_deprecation_warnings()
-        ctrl = controller()
-        decision = ctrl.try_admit(runtime_task("a", 100, 5))
-        with pytest.warns(DeprecationWarning, match="admitted is deprecated"):
-            assert decision.admitted is decision.schedulable
+    """The pre-facade ``admitted`` alias is removed, not aliased."""
 
-    def test_admitted_kwarg_warns_and_maps(self):
+    def test_admitted_alias_is_gone(self):
         from repro.core.admission import AdmissionDecision
 
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="admitted=."):
-            decision = AdmissionDecision(
-                admitted=True, task_name="x", vm_id=0
-            )
-        assert decision.schedulable
-        assert bool(decision)
-
-    def test_admitted_attribute_warns_exactly_once_per_process(self):
-        """A server touching the shim per request must not flood its log:
-        even under an ``always`` warnings filter (which defeats Python's
-        per-location dedup) the shim fires once per process."""
-        reset_deprecation_warnings()
-        ctrl = controller()
-        decision = ctrl.try_admit(runtime_task("a", 100, 5))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(50):
-                assert decision.admitted is decision.schedulable
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_admitted_kwarg_warns_exactly_once_per_process(self):
-        from repro.core.admission import AdmissionDecision
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(50):
-                AdmissionDecision(admitted=True, task_name="x", vm_id=0)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_shim_keys_are_independent(self):
-        """The attribute and the constructor kwarg each get their own
-        once-per-process slot."""
-        from repro.core.admission import AdmissionDecision
-
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            decision = AdmissionDecision(admitted=True, task_name="x", vm_id=0)
-            decision.admitted  # noqa: B018 - shim side effect under test
-            AdmissionDecision(admitted=False, task_name="y", vm_id=1)
-            decision.admitted  # noqa: B018 - shim side effect under test
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
+        decision = controller().try_admit(runtime_task("a", 100, 5))
+        assert not hasattr(decision, "admitted")
+        with pytest.raises(TypeError):
+            AdmissionDecision(admitted=True, task_name="x", vm_id=0)
 
     def test_schedulable_kwarg_does_not_warn(self):
         import warnings

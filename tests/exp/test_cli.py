@@ -47,22 +47,6 @@ class TestCli:
         assert "fig7.csv" in out
         assert (tmp_path / "results" / "fig8.csv").exists()
 
-    def test_analysis_bench(self, tmp_path, capsys):
-        out_dir = tmp_path / "bench"
-        assert main(["analysis-bench", "--out", str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "outputs identical: yes" in out
-        assert "speedup" in out
-        assert (out_dir / "timing.json").exists()
-        assert (out_dir / "analysis_bench.json").exists()
-
-    def test_analysis_bench_min_speedup_gate(self, tmp_path):
-        # An impossible floor must trip the regression gate (exit 3).
-        assert main([
-            "analysis-bench", "--min-speedup", "1e9",
-            "--out", str(tmp_path / "bench"),
-        ]) == 3
-
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

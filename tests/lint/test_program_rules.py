@@ -306,7 +306,7 @@ class TestIOL009RunnerClosure:
         assert run_rule(project, RunnerClosureRule()) == []
 
 
-ENGINE_REGISTRY = 'ENGINES = ("scalar", "vectorized", "batched")\n'
+ENGINE_REGISTRY = 'ENGINES = ("scalar", "vectorized")\n'
 
 
 class TestIOL010EngineParity:
@@ -375,72 +375,6 @@ class TestIOL010EngineParity:
             '    return run(tasks, engine="vectorized")\n'
         )
         assert run_rule(project, EngineParityRule()) == []
-
-
-SOLVER_REGISTRY = 'SOLVERS = ("python", "ortools")\n'
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-class TestIOL010SolverParity:
-    """IOL010's second dispatch surface: the synthesis SOLVERS registry."""
-
-    def project(self, source):
-        return {
-            "src/repro/synth/solvers.py": SOLVER_REGISTRY,
-            "src/repro/synth/pick.py": source,
-        }
-
-    def fixture_project(self, name):
-        return self.project((FIXTURES / name).read_text(encoding="utf-8"))
-
-    def test_bad_fixture_every_site(self):
-        findings = run_rule(
-            self.fixture_project("iol010_solver_bad.py"), EngineParityRule()
-        )
-        assert locations(findings) == [
-            ("src/repro/synth/pick.py", 6, "IOL010"),
-            ("src/repro/synth/pick.py", 12, "IOL010"),
-            ("src/repro/synth/pick.py", 22, "IOL010"),
-        ]
-        assert "resolve_solver" in findings[0].message
-        assert "gurobi" in findings[1].message
-        assert "SOLVERS" in findings[2].message
-
-    def test_good_fixture_clean(self):
-        assert (
-            run_rule(
-                self.fixture_project("iol010_solver_good.py"),
-                EngineParityRule(),
-            )
-            == []
-        )
-
-    def test_solver_surface_independent_of_engine_registry(self):
-        # No ENGINES module in the project: the solver checks still run.
-        findings = run_rule(
-            {
-                "src/repro/synth/solvers.py": SOLVER_REGISTRY,
-                "src/repro/synth/pick.py": (
-                    "def decide(tasks, solver=None):\n"
-                    '    if solver == "ortools":\n'
-                    "        return 0\n"
-                    "    return 1\n"
-                ),
-            },
-            EngineParityRule(),
-        )
-        assert locations(findings) == [("src/repro/synth/pick.py", 2, "IOL010")]
-
-    def test_shipped_synth_modules_clean(self):
-        files = {}
-        for rel in (
-            "src/repro/synth/solvers.py",
-            "src/repro/synth/table.py",
-            "src/repro/exp/synth.py",
-        ):
-            files[rel] = (REPO_ROOT / rel).read_text(encoding="utf-8")
-        findings = run_rule(files, EngineParityRule())
-        assert findings == []
 
 
 class TestShippedKernelRegressions:

@@ -1,6 +1,6 @@
-"""Bit-identity of the batched analysis engine against both references.
+"""Bit-identity of the packed (batched) analysis path against both engines.
 
-The batched engine (:mod:`repro.analysis.batched`) evaluates whole
+The batch entry points (:mod:`repro.analysis.batched`) evaluate whole
 columns of Theorem-1/2/4 requests per numpy pass -- hyper-period-tiled
 event grids, one lock-step QPA descent, one flat failure sweep.  It is
 a pure optimization: every lane of a batch must equal the scalar AND
@@ -55,7 +55,7 @@ def tasksets(draw, max_tasks=5, max_period=60):
 @st.composite
 def factorized_tasksets(draw, max_tasks=5):
     """Task sets whose periods share the bounded factor basis -- the
-    regime where the batched engine's hyper-period tiling engages."""
+    regime where the batch path's hyper-period tiling engages."""
     basis = HyperperiodBasis(factors=(2, 2, 3, 5), period_min=2)
     candidates = basis.candidate_periods()
     count = draw(st.integers(min_value=1, max_value=max_tasks))

@@ -10,13 +10,13 @@ produces, across randomized servers, task sets and whole systems.
 
 import pytest
 
+from repro.analysis import response_time
 from repro.analysis.response_time import response_time_bound
 from repro.api import (
     ChainConfig,
     ChainWorkloadConfig,
     analyze_chains,
     build_chain_system,
-    use_engine,
 )
 from repro.sim.rng import RandomSource
 from repro.tasks.generators import generate_random_taskset
@@ -94,19 +94,28 @@ class TestChainAnalysisEngineDifferential:
                 vectorized.reaction_time_bound(chain.name)
             )
 
-    def test_session_default_engine_is_honored(self):
+    def test_default_engine_gives_scalar_bound_on_every_hop(self, monkeypatch):
+        """The default engine takes the closed-form supply inverse (not
+        a silent fallback to the scalar scan) and matches the scalar
+        bound on every hop."""
         config = ChainConfig(
             seed=5,
             workload=ChainWorkloadConfig(
-                chain_count=2, hops_min=2, hops_max=2,
+                chain_count=2, hops_min=2, hops_max=3,
                 total_utilization=0.4, periods=(10, 20),
             ),
         )
         system, chains = build_chain_system(config)
-        with use_engine("scalar"):
-            scalar = analyze_chains(system, chains)
-        with use_engine("vectorized"):
-            vectorized = analyze_chains(system, chains)
-        assert scalar.engine == "scalar"
-        assert vectorized.engine == "vectorized"
-        assert scalar.chains == vectorized.chains
+        scalar = analyze_chains(system, chains, engine="scalar")
+        inverse_calls = []
+        inverse = response_time.sbf_server_inverse
+
+        def counting_inverse(*args):
+            inverse_calls.append(args)
+            return inverse(*args)
+
+        monkeypatch.setattr(response_time, "sbf_server_inverse", counting_inverse)
+        default = analyze_chains(system, chains)
+        assert default.engine == "vectorized"
+        assert default.chains == scalar.chains
+        assert inverse_calls
