@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.sim.clock import DEFAULT_CYCLES_PER_SLOT, DEFAULT_FREQUENCY_HZ
@@ -90,6 +91,11 @@ class WorkloadInstance:
     @property
     def job_count(self) -> int:
         return len(self.releases)
+
+    @cached_property
+    def vm_count(self) -> int:
+        """Distinct VMs of the task set, at least 1; computed once."""
+        return max(1, len(self.taskset.vm_ids()))
 
     def releases_by_slot(self) -> List[ReleasedJob]:
         return sorted(

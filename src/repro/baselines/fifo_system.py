@@ -71,7 +71,7 @@ class FifoSystemModel(IOVirtSystem):
         the paper's 4-VM reference group: more VMs, more on-chip
         interference (Obs 4).
         """
-        vm_count = max(1, len(workload.taskset.vm_ids()))
+        vm_count = workload.vm_count
         vm_factor = 1.0 + 0.25 * max(0, vm_count - 4) / 4.0
         return min(0.95, workload.target_utilization * self.noc_load_factor * vm_factor)
 
@@ -99,7 +99,7 @@ class FifoSystemModel(IOVirtSystem):
 
     def service_inflation(self, workload: WorkloadInstance) -> float:
         """Multiplicative inflation of device occupancy for this system."""
-        vm_count = max(1, len(workload.taskset.vm_ids()))
+        vm_count = workload.vm_count
         load = min(1.0, workload.target_utilization)
         return (
             self.service_inflation_base

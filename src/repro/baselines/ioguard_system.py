@@ -14,6 +14,13 @@ shared workload instance:
   NoC transfer: processors connect to the hypervisor "without involving
   arbiters/routers") and are scheduled by the two-layer scheduler.
 
+The trial loop does work only where state can change.  The P-channel
+walks the occupied table offsets, tiled over the horizon.  The
+R-channel walks the free slots.  When no pool has staged work it jumps
+to the next arrival and counts the skipped free slots as G-Sched idle
+slots.  The two completion streams are merged by slot, so every result,
+counter and random draw equals stepping each slot in turn.
+
 Server dimensioning per trial is ``proportional`` by default (fast,
 utilization-proportional budgets validated to fit the free bandwidth);
 ``analytic`` dimensioning via Theorems 2+4 is available for the
@@ -22,7 +29,9 @@ schedulability experiments.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.servers import design_servers
@@ -202,24 +211,14 @@ class IOGuardSystem(IOVirtSystem):
         arrivals.sort(key=lambda pair: pair[0])
 
         horizon = config.horizon_slots
-        cursor = 0
-        completed: List[Tuple[Job, int]] = []
-        for slot in range(horizon):
-            while cursor < len(arrivals) and arrivals[cursor][0] <= slot:
-                _arrival, released = arrivals[cursor]
-                job = released.task.job(
-                    release=released.release_slot, index=released.index
-                )
-                job.remaining = released.actual_slots
-                rchannel.submit(job)
-                cursor += 1
-            rchannel.tick(slot)
-            if pchannel.occupies(slot):
-                job = pchannel.execute_slot(slot)
-            else:
-                job = rchannel.execute_slot(slot)
-            if job is not None:
-                completed.append((job, slot))
+        # Merge the two channels' completions by slot (a slot belongs to
+        # one channel and completes at most one job), so the response
+        # delays below are drawn in slot order.
+        completed = heapq.merge(
+            self._run_pchannel(pchannel, table, horizon),
+            self._run_rchannel(rchannel, table, horizon, arrivals),
+            key=lambda pair: pair[1],
+        )
 
         # Account completions: response-path delay added before the
         # deadline comparison.  Jobs whose deadline lies beyond the
@@ -251,6 +250,97 @@ class IOGuardSystem(IOVirtSystem):
                     result.record(job.task.criticality, True)
                     result.unfinished += 1
         return result
+
+    @staticmethod
+    def _run_pchannel(
+        pchannel: PChannel, table: TimeSlotTable, horizon: int
+    ) -> List[Tuple[Job, int]]:
+        """Execute every table slot below ``horizon``; its completions.
+
+        P-channel state depends on its own slots only, so the occupied
+        offsets of sigma* are walked, tiled over the horizon.
+        """
+        completed: List[Tuple[Job, int]] = []
+        occupied = table.occupied_indices()
+        if not occupied:
+            return completed
+        for base in range(0, horizon, table.length):
+            for offset in occupied:
+                slot = base + offset
+                if slot >= horizon:
+                    break
+                job = pchannel.execute_slot(slot)
+                if job is not None:
+                    completed.append((job, slot))
+        return completed
+
+    @staticmethod
+    def _run_rchannel(
+        rchannel: RChannel,
+        table: TimeSlotTable,
+        horizon: int,
+        arrivals: List[Tuple[int, ReleasedJob]],
+    ) -> List[Tuple[Job, int]]:
+        """Execute the free slots below ``horizon``; its completions.
+
+        Free slots are addressed by ordinal (``k``-th free slot of
+        sigma).  Every arrival at or before a slot is submitted before
+        the slot runs.  When no pool has staged work the R-channel idles
+        until the next arrival, so those free slots are skipped and
+        counted as idle in one step; G-Sched catches up on the period
+        boundaries it skipped at the next tick.  Every counter ends
+        where stepping each slot would have left it.
+        """
+        completed: List[Tuple[Job, int]] = []
+        cursor = 0
+
+        def submit_through(slot: int) -> int:
+            """Submit arrivals ``<= slot``; the next arrival, capped at
+            the horizon."""
+            nonlocal cursor
+            while cursor < len(arrivals) and arrivals[cursor][0] <= slot:
+                _arrival, released = arrivals[cursor]
+                job = released.task.job(
+                    release=released.release_slot, index=released.index
+                )
+                job.remaining = released.actual_slots
+                rchannel.submit(job)
+                cursor += 1
+            if cursor < len(arrivals):
+                return min(arrivals[cursor][0], horizon)
+            return horizon
+
+        free = table.free_indices()
+        length = table.length
+
+        def first_free(slot: int) -> int:
+            """Ordinal of the first free slot at or after ``slot``: the
+            number of free slots in ``[0, slot)``."""
+            cycle, offset = divmod(slot, length)
+            return cycle * len(free) + bisect_left(free, offset)
+
+        next_arrival = submit_through(-1)
+        ordinal, end = 0, first_free(horizon)
+        while ordinal < end:
+            cycle, index = divmod(ordinal, len(free))
+            slot = cycle * length + free[index]
+            if slot >= next_arrival:
+                next_arrival = submit_through(slot)
+            rchannel.tick(slot)
+            job = rchannel.execute_slot(slot)
+            ordinal += 1
+            if job is not None:
+                completed.append((job, slot))
+            elif rchannel.last_allocation is None:
+                # No pool had staged work: every free slot before the
+                # next arrival idles too.
+                resume = first_free(next_arrival)
+                rchannel.gsched.idle_slots += resume - ordinal
+                ordinal = resume
+        # Arrivals after the last executed free slot still reach their
+        # pools before the horizon.
+        submit_through(horizon - 1)
+        return completed
 
     # -- delay hooks ---------------------------------------------------------------------
 

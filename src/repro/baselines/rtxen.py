@@ -107,7 +107,7 @@ class RTXenSystem(FifoSystemModel):
         """
         vm_id = job.task.vm_id
         period = self.vcpu_period_slots
-        vm_count = max(1, len(workload.taskset.vm_ids()))
+        vm_count = workload.vm_count
         contention = max(1.0, vm_count / 4.0)
         budget = max(1, int(self.vcpu_budget_slots / contention))
         # One issue costs ~the guest-side processing of the request; the

@@ -17,8 +17,9 @@ Theorem 1 is untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.sim.trace import TraceRecorder
 
@@ -107,6 +108,9 @@ class GlobalScheduler:
         self.budgeted_grants = 0
         self.background_grants = 0
         self.idle_slots = 0
+        #: Earliest slot at which some server crosses a period boundary
+        #: it has not replenished at yet; ``-inf`` before the first tick.
+        self._next_boundary: float = -math.inf
 
     @property
     def server_specs(self) -> List[ServerSpec]:
@@ -120,7 +124,15 @@ class GlobalScheduler:
         return self._states[vm_id].budget
 
     def tick(self, slot: int) -> None:
-        """Advance budget accounting to slot ``slot`` (call every slot)."""
+        """Advance budget accounting to slot ``slot``.
+
+        Call it every slot, or after any jump of the clock: a server
+        replenishes exactly when :meth:`_ServerState.replenish_if_due`
+        says so, and slots before the earliest pending period boundary
+        return at once.
+        """
+        if slot < self._next_boundary:
+            return
         for state in self._states.values():
             if state.replenish_if_due(slot) and self.trace is not None:
                 self.trace.record(
@@ -131,6 +143,12 @@ class GlobalScheduler:
                     budget=state.budget,
                     server_deadline=state.deadline,
                 )
+        # Every server has replenished by now, at its last boundary
+        # ``deadline - pi``; its next one is its deadline.
+        self._next_boundary = min(
+            (state.deadline for state in self._states.values()),
+            default=math.inf,
+        )
 
     def allocate(
         self,
@@ -153,15 +171,15 @@ class GlobalScheduler:
         if not pending_vms:
             self.idle_slots += 1
             return None
-        eligible: List[Tuple[int, int, int]] = []
-        for vm_id, state in self._states.items():
-            if state.budget > 0 and vm_id in pending_vms:
-                eligible.append((state.deadline, vm_id, pending_vms[vm_id]))
+        eligible = [
+            (state.deadline, pending_vms[vm_id], vm_id)
+            for vm_id, state in self._states.items()
+            if state.budget > 0 and vm_id in pending_vms
+        ]
         if eligible:
             # Server-EDF; ties broken by staged job deadline then vm_id,
             # which keeps the decision deterministic.
-            eligible.sort(key=lambda entry: (entry[0], entry[2], entry[1]))
-            server_deadline, vm_id, _job_deadline = eligible[0]
+            server_deadline, _job_deadline, vm_id = min(eligible)
             state = self._states[vm_id]
             state.budget -= 1
             state.slots_consumed += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import (
     BlueVisorSystem,
@@ -26,6 +26,7 @@ from repro.baselines import (
     LegacySystem,
     RTXenSystem,
     TrialConfig,
+    TrialResult,
     prepare_workload,
 )
 from repro.exp.reporting import render_table
@@ -121,15 +122,17 @@ class CaseStudyResult:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One independent unit of the Fig. 7 sweep: a (vm group, system,
-    utilization) point with all its trials.
+    """One independent unit of the Fig. 7 sweep: a (vm group,
+    utilization) point with all its trials, run by every system.
 
-    Everything stochastic inside a cell derives from ``(seed + trial,
-    stream name)`` where the stream name encodes the cell coordinates,
-    so cells share no random state: they can run in any process, in any
-    order, and reproduce the serial results bit for bit.  Cells are
-    frozen dataclasses of primitives plus the system object, which keeps
-    them picklable for the parallel runner.
+    Each trial draws one workload, keyed by ``(seed + trial, vm group,
+    utilization)``, and runs every system over it -- identical data
+    input across systems, as in the paper.  System draws are keyed by
+    ``(seed + trial, system name, vm group, utilization)``, so cells
+    share no random state: they can run in any process, in any order,
+    and reproduce the serial results bit for bit.  Cells are frozen
+    dataclasses of primitives plus the system objects, which keeps them
+    picklable for the parallel runner.
     """
 
     seed: int
@@ -137,7 +140,7 @@ class SweepCell:
     utilization: float
     trials: int
     horizon_slots: int
-    system: IOVirtSystem
+    systems: Tuple[IOVirtSystem, ...]
 
 
 @lru_cache(maxsize=8)
@@ -151,18 +154,18 @@ def _cached_base_taskset(vm_count: int) -> TaskSet:
     return build_case_study_taskset(vm_count=vm_count)
 
 
-def run_sweep_cell(cell: SweepCell) -> SweepPoint:
-    """Execute one sweep cell: ``cell.trials`` paired trials, aggregated.
+def run_sweep_cell(cell: SweepCell) -> List[SweepPoint]:
+    """Execute one sweep cell; one aggregated point per system, in
+    ``cell.systems`` order.
 
     Module-level (not a closure) so the parallel runner can pickle it to
     worker processes; the serial path calls the very same function.
+    Only one trial's workload is alive at a time.
     """
     base = _cached_base_taskset(cell.vm_count)
     trial_config = TrialConfig(horizon_slots=cell.horizon_slots)
-    trials = []
+    trials: List[List[TrialResult]] = [[] for _ in cell.systems]
     for trial in range(cell.trials):
-        # Workload draws are keyed by (seed, vm, util, trial)
-        # only -- identical across systems, as in the paper.
         workload_rng = RandomSource(
             cell.seed + trial, f"wl.{cell.vm_count}.{cell.utilization}"
         )
@@ -178,18 +181,19 @@ def run_sweep_cell(cell: SweepCell) -> SweepPoint:
             workload_rng.spawn("draws"),
             target_utilization=cell.utilization,
         )
-        system_rng = RandomSource(
-            cell.seed + trial,
-            f"sys.{cell.system.name}.{cell.vm_count}.{cell.utilization}",
-        )
-        trials.append(cell.system.run_trial(workload, system_rng))
-    return aggregate(trials)
+        for system, results in zip(cell.systems, trials):
+            system_rng = RandomSource(
+                cell.seed + trial,
+                f"sys.{system.name}.{cell.vm_count}.{cell.utilization}",
+            )
+            results.append(system.run_trial(workload, system_rng))
+    return [aggregate(results) for results in trials]
 
 
 def sweep_cells(
     config: CaseStudyConfig, systems: List[IOVirtSystem]
 ) -> List[SweepCell]:
-    """All cells of the sweep, in the canonical (group, system, U) order."""
+    """All cells of the sweep, in the canonical (group, U) order."""
     return [
         SweepCell(
             seed=config.seed,
@@ -197,10 +201,9 @@ def sweep_cells(
             utilization=utilization,
             trials=config.trials,
             horizon_slots=config.horizon_slots,
-            system=system,
+            systems=tuple(systems),
         )
         for vm_count in config.vm_groups
-        for system in systems
         for utilization in config.utilizations
     ]
 
@@ -222,10 +225,17 @@ def run_case_study(
     systems = systems if systems is not None else default_systems()
     runner = runner if runner is not None else ExperimentRunner(jobs)
     cells = sweep_cells(config, systems)
-    points = runner.map(run_sweep_cell, cells, label="fig7")
+    cell_points = runner.map(run_sweep_cell, cells, label="fig7")
+    # Reassemble each group's points in (system, U) order.
     result = CaseStudyResult(config=config)
-    for cell, point in zip(cells, points):
-        result.groups.setdefault(cell.vm_count, []).append(point)
+    per_group = len(config.utilizations)
+    for index, vm_count in enumerate(config.vm_groups):
+        group = cell_points[index * per_group : (index + 1) * per_group]
+        result.groups.setdefault(vm_count, []).extend(
+            points[position]
+            for position in range(len(systems))
+            for points in group
+        )
     return result
 
 

@@ -1,10 +1,13 @@
 """Unit tests for L-Sched and G-Sched."""
 
+import json
+
 import pytest
 
 from repro.core.gsched import Allocation, GlobalScheduler, ServerSpec
 from repro.core.lsched import LocalScheduler, edf_policy, fifo_policy
 from repro.core.priority_queue import PriorityQueue
+from repro.sim.trace import TraceRecorder
 from repro.tasks.task import IOTask
 
 
@@ -210,3 +213,80 @@ class TestGlobalScheduler:
         # 10 periods, 3 budgeted slots each, both VMs always pending.
         assert grants[0] >= 30
         assert grants[1] >= 30
+
+
+def reference_tick(gsched, slot):
+    """``GlobalScheduler.tick`` without its boundary fast path: ask
+    every server whether a replenishment is due."""
+    for state in gsched._states.values():
+        if state.replenish_if_due(slot) and gsched.trace is not None:
+            gsched.trace.record(
+                slot,
+                "gsched.replenish",
+                gsched.name,
+                vm=state.spec.vm_id,
+                budget=state.budget,
+                server_deadline=state.deadline,
+            )
+
+
+def replay(specs, slots, tick):
+    """Tick through ``slots`` (spending a budget unit each slot); the
+    ``gsched.replenish`` events and per-slot budget state."""
+    trace = TraceRecorder()
+    gsched = GlobalScheduler(specs, trace=trace)
+    backlog = {spec.vm_id: 10**6 for spec in specs}
+    states = []
+    for slot in slots:
+        tick(gsched, slot)
+        gsched.allocate(slot, backlog)
+        states.append(
+            [
+                (gsched.budget_of(spec.vm_id), gsched._states[spec.vm_id].deadline)
+                for spec in specs
+            ]
+        )
+    events = [
+        json.dumps([event.time, event.source, event.payload], sort_keys=True)
+        for event in trace.by_category("gsched.replenish")
+    ]
+    return events, states
+
+
+class TestTickFastPath:
+    """``tick`` skips slots before the earliest pending boundary; it must
+    replenish exactly when asking every server each slot did."""
+
+    COPRIME = [ServerSpec(0, 3, 1), ServerSpec(1, 5, 2), ServerSpec(2, 7, 3)]
+
+    @pytest.mark.parametrize(
+        "slots",
+        [
+            pytest.param(list(range(3 * 5 * 7 * 2 + 1)), id="slot-by-slot"),
+            pytest.param([0, 1, 17, 18, 40, 41, 105, 106, 211], id="jumps"),
+            pytest.param([0, 5, 5, 3, 10, 10, 7, 21, 14, 22, 0, 35], id="repeats"),
+            pytest.param([4, 2, 9, 30, 29, 31, 70], id="late-start"),
+        ],
+    )
+    def test_matches_per_server_loop(self, slots):
+        fast = replay(self.COPRIME, slots, GlobalScheduler.tick)
+        reference = replay(self.COPRIME, slots, reference_tick)
+        assert fast == reference
+
+    def test_coprime_slot_by_slot_replenishes_every_boundary(self):
+        horizon = 3 * 5 * 7
+        events, _states = replay(self.COPRIME, range(horizon), GlobalScheduler.tick)
+        assert len(events) == sum(horizon // spec.pi for spec in self.COPRIME)
+
+    def test_jump_replenishes_once_from_latest_boundary(self):
+        events, states = replay(self.COPRIME, [0, 50], GlobalScheduler.tick)
+        # Three servers at slot 0, three catch-ups at slot 50; the
+        # earliest server deadline (51) wins the slot-50 grant.
+        assert len(events) == 6
+        assert states[-1] == [(0, 51), (2, 55), (3, 56)]
+
+    def test_no_servers(self):
+        gsched = GlobalScheduler([])
+        gsched.tick(0)
+        gsched.tick(10**9)
+        assert gsched.allocate(10**9, {}) is None
