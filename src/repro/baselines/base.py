@@ -13,12 +13,17 @@ import abc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.noc.latency import NocLatencyModel
+from repro.noc.packet import FLIT_BYTES
 from repro.sim.clock import DEFAULT_CYCLES_PER_SLOT, DEFAULT_FREQUENCY_HZ
 from repro.sim.rng import RandomSource
-from repro.tasks.task import Criticality, IOTask
+from repro.tasks.task import Criticality, IOTask, Job
 from repro.tasks.taskset import TaskSet
+from repro.virt.stack import SoftwareStackModel, stack_for
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,12 @@ class WorkloadInstance:
         return max(1, len(self.taskset.vm_ids()))
 
     def releases_by_slot(self) -> List[ReleasedJob]:
+        """Releases in (slot, task, index) order; computed once, shared
+        read-only by every system that runs the workload."""
+        return self._releases_by_slot
+
+    @cached_property
+    def _releases_by_slot(self) -> List[ReleasedJob]:
         return sorted(
             self.releases, key=lambda r: (r.release_slot, r.task.name, r.index)
         )
@@ -232,10 +243,29 @@ class TrialResult:
         )
 
 
+#: A pre-drawn release or a materialised job: the delay sampler reads
+#: only ``job.task``.
+AnyJob = Union[ReleasedJob, Job]
+
+
 class IOVirtSystem(abc.ABC):
-    """Common interface of the four evaluated systems."""
+    """Common interface of the evaluated systems, plus the per-job path
+    delay sampler they share."""
 
     name: str = "abstract"
+    #: Which stack model charges the software path costs.
+    stack_name = "legacy"
+    #: Average hop count of the request path through the NoC.
+    request_hops = 5
+    #: Average hop count of the response path.
+    response_hops = 5
+    #: Multiplier applied to the offered NoC load (systems whose traffic
+    #: crosses more shared links see higher effective contention).
+    noc_load_factor = 1.0
+
+    def __init__(self, noc_model: Optional[NocLatencyModel] = None):
+        self.noc = noc_model or NocLatencyModel()
+        self.stack: SoftwareStackModel = stack_for(self.stack_name)
 
     @abc.abstractmethod
     def run_trial(
@@ -256,6 +286,70 @@ class IOVirtSystem(abc.ABC):
             slot_seconds=workload.config.slot_seconds,
             total_released=workload.job_count,
         )
+
+    # -- path delays -------------------------------------------------------
+
+    def request_delays(
+        self, jobs: Sequence[AnyJob], load: float, rng: RandomSource,
+        config: TrialConfig,
+    ) -> np.ndarray:
+        """Software + NoC delay, in slots, from each job's release to its
+        arrival at the I/O subsystem; drawn in ``jobs`` order."""
+        return self._path_delays(
+            jobs, self.stack.request_delays, self.request_hops, load, rng, config
+        )
+
+    def response_delays(
+        self, jobs: Sequence[AnyJob], load: float, rng: RandomSource,
+        config: TrialConfig,
+    ) -> np.ndarray:
+        """Software + NoC delay, in slots, from each job's device
+        completion back to the application; drawn in ``jobs`` order."""
+        return self._path_delays(
+            jobs, self.stack.response_delays, self.response_hops, load, rng, config
+        )
+
+    def _request_delay_slots(
+        self, job: AnyJob, load: float, rng: RandomSource,
+        workload: WorkloadInstance,
+    ) -> float:
+        """One job's request delay: a one-row :meth:`request_delays`."""
+        return float(self.request_delays([job], load, rng, workload.config)[0])
+
+    def _response_delay_slots(
+        self, job: AnyJob, load: float, rng: RandomSource,
+        workload: WorkloadInstance,
+    ) -> float:
+        """One job's response delay: a one-row :meth:`response_delays`."""
+        return float(self.response_delays([job], load, rng, workload.config)[0])
+
+    def _path_delays(
+        self,
+        jobs: Sequence[AnyJob],
+        software: Callable[[float, np.ndarray], np.ndarray],
+        hops: int,
+        load: float,
+        rng: RandomSource,
+        config: TrialConfig,
+    ) -> np.ndarray:
+        """Each job draws its stack jitter, then its VMM quantum
+        residual, then its NoC jitter -- the order of one scalar
+        ``stack`` then ``noc`` sample per job."""
+        flits = np.fromiter(
+            (
+                1 + (job.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
+                for job in jobs
+            ),
+            dtype=np.int64,
+            count=len(jobs),
+        )
+        stack_draws = self.stack.draws_per_delay
+        width = stack_draws + self.noc.draws_per_sample(hops)
+        uniforms = rng.random_array(len(jobs) * width).reshape(len(jobs), width)
+        cycles = software(load, uniforms[:, :stack_draws]) + self.noc.samples(
+            hops, flits, load, uniforms[:, stack_draws:]
+        )
+        return cycles_to_slots(cycles, config)
 
 
 def cycles_to_slots(cycles: float, config: TrialConfig) -> float:

@@ -9,14 +9,21 @@ failure I/O-GUARD removes.
 Because FIFO service admits a closed recurrence
 (``start = max(server_free, arrival)``), baseline trials run in
 O(jobs log jobs) instead of slot-stepping, which keeps the 1000-trial
-sweeps of Fig. 7 tractable.  Subclasses supply the per-system hooks:
-request/response path delays (software stack + NoC) and per-operation
-service inflation.
+sweeps of Fig. 7 tractable.  A trial draws its path delays in two array
+passes of the shared sampler (:meth:`IOVirtSystem.request_delays`):
+every request in release order, then every response in service order --
+the draws, and so the results, of one scalar draw per job in that
+order.  Only the recurrence itself stays a per-job Python loop.
+Subclasses supply the per-system hooks: issue times (the budget gate of
+RT-Xen), path parameters (stack model, hop counts, NoC load factor) and
+per-operation service inflation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
+
+import numpy as np
 
 from repro.baselines.base import (
     IOVirtSystem,
@@ -25,28 +32,16 @@ from repro.baselines.base import (
     WorkloadInstance,
     cycles_to_slots,
 )
-from repro.noc.latency import NocLatencyModel
-from repro.noc.packet import FLIT_BYTES
 from repro.sim.rng import RandomSource
-from repro.virt.stack import SoftwareStackModel, stack_for
 
 
 class FifoSystemModel(IOVirtSystem):
     """Base class: FIFO device service + pluggable path overheads."""
 
     name = "fifo-base"
-    #: Which stack model charges the software path costs.
-    stack_name = "legacy"
-    #: Average hop count of the request path through the NoC.
-    request_hops = 5
-    #: Average hop count of the response path.
-    response_hops = 5
     #: Extra service cycles charged per operation (hardware/backend
     #: virtualization processing).
     service_overhead_cycles = 0
-    #: Multiplier applied to the offered NoC load (systems whose traffic
-    #: crosses more shared links see higher effective contention).
-    noc_load_factor = 1.0
     #: Multiplicative service inflation: fixed part (per-transfer
     #: management executed in software/on shared paths for every slot of
     #: device occupancy) ...
@@ -57,10 +52,6 @@ class FifoSystemModel(IOVirtSystem):
     #: Additional inflation per extra VM beyond the 4-VM reference group
     #: (per-VM on-chip interference, Obs 4), as a fraction per VM.
     service_inflation_per_vm = 0.0
-
-    def __init__(self, noc_model: Optional[NocLatencyModel] = None):
-        self.noc = noc_model or NocLatencyModel()
-        self.stack: SoftwareStackModel = stack_for(self.stack_name)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -74,28 +65,6 @@ class FifoSystemModel(IOVirtSystem):
         vm_count = workload.vm_count
         vm_factor = 1.0 + 0.25 * max(0, vm_count - 4) / 4.0
         return min(0.95, workload.target_utilization * self.noc_load_factor * vm_factor)
-
-    def request_delay_slots(
-        self, job: ReleasedJob, load: float, rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        """Software + NoC delay from release to arrival at the device."""
-        config = workload.config
-        software = self.stack.request_delay(load, rng)
-        flits = 1 + (job.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
-        noc = self.noc.sample(self.request_hops, flits, load, rng)
-        return cycles_to_slots(software + noc, config)
-
-    def response_delay_slots(
-        self, job: ReleasedJob, load: float, rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        """Software + NoC delay from device completion to the app."""
-        config = workload.config
-        software = self.stack.response_delay(load, rng)
-        flits = 1 + (job.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
-        noc = self.noc.sample(self.response_hops, flits, load, rng)
-        return cycles_to_slots(software + noc, config)
 
     def service_inflation(self, workload: WorkloadInstance) -> float:
         """Multiplicative inflation of device occupancy for this system."""
@@ -116,16 +85,13 @@ class FifoSystemModel(IOVirtSystem):
         )
         return job.actual_slots * self.service_inflation(workload) + overhead
 
-    def arrival_time(
-        self,
-        job: ReleasedJob,
-        load: float,
-        rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        """When the request reaches the I/O subsystem (slots, float)."""
-        return job.release_slot + self.request_delay_slots(
-            job, load, rng, workload
+    def issue_slots(
+        self, jobs: List[ReleasedJob], workload: WorkloadInstance
+    ) -> np.ndarray:
+        """When each job's request leaves the guest (slots, float), in
+        ``jobs`` order; the request path delay is added on top."""
+        return np.fromiter(
+            (job.release_slot for job in jobs), dtype=np.float64, count=len(jobs)
         )
 
     # -- trial execution --------------------------------------------------------
@@ -134,24 +100,33 @@ class FifoSystemModel(IOVirtSystem):
         self, workload: WorkloadInstance, rng: RandomSource
     ) -> TrialResult:
         result = self._new_result(workload)
+        config = workload.config
+        horizon = config.horizon_slots
+        collect = config.collect_responses
         load = self.effective_load(workload)
-        horizon = workload.config.horizon_slots
+        inflation = self.service_inflation(workload)
+        overhead = cycles_to_slots(self.service_overhead_cycles, config)
 
-        arrivals: List[Tuple[float, ReleasedJob]] = []
-        for job in workload.releases_by_slot():
-            arrivals.append(
-                (self.arrival_time(job, load, rng, workload), job)
-            )
-        arrivals.sort(key=lambda pair: pair[0])
+        # Request delays are drawn in release order, response delays in
+        # service order: every request draw precedes every response draw.
+        jobs = workload.releases_by_slot()
+        arrivals = self.issue_slots(jobs, workload) + self.request_delays(
+            jobs, load, rng, config
+        )
+        order = np.argsort(arrivals, kind="stable")
+        served = [jobs[index] for index in order.tolist()]
+        responses = self.response_delays(served, load, rng, config)
 
+        # The FIFO recurrence stays a scalar loop: a cumulative numpy
+        # form would round differently.
         server_free = 0.0
-        for arrival, job in arrivals:
+        for job, arrival, response in zip(
+            served, arrivals[order].tolist(), responses.tolist()
+        ):
             start = max(server_free, arrival)
-            completion = start + self.service_slots(job, rng, workload)
+            completion = start + (job.actual_slots * inflation + overhead)
             server_free = completion
-            finish = completion + self.response_delay_slots(
-                job, load, rng, workload
-            )
+            finish = completion + response
             if job.deadline_slot > horizon:
                 # Censored: the observation window ends before the
                 # job's verdict is due; excluded from all systems alike.
@@ -162,12 +137,9 @@ class FifoSystemModel(IOVirtSystem):
                 result.unfinished += 1
             else:
                 result.bytes_transferred += job.task.payload_bytes
-            response = finish - job.release_slot
-            result.response_slots_sum += response
-            result.response_slots_max = max(result.response_slots_max, response)
-            if (
-                workload.config.collect_responses
-                and job.task.criticality.counts_for_success
-            ):
-                result.record_response_sample(job.task.name, response)
+            response_slots = finish - job.release_slot
+            result.response_slots_sum += response_slots
+            result.response_slots_max = max(result.response_slots_max, response_slots)
+            if collect and job.task.criticality.counts_for_success:
+                result.record_response_sample(job.task.name, response_slots)
         return result

@@ -14,12 +14,18 @@ shared workload instance:
   NoC transfer: processors connect to the hypervisor "without involving
   arbiters/routers") and are scheduled by the two-layer scheduler.
 
-The trial loop does work only where state can change.  The P-channel
-walks the occupied table offsets, tiled over the horizon.  The
-R-channel walks the free slots.  When no pool has staged work it jumps
-to the next arrival and counts the skipped free slots as G-Sched idle
-slots.  The two completion streams are merged by slot, so every result,
-counter and random draw equals stepping each slot in turn.
+The trial does Python work once per job or per scheduling run, not per
+slot.  The P-channel computes its completions per task
+(:meth:`PChannel.run_until`): a task's table slots, tiled over the
+horizon, cut into ``wcet``-slot jobs.  The R-channel advances by runs: a
+G-Sched decision holds until the granted job completes, its budget runs
+out, a job arrives or a server period ends, so one ``execute_slot`` call
+covers all of those free slots; with no staged work it jumps to the next
+arrival and counts the skipped free slots as G-Sched idle slots.  The two
+completion streams are merged by slot, and the path delays are drawn in
+two array passes (requests in release order, responses in completion
+order), so every result, counter and random draw equals stepping each
+slot in turn.
 
 Server dimensioning per trial is ``proportional`` by default (fast,
 utilization-proportional budgets validated to fit the free bandwidth);
@@ -32,15 +38,17 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.servers import design_servers
 from repro.baselines.base import (
     IOVirtSystem,
     ReleasedJob,
+    TrialConfig,
     TrialResult,
     WorkloadInstance,
-    cycles_to_slots,
 )
 from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
@@ -52,11 +60,9 @@ from repro.core.timeslot import (
     stagger_offsets,
 )
 from repro.noc.latency import NocLatencyModel
-from repro.noc.packet import FLIT_BYTES
 from repro.sim.rng import RandomSource
 from repro.tasks.task import Job, TaskKind
 from repro.tasks.taskset import TaskSet
-from repro.virt.stack import stack_for
 
 #: Default server period for proportional dimensioning (1 ms at the
 #: case-study 10 us slot).
@@ -64,6 +70,9 @@ PROPORTIONAL_PERIOD = 100
 
 #: Budget head-room multiplier over the VM's raw utilization.
 PROPORTIONAL_MARGIN = 1.25
+
+#: Completions whose response delays are drawn in one sampler call.
+RESPONSE_BATCH = 2048
 
 
 class IOGuardSystem(IOVirtSystem):
@@ -95,11 +104,10 @@ class IOGuardSystem(IOVirtSystem):
             raise ValueError(
                 f"placement must be 'spread' or 'contiguous', got {placement!r}"
             )
+        super().__init__(noc_model)
         self.preload_fraction = preload_fraction
         self.server_policy = server_policy
         self.placement = placement
-        self.noc = noc_model or NocLatencyModel()
-        self.stack = stack_for(self.stack_name)
         self.name = f"ioguard-{int(round(preload_fraction * 100))}"
         if placement != "spread":
             self.name += f"-{placement}"
@@ -199,48 +207,44 @@ class IOGuardSystem(IOVirtSystem):
         predefined_names = {task.name for task in split.predefined()}
         load = min(0.95, workload.target_utilization * self.noc_load_factor)
 
-        # Pre-compute run-time job arrivals (release + driver/NoC delay).
-        arrivals: List[Tuple[int, ReleasedJob]] = []
-        for released in workload.releases:
-            if released.task.name in predefined_names:
-                continue
-            delay = self._request_delay_slots(released, load, rng, workload)
-            arrivals.append(
-                (int(math.ceil(released.release_slot + delay)), released)
-            )
-        arrivals.sort(key=lambda pair: pair[0])
-
+        arrivals = self._arrivals(
+            [job for job in workload.releases if job.task.name not in predefined_names],
+            load, rng, config,
+        )
         horizon = config.horizon_slots
         # Merge the two channels' completions by slot (a slot belongs to
-        # one channel and completes at most one job), so the response
-        # delays below are drawn in slot order.
-        completed = heapq.merge(
-            self._run_pchannel(pchannel, table, horizon),
-            self._run_rchannel(rchannel, table, horizon, arrivals),
-            key=lambda pair: pair[1],
-        )
-
-        # Account completions: response-path delay added before the
-        # deadline comparison.  Jobs whose deadline lies beyond the
-        # horizon are censored (the window ends before their verdict),
-        # matching the baseline accounting.
-        for job, slot in completed:
-            deadline = job.release + job.task.deadline
-            if deadline > horizon:
-                continue
-            response = self._response_delay_slots(job, load, rng, workload)
-            finish = (slot + 1) + response
-            missed = finish > deadline
-            result.record(job.task.criticality, missed)
-            result.bytes_transferred += job.task.payload_bytes
-            elapsed = finish - job.release
-            result.response_slots_sum += elapsed
-            result.response_slots_max = max(result.response_slots_max, elapsed)
-            if (
-                workload.config.collect_responses
-                and job.task.criticality.counts_for_success
-            ):
-                result.record_response_sample(job.task.name, elapsed)
+        # one channel and completes at most one job).  Jobs whose
+        # deadline lies beyond the horizon are censored (the window ends
+        # before their verdict), matching the baseline accounting.
+        completed = [
+            pair
+            for pair in heapq.merge(
+                pchannel.run_until(horizon),
+                self._run_rchannel(rchannel, table, horizon, arrivals),
+                key=lambda pair: pair[1],
+            )
+            if pair[0].release + pair[0].task.deadline <= horizon
+        ]
+        # Response-path delays, drawn in completion order, are added
+        # before the deadline comparison; drawn a batch at a time to
+        # bound the sampler's arrays.
+        collect = config.collect_responses
+        for start in range(0, len(completed), RESPONSE_BATCH):
+            batch = completed[start : start + RESPONSE_BATCH]
+            responses = self.response_delays(
+                [job for job, _slot in batch], load, rng, config
+            ).tolist()
+            for (job, slot), response in zip(batch, responses):
+                deadline = job.release + job.task.deadline
+                finish = (slot + 1) + response
+                missed = finish > deadline
+                result.record(job.task.criticality, missed)
+                result.bytes_transferred += job.task.payload_bytes
+                elapsed = finish - job.release
+                result.response_slots_sum += elapsed
+                result.response_slots_max = max(result.response_slots_max, elapsed)
+                if collect and job.task.criticality.counts_for_success:
+                    result.record_response_sample(job.task.name, elapsed)
 
         # Jobs still queued at the horizon with an expired deadline have
         # certainly missed it.
@@ -251,28 +255,25 @@ class IOGuardSystem(IOVirtSystem):
                     result.unfinished += 1
         return result
 
-    @staticmethod
-    def _run_pchannel(
-        pchannel: PChannel, table: TimeSlotTable, horizon: int
-    ) -> List[Tuple[Job, int]]:
-        """Execute every table slot below ``horizon``; its completions.
-
-        P-channel state depends on its own slots only, so the occupied
-        offsets of sigma* are walked, tiled over the horizon.
-        """
-        completed: List[Tuple[Job, int]] = []
-        occupied = table.occupied_indices()
-        if not occupied:
-            return completed
-        for base in range(0, horizon, table.length):
-            for offset in occupied:
-                slot = base + offset
-                if slot >= horizon:
-                    break
-                job = pchannel.execute_slot(slot)
-                if job is not None:
-                    completed.append((job, slot))
-        return completed
+    def _arrivals(
+        self,
+        released: List[ReleasedJob],
+        load: float,
+        rng: RandomSource,
+        config: TrialConfig,
+    ) -> List[Tuple[int, ReleasedJob]]:
+        """``(arrival slot, job)`` of the run-time jobs in arrival order:
+        release + driver/NoC delay, drawn in release order."""
+        release_slots = np.fromiter(
+            (job.release_slot for job in released), dtype=np.float64, count=len(released)
+        )
+        arrival_slots = np.ceil(
+            release_slots + self.request_delays(released, load, rng, config)
+        ).astype(np.int64)
+        order = np.argsort(arrival_slots, kind="stable")
+        return list(
+            zip(arrival_slots[order].tolist(), [released[i] for i in order.tolist()])
+        )
 
     @staticmethod
     def _run_rchannel(
@@ -285,11 +286,15 @@ class IOGuardSystem(IOVirtSystem):
 
         Free slots are addressed by ordinal (``k``-th free slot of
         sigma).  Every arrival at or before a slot is submitted before
-        the slot runs.  When no pool has staged work the R-channel idles
-        until the next arrival, so those free slots are skipped and
-        counted as idle in one step; G-Sched catches up on the period
-        boundaries it skipped at the next tick.  Every counter ends
-        where stepping each slot would have left it.
+        the slot runs.  Until the next arrival or G-Sched period
+        boundary nothing the G-Sched decision reads changes but the
+        granted job's progress and budget, so one ``execute_slot`` call
+        runs the decision over those free slots, up to the job's
+        completion or the budget's end.  When no pool has staged work
+        the R-channel idles until the next arrival, so those free slots
+        are skipped and counted as idle in one step; G-Sched catches up
+        on the period boundaries it skipped at the next tick.  Every
+        counter ends where stepping each slot would have left it.
         """
         completed: List[Tuple[Job, int]] = []
         cursor = 0
@@ -319,6 +324,7 @@ class IOGuardSystem(IOVirtSystem):
             cycle, offset = divmod(slot, length)
             return cycle * len(free) + bisect_left(free, offset)
 
+        gsched = rchannel.gsched
         next_arrival = submit_through(-1)
         ordinal, end = 0, first_free(horizon)
         while ordinal < end:
@@ -327,43 +333,46 @@ class IOGuardSystem(IOVirtSystem):
             if slot >= next_arrival:
                 next_arrival = submit_through(slot)
             rchannel.tick(slot)
-            job = rchannel.execute_slot(slot)
-            ordinal += 1
-            if job is not None:
-                completed.append((job, slot))
-            elif rchannel.last_allocation is None:
+            stop = first_free(min(next_arrival, gsched.next_boundary))
+            job = rchannel.execute_slot(
+                slot, run=_FreeSlots(free, length, ordinal + 1, stop)
+            )
+            allocation = rchannel.last_allocation
+            if allocation is None:
                 # No pool had staged work: every free slot before the
                 # next arrival idles too.
                 resume = first_free(next_arrival)
-                rchannel.gsched.idle_slots += resume - ordinal
+                gsched.idle_slots += resume - ordinal - 1
                 ordinal = resume
+                continue
+            ordinal += allocation.slots
+            if job is not None:
+                cycle, index = divmod(ordinal - 1, len(free))
+                completed.append((job, cycle * length + free[index]))
         # Arrivals after the last executed free slot still reach their
         # pools before the horizon.
         submit_through(horizon - 1)
         return completed
 
-    # -- delay hooks ---------------------------------------------------------------------
 
-    def _request_delay_slots(
-        self,
-        released: ReleasedJob,
-        load: float,
-        rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        software = self.stack.request_delay(load, rng)
-        flits = 1 + (released.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
-        noc = self.noc.sample(self.request_hops, flits, load, rng)
-        return cycles_to_slots(software + noc, workload.config)
+class _FreeSlots(Sequence[int]):
+    """The free slots of sigma with ordinals in ``[start, stop)``, in
+    order; the ``k``-th free slot lies in hyper-period ``k // F`` at the
+    ``k % F``-th free offset."""
 
-    def _response_delay_slots(
-        self,
-        job: Job,
-        load: float,
-        rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        software = self.stack.response_delay(load, rng)
-        flits = 1 + (job.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
-        noc = self.noc.sample(self.response_hops, flits, load, rng)
-        return cycles_to_slots(software + noc, workload.config)
+    __slots__ = ("free", "length", "start", "stop")
+
+    def __init__(self, free: List[int], length: int, start: int, stop: int):
+        self.free = free
+        self.length = length
+        self.start = start
+        self.stop = stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index: int) -> int:
+        if not 0 <= index < self.stop - self.start:
+            raise IndexError(index)
+        cycle, offset = divmod(self.start + index, len(self.free))
+        return cycle * self.length + self.free[offset]

@@ -14,7 +14,9 @@ enhancement were implemented in software."  The modelled costs:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.baselines.base import ReleasedJob, TrialResult, WorkloadInstance
 from repro.baselines.fifo_system import FifoSystemModel
@@ -87,38 +89,42 @@ class RTXenSystem(FifoSystemModel):
         self._period_index = {}
         return super().run_trial(workload, rng)
 
-    def arrival_time(
-        self,
-        job: ReleasedJob,
-        load: float,
-        rng: RandomSource,
-        workload: WorkloadInstance,
-    ) -> float:
-        """Release -> (budget gate) -> software path -> backend queue."""
-        issue_slot = self._budget_gate(job, workload)
-        return issue_slot + self.request_delay_slots(job, load, rng, workload)
+    def issue_slots(
+        self, jobs: List[ReleasedJob], workload: WorkloadInstance
+    ) -> np.ndarray:
+        """Release -> (budget gate): the software path delay follows."""
+        quota = self._issue_quota(workload)
+        return np.fromiter(
+            (self._budget_gate(job, quota) for job in jobs),
+            dtype=np.float64,
+            count=len(jobs),
+        )
 
-    def _budget_gate(self, job: ReleasedJob, workload: WorkloadInstance) -> float:
-        """Earliest slot the guest's vCPU can issue the request.
+    def _issue_quota(self, workload: WorkloadInstance) -> int:
+        """I/O issues one vCPU period admits per VM.
 
-        Approximates RTDS budget accounting at I/O granularity: each
-        period admits a number of I/O issues proportional to the vCPU's
-        budget share; issues beyond the quota wait for the next period.
+        One issue costs ~the guest-side processing of the request; the
+        quota is how many fit in the per-period budget, derated by the
+        guest's own computational load at this utilization.
         """
-        vm_id = job.task.vm_id
-        period = self.vcpu_period_slots
-        vm_count = workload.vm_count
-        contention = max(1.0, vm_count / 4.0)
+        contention = max(1.0, workload.vm_count / 4.0)
         budget = max(1, int(self.vcpu_budget_slots / contention))
-        # One issue costs ~the guest-side processing of the request; the
-        # quota is how many fit in the per-period budget, derated by the
-        # guest's own computational load at this utilization.
         issue_cost_slots = max(
             1.0,
             self.stack.request_path_cycles / workload.config.cycles_per_slot,
         )
         compute_share = min(0.9, workload.target_utilization * 0.5)
-        quota = max(1, int(budget * (1.0 - compute_share) / issue_cost_slots))
+        return max(1, int(budget * (1.0 - compute_share) / issue_cost_slots))
+
+    def _budget_gate(self, job: ReleasedJob, quota: int) -> float:
+        """Earliest slot the guest's vCPU can issue the request.
+
+        Approximates RTDS budget accounting at I/O granularity: each
+        period admits ``quota`` I/O issues per VM; issues beyond the
+        quota wait for the next period.  Call in release order.
+        """
+        vm_id = job.task.vm_id
+        period = self.vcpu_period_slots
         current_period = job.release_slot // period
         if self._period_index.get(vm_id) != current_period:
             self._period_index[vm_id] = current_period

@@ -81,12 +81,14 @@ class _ServerState:
 
 @dataclass(frozen=True)
 class Allocation:
-    """G-Sched decision for one free slot."""
+    """G-Sched decision for one free slot, or a run of them."""
 
     vm_id: int
     #: True when the slot was granted from the VM's server budget; False
     #: for work-conserving background slots.
     budgeted: bool
+    #: Consecutive free slots granted under this one decision.
+    slots: int = 1
 
 
 class GlobalScheduler:
@@ -123,6 +125,12 @@ class GlobalScheduler:
     def budget_of(self, vm_id: int) -> int:
         return self._states[vm_id].budget
 
+    @property
+    def next_boundary(self) -> float:
+        """Earliest slot at which :meth:`tick` next replenishes a server
+        (``-inf`` before the first tick, ``inf`` with no servers)."""
+        return self._next_boundary
+
     def tick(self, slot: int) -> None:
         """Advance budget accounting to slot ``slot``.
 
@@ -154,6 +162,7 @@ class GlobalScheduler:
         self,
         slot: int,
         pending_vms: Dict[int, int],
+        run_slots: Optional[Dict[int, int]] = None,
     ) -> Optional[Allocation]:
         """Decide which VM receives free slot ``slot``.
 
@@ -167,6 +176,15 @@ class GlobalScheduler:
         2. otherwise, background: EDF over the *job* deadlines in the
            shadow registers (no budget consumed);
         3. otherwise the slot idles.
+
+        ``run_slots`` maps each pending vm_id to the most consecutive
+        free slots, ``slot`` first, the caller can hand that VM under this
+        one decision (default: one).  The caller guarantees that nothing
+        the decision reads changes inside them: no work arrives or
+        completes and no server crosses a period boundary.  The decision
+        then repeats on every one of them, so the grant covers them all
+        at once, stopping early when a budgeted grant exhausts the
+        budget; :attr:`Allocation.slots` is the run length.
         """
         if not pending_vms:
             self.idle_slots += 1
@@ -181,9 +199,10 @@ class GlobalScheduler:
             # which keeps the decision deterministic.
             server_deadline, _job_deadline, vm_id = min(eligible)
             state = self._states[vm_id]
-            state.budget -= 1
-            state.slots_consumed += 1
-            self.budgeted_grants += 1
+            slots = 1 if run_slots is None else min(run_slots[vm_id], state.budget)
+            state.budget -= slots
+            state.slots_consumed += slots
+            self.budgeted_grants += slots
             if self.trace is not None:
                 self.trace.record(
                     slot,
@@ -194,9 +213,10 @@ class GlobalScheduler:
                     budget_left=state.budget,
                     server_deadline=server_deadline,
                 )
-            return Allocation(vm_id=vm_id, budgeted=True)
+            return Allocation(vm_id=vm_id, budgeted=True, slots=slots)
         vm_id = min(pending_vms, key=lambda vm: (pending_vms[vm], vm))
-        self.background_grants += 1
+        slots = 1 if run_slots is None else run_slots[vm_id]
+        self.background_grants += slots
         if self.trace is not None:
             self.trace.record(
                 slot,
@@ -206,7 +226,7 @@ class GlobalScheduler:
                 budgeted=False,
                 job_deadline=pending_vms[vm_id],
             )
-        return Allocation(vm_id=vm_id, budgeted=False)
+        return Allocation(vm_id=vm_id, budgeted=False, slots=slots)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,7 +11,9 @@ driver for execution."
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.timeslot import TimeSlotTable, build_pchannel_table
 from repro.sim.trace import TraceRecorder
@@ -92,6 +94,82 @@ class PChannel:
                 self.on_complete(job, slot)
             return job
         return None
+
+    def run_until(self, horizon: int) -> List[Tuple[Job, int]]:
+        """Execute every table slot below ``horizon``; the ``(job, slot)``
+        completions in slot order.
+
+        Leaves the channel exactly where calling :meth:`execute_slot` on
+        each occupied slot in turn would, but works per task: the task's
+        table offsets, tiled over the horizon, are its slots.  The
+        leading slots :meth:`_current_job` idles through are dropped and
+        the rest are cut into ``wcet``-slot jobs, each released at the
+        period boundary containing its first slot; a cut-off last chunk
+        stays in flight.  Needs a fresh channel and no trace recorder
+        (per-slot events come from :meth:`execute_slot` only).
+        """
+        if self.trace is not None:
+            raise ValueError("run_until records no trace events; step execute_slot")
+        if self._job_counts:
+            raise ValueError("run_until needs a channel that has run no job yet")
+        offsets_of: Dict[str, List[int]] = {}
+        for offset in sorted(self.table.entries):
+            offsets_of.setdefault(self.table.entries[offset].name, []).append(offset)
+        cycles = np.arange(0, max(horizon, 0), self.table.length)
+        completed_jobs: List[Job] = []
+        # (first slot, task, job count) and (first slot, task, cut-off
+        # job) per task, to insert the dict keys in stepping order.
+        firsts: List[Tuple[int, str, int]] = []
+        in_flight: List[Tuple[int, str, Job]] = []
+        for name, offsets in offsets_of.items():
+            task = self.table.entries[offsets[0]]
+            # Idle until the first release at or after both the task
+            # offset and the activation slot.
+            start = task.offset
+            if self.activation_slot > start:
+                start += -(-(self.activation_slot - start) // task.period) * task.period
+            slots = (cycles[:, np.newaxis] + np.asarray(offsets)[np.newaxis, :]).ravel()
+            slots = slots[(slots >= start) & (slots < horizon)]
+            if not len(slots):
+                continue
+            wcet = task.wcet
+            chunk_firsts = slots[::wcet]
+            indices = (chunk_firsts - task.offset) // task.period
+            releases = task.offset + indices * task.period
+            full = len(slots) // wcet
+            for first, last, release, index in zip(
+                chunk_firsts[:full].tolist(),
+                slots[wcet - 1 :: wcet].tolist(),
+                releases.tolist(),
+                indices.tolist(),
+            ):
+                job = task.job(release=release, index=index)
+                job.remaining = 0
+                job.started_at = float(first)
+                job.completed_at = float(last + 1)
+                completed_jobs.append(job)
+            if len(chunk_firsts) > full:
+                job = task.job(release=int(releases[-1]), index=int(indices[-1]))
+                job.remaining = wcet - (len(slots) - full * wcet)
+                job.started_at = float(chunk_firsts[-1])
+                in_flight.append((int(chunk_firsts[-1]), name, job))
+            firsts.append((int(slots[0]), name, len(chunk_firsts)))
+            self.slots_executed += len(slots)
+        for _slot, name, count in sorted(firsts):
+            self._job_counts[name] = count
+        for _slot, name, job in sorted(in_flight, key=lambda entry: entry[0]):
+            self._in_flight[name] = job
+        # Each job completes at its own slot: ``completed_at - 1``.
+        completed_jobs.sort(key=lambda job: job.completed_at)
+        completed: List[Tuple[Job, int]] = []
+        for job in completed_jobs:
+            slot = int(job.completed_at) - 1
+            self.jobs_completed += 1
+            self.completed_jobs.append(job)
+            if self.on_complete is not None:
+                self.on_complete(job, slot)
+            completed.append((job, slot))
+        return completed
 
     def _current_job(self, task: IOTask, slot: int) -> Optional[Job]:
         """The in-flight job of ``task`` covering absolute slot ``slot``.

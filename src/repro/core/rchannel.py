@@ -9,7 +9,7 @@ and completed jobs are removed from their priority queue.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.gsched import Allocation, GlobalScheduler, ServerSpec
 from repro.core.iopool import IOPool
@@ -98,6 +98,7 @@ class RChannel:
         self,
         slot: int,
         guard: Optional[Callable[[Job, int], bool]] = None,
+        run: Sequence[int] = (),
     ) -> Optional[Job]:
         """Run one free slot of R-channel work; returns a completed job.
 
@@ -108,14 +109,28 @@ class RChannel:
         consumed, no progress made) and counted in
         :attr:`blocked_slots`.  The burn is charged to the faulting
         VM's own allocation, never to another VM's budget.
+
+        ``run`` lists further free slots after ``slot``, in order, that
+        the same G-Sched decision may cover: the caller guarantees that
+        no job arrives and no server crosses a period boundary before
+        the last of them.  The run ends at the staged job's completion,
+        when a budgeted grant exhausts the budget, or at the end of
+        ``run``; :attr:`last_allocation` ``.slots`` is its length and a
+        completion is stamped at its last slot.  A guard or a trace
+        recorder limits the run to ``slot`` itself: both act slot by
+        slot.
         """
-        pending = {
-            vm_id: deadline
-            for vm_id, pool in self.pools.items()
-            if vm_id not in self.quarantined_vms
-            and (deadline := pool.staged_deadline()) is not None
-        }
-        allocation = self.gsched.allocate(slot, pending)
+        limit = 1 + len(run) if guard is None and self.trace is None else 1
+        pending: Dict[int, int] = {}
+        run_slots: Optional[Dict[int, int]] = {} if limit > 1 else None
+        for vm_id, pool in self.pools.items():
+            deadline = pool.staged_deadline()
+            if deadline is None or vm_id in self.quarantined_vms:
+                continue
+            pending[vm_id] = deadline
+            if run_slots is not None and pool.shadow is not None:
+                run_slots[vm_id] = min(limit, pool.shadow.remaining)
+        allocation = self.gsched.allocate(slot, pending, run_slots)
         self.last_allocation = allocation
         if allocation is None:
             return None
@@ -138,14 +153,15 @@ class RChannel:
                 vm=allocation.vm_id, job=job.name,
                 remaining=job.remaining, budgeted=allocation.budgeted,
             )
-        completed = pool.execute_slot(slot)
-        self.slots_executed += 1
+        last = slot if allocation.slots == 1 else run[allocation.slots - 2]
+        completed = pool.execute_slot(last, slots=allocation.slots)
+        self.slots_executed += allocation.slots
         if completed is not None:
-            completed.completed_at = float(slot + 1)
+            completed.completed_at = float(last + 1)
             self.jobs_completed += 1
             self.completed_jobs.append(completed)
             if self.on_complete is not None:
-                self.on_complete(completed, slot)
+                self.on_complete(completed, last)
         return completed
 
     @property

@@ -10,6 +10,7 @@ time; the G-Sched analysis derives ``sbf(sigma, t)`` from it.
 from __future__ import annotations
 
 import math
+import weakref
 from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -74,7 +75,10 @@ class SbfCache:
     __slots__ = ("_table", "_windows", "_free_prefix", "hits", "misses")
 
     def __init__(self, table: "TimeSlotTable") -> None:
-        self._table = table
+        # A weak back-reference: no table <-> cache cycle, so a table is
+        # freed as soon as its last user drops it, not at the next
+        # full garbage collection.
+        self._table = weakref.ref(table)
         self._windows: Dict[int, int] = {}
         self._free_prefix: Optional[np.ndarray] = None
         self.hits = 0
@@ -83,7 +87,7 @@ class SbfCache:
     def free_prefix(self) -> np.ndarray:
         """Prefix sums of free slots over two repetitions of sigma*."""
         if self._free_prefix is None:
-            free = (~self._table._occupied).astype(np.int64)
+            free = (~self._owner()._occupied).astype(np.int64)
             doubled = np.concatenate([free, free])
             self._free_prefix = np.concatenate([[0], np.cumsum(doubled)])
         return self._free_prefix
@@ -99,13 +103,19 @@ class SbfCache:
             value = 0
         else:
             prefix = self.free_prefix()
-            length = self._table.length
+            length = self._owner().length
             # window starting at s covers [s, s+window); minimise over
             # s in [0, H).
             sums = prefix[window : window + length] - prefix[:length]
             value = int(sums.min())
         self._windows[window] = value
         return value
+
+    def _owner(self) -> "TimeSlotTable":
+        table = self._table()
+        if table is None:
+            raise ReferenceError("SbfCache outlived its TimeSlotTable")
+        return table
 
     def clear(self) -> None:
         """Drop memoized windows and the prefix array."""

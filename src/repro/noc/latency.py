@@ -20,11 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.noc.network import DEFAULT_ROUTER_LATENCY, NocNetwork
 from repro.noc.packet import Packet, PacketKind
 from repro.noc.topology import MeshTopology
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.rng import RandomSource
+from repro.sim.rng import RandomSource, scale_uniform
 
 #: Contention gain obtained from :func:`calibrate_latency_model` with the
 #: default mesh/seed; kept as a constant so experiments are reproducible
@@ -45,29 +47,60 @@ class NocLatencyModel:
     #: Relative jitter amplitude at full load (uniform, load-scaled).
     jitter_amplitude: float = 0.5
 
-    def mean_latency(self, hops: int, flits: int, load: float) -> float:
-        """Expected traversal cycles at the given offered load."""
-        if hops < 0 or flits < 1:
-            raise ValueError(f"invalid packet shape: hops={hops}, flits={flits}")
+    def draws_per_sample(self, hops: int) -> int:
+        """Uniform draws one :meth:`sample` consumes: none on a zero-hop
+        path."""
+        return int(hops != 0)
+
+    def mean_latencies(
+        self, hops: int, flits: np.ndarray, load: float
+    ) -> np.ndarray:
+        """Expected traversal cycles at the given offered load, one per
+        packet of ``flits[i]`` flits."""
+        flits = np.asarray(flits, dtype=np.int64)
+        smallest = int(flits.min()) if flits.size else 1
+        if hops < 0 or smallest < 1:
+            raise ValueError(f"invalid packet shape: hops={hops}, flits={smallest}")
         if load < 0:
             raise ValueError(f"negative load: {load}")
         if hops == 0:
-            return 0.0
+            return np.zeros(len(flits))
         rho = min(load, MAX_MODEL_LOAD)
         base = hops * (self.router_latency + flits)
         return base * (1.0 + self.contention_gain * rho / (1.0 - rho))
+
+    def mean_latency(self, hops: int, flits: int, load: float) -> float:
+        """Expected traversal cycles of one packet."""
+        return float(self.mean_latencies(hops, np.array([flits]), load)[0])
+
+    def samples(
+        self, hops: int, flits: np.ndarray, load: float, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Latency draws of many packets at one load.
+
+        Row ``i`` of ``uniforms`` holds the ``draws_per_sample(hops)``
+        draws of ``random()`` for packet ``i``.  Equal, draw for draw, to
+        :meth:`sample` fed the same draws.
+        """
+        return self._jittered(self.mean_latencies(hops, flits, load), hops, load, uniforms)
 
     def sample(
         self, hops: int, flits: int, load: float, rng: RandomSource
     ) -> float:
         """One latency draw: mean plus load-scaled uniform jitter."""
-        mean = self.mean_latency(hops, flits, load)
+        mean = self.mean_latencies(hops, np.array([flits]), load)
+        draws = rng.random_array(self.draws_per_sample(hops))
+        return float(self._jittered(mean, hops, load, draws[np.newaxis, :])[0])
+
+    def _jittered(
+        self, mean: np.ndarray, hops: int, load: float, uniforms: np.ndarray
+    ) -> np.ndarray:
         if hops == 0:
-            return 0.0
+            return mean
         rho = min(max(load, 0.0), MAX_MODEL_LOAD)
         amplitude = self.jitter_amplitude * rho
-        factor = 1.0 + rng.uniform(-amplitude, amplitude)
-        return mean * max(factor, 0.1)
+        factor = 1.0 + scale_uniform(-amplitude, amplitude, uniforms[:, 0])
+        return mean * np.maximum(factor, 0.1)
 
     def worst_case(self, hops: int, flits: int, load: float) -> float:
         """Upper envelope of :meth:`sample` at this load."""

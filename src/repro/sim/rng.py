@@ -14,6 +14,8 @@ import hashlib
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 
 class RandomSource(random.Random):
     """A named, seeded ``random.Random`` with domain-specific helpers."""
@@ -43,6 +45,19 @@ class RandomSource(random.Random):
         return [self.spawn(name) for name in child_names]
 
     # -- domain helpers ----------------------------------------------------
+
+    def random_array(self, n: int) -> np.ndarray:
+        """``n`` draws of :meth:`random` as a float64 array, in order.
+
+        Leaves the generator exactly where ``n`` calls of ``random()``
+        would; ``scale_uniform(a, b, u)`` turns the draws into
+        :meth:`uniform` samples bit for bit.
+        """
+        if n < 0:
+            raise ValueError(f"cannot draw a negative count: {n}")
+        # iter(callable, sentinel) never meets its sentinel: random()
+        # lies in [0, 1).  fromiter stops after ``count`` draws.
+        return np.fromiter(iter(self.random, -1.0), dtype=np.float64, count=n)
 
     def log_uniform(self, low: float, high: float) -> float:
         """Sample log-uniformly from ``[low, high]`` (period generation)."""
@@ -74,6 +89,15 @@ class RandomSource(random.Random):
     def choice_weighted(self, items: Sequence, weights: Sequence[float]):
         """Single weighted choice (wrapper over ``random.choices``)."""
         return self.choices(list(items), weights=list(weights), k=1)[0]
+
+
+def scale_uniform(low, high, u):
+    """``random.uniform(low, high)`` applied to draws ``u`` of ``random()``.
+
+    The same expression as the standard library's, ``a + (b - a) * u``,
+    so scalars and numpy arrays of draws give bit-identical samples.
+    """
+    return low + (high - low) * u
 
 
 def derive_seed(base_seed: int, name: str) -> int:

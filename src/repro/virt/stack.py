@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.sim.rng import RandomSource
+import numpy as np
+
+from repro.sim.rng import RandomSource, scale_uniform
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,25 @@ class SoftwareStackModel:
     #: (cache/TLB pressure from co-running VMs).
     load_sensitivity_cycles: int
 
+    @property
+    def draws_per_delay(self) -> int:
+        """Uniform draws one delay sample consumes: jitter, then the VMM
+        quantum residual, each only when the stack has it."""
+        return int(self.path_jitter > 0) + int(self.vmm_quantum_cycles > 0)
+
+    def request_delays(self, load: float, uniforms: np.ndarray) -> np.ndarray:
+        """Software delays of many requests at one load.
+
+        Row ``i`` of ``uniforms`` holds the ``draws_per_delay`` draws of
+        ``random()`` for sample ``i``, in draw order.  Equal, sample for
+        sample, to :meth:`request_delay` fed the same draws.
+        """
+        return self._path_delays(self.request_path_cycles, load, uniforms)
+
+    def response_delays(self, load: float, uniforms: np.ndarray) -> np.ndarray:
+        """Software delays of many responses; see :meth:`request_delays`."""
+        return self._path_delays(self.response_path_cycles, load, uniforms)
+
     def request_delay(self, load: float, rng: RandomSource) -> float:
         """Sample the software delay for one request at a given load."""
         return self._path_delay(self.request_path_cycles, load, rng)
@@ -48,23 +69,46 @@ class SoftwareStackModel:
         """Sample the software delay for one response at a given load."""
         return self._path_delay(self.response_path_cycles, load, rng)
 
-    def _path_delay(self, base: int, load: float, rng: RandomSource) -> float:
-        if load < 0:
-            raise ValueError(f"negative load: {load}")
-        delay = base + self.load_sensitivity_cycles * min(load, 1.5)
-        if self.path_jitter > 0:
-            delay *= 1.0 + rng.uniform(0, self.path_jitter)
-        if self.vmm_quantum_cycles > 0:
-            # Uniform residual of the VMM dispatch quantum.
-            delay += rng.uniform(0, self.vmm_quantum_cycles)
-        return delay
-
     def worst_request_delay(self, load: float) -> float:
         """Deterministic upper envelope of :meth:`request_delay`."""
-        delay = self.request_path_cycles + self.load_sensitivity_cycles * min(
-            load, 1.5
-        )
-        delay *= 1.0 + self.path_jitter
+        return self._worst_delay(self.request_path_cycles, load)
+
+    def worst_response_delay(self, load: float) -> float:
+        """Deterministic upper envelope of :meth:`response_delay`."""
+        return self._worst_delay(self.response_path_cycles, load)
+
+    def _loaded_cycles(self, base: int, load: float) -> float:
+        """Path cost at ``load`` before jitter; rejects a negative load."""
+        if load < 0:
+            raise ValueError(f"negative load: {load}")
+        return base + self.load_sensitivity_cycles * min(load, 1.5)
+
+    def _path_delay(self, base: int, load: float, rng: RandomSource) -> float:
+        """One sample: a one-row :meth:`_jittered`, drawn after the load
+        check."""
+        loaded = self._loaded_cycles(base, load)
+        draws = rng.random_array(self.draws_per_delay)
+        return float(self._jittered(loaded, draws[np.newaxis, :])[0])
+
+    def _path_delays(
+        self, base: int, load: float, uniforms: np.ndarray
+    ) -> np.ndarray:
+        return self._jittered(self._loaded_cycles(base, load), uniforms)
+
+    def _jittered(self, loaded: float, uniforms: np.ndarray) -> np.ndarray:
+        """``loaded`` stretched by path jitter and delayed by the VMM
+        quantum residual, one sample per row of ``uniforms``."""
+        delay = np.full(len(uniforms), loaded, dtype=np.float64)
+        column = 0
+        if self.path_jitter > 0:
+            delay *= 1.0 + scale_uniform(0, self.path_jitter, uniforms[:, column])
+            column += 1
+        if self.vmm_quantum_cycles > 0:
+            delay += scale_uniform(0, self.vmm_quantum_cycles, uniforms[:, column])
+        return delay
+
+    def _worst_delay(self, base: int, load: float) -> float:
+        delay = self._loaded_cycles(base, load) * (1.0 + self.path_jitter)
         return delay + self.vmm_quantum_cycles
 
 
