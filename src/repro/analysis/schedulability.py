@@ -66,8 +66,6 @@ class SystemSchedulabilityResult:
 def analyze_system(
     taskset: TaskSet,
     *,
-    policy: str = "min_deadline",
-    uniform_period: int = 50,
     stagger: bool = True,
 ) -> SystemSchedulabilityResult:
     """Analyze a full task set (already split into P/R-channel kinds).
@@ -103,12 +101,7 @@ def analyze_system(
             design=None,
             reason="no R-channel tasks; P-channel table feasible",
         )
-    design = design_servers(
-        table,
-        vm_tasksets,
-        policy=policy,
-        uniform_period=uniform_period,
-    )
+    design = design_servers(table, vm_tasksets)
     local_results: Dict[int, LSchedResult] = {}
     for vm_id, (pi, theta) in design.servers.items():
         local_results[vm_id] = lsched_schedulable(pi, theta, vm_tasksets[vm_id])

@@ -1,12 +1,10 @@
 """Sensitivity analysis: how much margin does a configuration have?
 
-Three dials a system designer turns, each answered by a monotone binary
-search over the Sec. IV tests:
+Two dials a system designer turns, each answered by a search over the
+Sec. IV tests:
 
 * :func:`critical_wcet_scale` -- the largest uniform WCET inflation the
   R-channel tolerates (robustness against WCET under-estimation),
-* :func:`minimum_server_budget` -- re-export of the minimal Theta for a
-  given Pi (from :mod:`repro.analysis.servers`),
 * :func:`max_preload_fraction` -- the largest I/O-GUARD-x preload for
   which the whole system stays analytically schedulable.
 """
@@ -17,13 +15,11 @@ from typing import Optional
 
 from repro.analysis.lsched_test import lsched_schedulable
 from repro.analysis.schedulability import analyze_system
-from repro.analysis.servers import minimum_budget as minimum_server_budget
 from repro.tasks.taskset import TaskSet
 
 __all__ = [
     "critical_wcet_scale",
     "max_preload_fraction",
-    "minimum_server_budget",
 ]
 
 
@@ -61,7 +57,6 @@ def max_preload_fraction(
     taskset: TaskSet,
     *,
     step: float = 0.05,
-    policy: str = "min_deadline",
 ) -> Optional[float]:
     """Largest preload fraction keeping the whole system schedulable.
 
@@ -77,7 +72,7 @@ def max_preload_fraction(
     best: Optional[float] = None
     while fraction >= -1e-9:
         split = taskset.split_predefined(max(0.0, fraction))
-        if analyze_system(split, policy=policy).schedulable:
+        if analyze_system(split).schedulable:
             best = round(max(0.0, fraction), 10)
             break
         fraction -= step

@@ -1,11 +1,18 @@
 """Server dimensioning: choosing ``Gamma_i = (Pi_i, Theta_i)`` per VM.
 
 The paper assumes the servers are given; a usable system needs a way to
-pick them.  This module implements the standard periodic-resource-model
-recipe: choose each ``Pi_i`` from the VM's timing granularity, then find
-the minimum ``Theta_i`` passing the L-Sched test (Theorem 4), and finally
-validate the chosen server set globally with Theorem 2.  Three period
-policies are provided for the ablation study called out in DESIGN.md.
+pick them.  This module holds the one budget search and the seed
+designer built on it:
+
+* :func:`minimum_budgets_batched` -- the minimum ``Theta`` passing the
+  L-Sched test (Theorem 4) for many ``(Pi, tasks)`` lanes at once, by
+  lock-step binary search with the closed-form harmonic fast path
+  (:func:`harmonic_fast_budget`); :func:`minimum_budget` is a batch of
+  one.
+* :func:`design_servers` -- one server per VM at the period the caller
+  pins or :func:`choose_period` picks, budgets from one batched search,
+  validated globally with Theorem 2.  It is the analytic designer and
+  the incumbent seed of :func:`repro.synth.servers.synthesize_servers`.
 """
 
 from __future__ import annotations
@@ -15,12 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.gsched_test import GSchedResult, gsched_schedulable
-from repro.analysis.lsched_test import lsched_schedulable
 from repro.core.timeslot import TimeSlotTable
 from repro.tasks.taskset import TaskSet
-
-#: Supported period policies for :func:`design_servers`.
-PERIOD_POLICIES = ("min_deadline", "harmonic", "uniform")
 
 
 @dataclass
@@ -48,39 +51,6 @@ class ServerDesign:
         return [self.servers[vm] for vm in sorted(self.servers)]
 
 
-def minimum_budget(
-    pi: int,
-    tasks: TaskSet,
-    *,
-    theta_cap: Optional[int] = None,
-) -> Optional[int]:
-    """Smallest ``theta`` such that (pi, theta) passes Theorem 4.
-
-    Binary-searches theta in ``[ceil(U * pi), cap]`` -- schedulability is
-    monotone in theta because sbf(Gamma, t) is non-decreasing in theta
-    for fixed pi.  Returns None when even ``theta = cap`` fails.
-    """
-    if pi < 1:
-        raise ValueError(f"server period must be >= 1, got {pi}")
-    cap = theta_cap if theta_cap is not None else pi
-    cap = min(cap, pi)
-    if len(tasks) == 0:
-        return 1
-    low = max(1, int(math.ceil(tasks.utilization * pi)))
-    if low > cap:
-        return None
-    if not lsched_schedulable(pi, cap, tasks).schedulable:
-        return None
-    high = cap
-    while low < high:
-        mid = (low + high) // 2
-        if lsched_schedulable(pi, mid, tasks).schedulable:
-            high = mid
-        else:
-            low = mid + 1
-    return low
-
-
 @dataclass
 class BudgetSearchStats:
     """Accounting for one batched minimum-budget search.
@@ -88,19 +58,22 @@ class BudgetSearchStats:
     ``oracle_calls`` counts Theorem-4 lanes submitted to the batch
     oracle (the quantity the synthesis differential tests bound), ``pruned``
     the candidate lanes eliminated by the utilization lower bound
-    before any oracle call, and ``rounds`` the lock-step binary-search
+    before any oracle call, ``rounds`` the lock-step binary-search
     iterations (each round is one :func:`lsched_schedulable_batch`
-    numpy pass over every still-undecided lane).
+    numpy pass over every still-undecided lane), and ``fast_path`` the
+    lanes whose window :func:`harmonic_fast_budget` shrank.
     """
 
     oracle_calls: int = 0
     pruned: int = 0
     rounds: int = 0
+    fast_path: int = 0
 
     def merge(self, other: "BudgetSearchStats") -> None:
         self.oracle_calls += other.oracle_calls
         self.pruned += other.pruned
         self.rounds += other.rounds
+        self.fast_path += other.fast_path
 
 
 def utilization_budget_floor(pi: int, tasks: TaskSet) -> int:
@@ -110,8 +83,8 @@ def utilization_budget_floor(pi: int, tasks: TaskSet) -> int:
     would deliver less bandwidth than the tasks demand), so this is a
     sound per-node bound for pruning candidate periods: if even the
     floor's bandwidth ``floor/pi`` is no better than an incumbent
-    design, the period cannot improve on it.  Matches the search floor
-    of :func:`minimum_budget` exactly (same float-ceiling evaluation).
+    design, the period cannot improve on it.  It is also where
+    :func:`minimum_budgets_batched` starts each lane's search.
     """
     if pi < 1:
         raise ValueError(f"server period must be >= 1, got {pi}")
@@ -120,43 +93,91 @@ def utilization_budget_floor(pi: int, tasks: TaskSet) -> int:
     return max(1, int(math.ceil(tasks.utilization * pi)))
 
 
+def harmonic_fast_budget(pi: int, tasks: TaskSet) -> Optional[int]:
+    """Closed-form sufficient budget for harmonic implicit-deadline sets.
+
+    When every deadline is implicit and the distinct task periods form a
+    harmonic chain (each divides the next), the dbf step points within
+    one VM hyper-period ``H_vm = max T`` are all multiples of ``min T``,
+    and the linear supply bound ``lsbf(t) = t*theta/pi - (2*pi-theta-1)``
+    inverts per point to ``theta >= pi*(dbf(t) + 2*pi - 1) / (t + pi)``.
+    The maximum of those ceilings over ``t in (0, H_vm]`` -- together
+    with the bandwidth condition ``theta/pi >= U``, which extends the
+    check past ``H_vm`` because ``dbf(t + H_vm) = dbf(t) + U*H_vm`` --
+    is a budget that provably passes Theorem 4.  It upper-bounds the
+    exact minimum (the linear bound under-approximates sbf), so
+    :func:`minimum_budgets_batched` shrinks the lane's binary-search
+    window to ``[floor, theta_fast]`` and skips the probe at the cap.
+
+    Returns ``None`` when the set is empty or not harmonic/implicit (no
+    fast path) or the closed form lands above ``pi`` (window unchanged).
+    """
+    if pi < 1:
+        raise ValueError(f"server period must be >= 1, got {pi}")
+    if len(tasks) == 0:
+        return None
+    ordered = sorted(tasks, key=lambda task: (task.period, task.name))
+    periods: List[int] = []
+    for task in ordered:
+        if task.deadline != task.period:
+            return None
+        if not periods or task.period != periods[-1]:
+            periods.append(task.period)
+    for smaller, larger in zip(periods, periods[1:]):
+        if larger % smaller != 0:
+            return None
+    h_vm = periods[-1]
+    base = periods[0]
+    if h_vm // base > 4_096:  # degenerate spread; fall back to search
+        return None
+    floor = utilization_budget_floor(pi, tasks)
+    theta_fast = floor
+    demand = 0
+    for step in range(1, h_vm // base + 1):
+        t = step * base
+        demand = sum((t // task.period) * task.wcet for task in ordered)
+        if demand <= 0:
+            continue
+        numerator = pi * (demand + 2 * pi - 1)
+        theta_point = -(-numerator // (t + pi))
+        if theta_point > theta_fast:
+            theta_fast = theta_point
+    if theta_fast > pi:
+        return None
+    return theta_fast
+
+
 def minimum_budgets_batched(
     candidates: Sequence[Tuple[int, TaskSet]],
     *,
-    theta_cap: Optional[int] = None,
-    theta_caps: Optional[Sequence[Optional[int]]] = None,
-    cap_feasible: Optional[Sequence[bool]] = None,
     bandwidth_bounds: Optional[Sequence[Optional[float]]] = None,
     engine: Optional[str] = None,
     stats: Optional[BudgetSearchStats] = None,
 ) -> List[Optional[int]]:
-    """:func:`minimum_budget` over many ``(pi, tasks)`` lanes at once.
+    """Smallest ``theta`` passing Theorem 4 for each ``(pi, tasks)`` lane.
 
-    Runs the per-lane binary searches in *lock step*: every round packs
-    the still-undecided lanes' probes into one
+    Lane ``i`` returns the least ``theta`` in
+    ``[utilization_budget_floor(pi, tasks), pi]`` such that
+    ``(pi, theta)`` passes Theorem 4, or ``None`` when even
+    ``theta = pi`` fails; an empty task set gets ``1``.  Schedulability
+    is monotone in theta (sbf(Gamma, t) is non-decreasing in theta for
+    fixed pi), so each lane binary-searches its window.
+
+    The searches run in *lock step*: every round packs the
+    still-undecided lanes' probes into one
     :func:`~repro.analysis.batched.lsched_schedulable_batch` call, so a
     whole candidate frontier costs ``O(log max_pi)`` numpy passes
-    instead of one engine dispatch per probe.  Lane ``i`` returns
-    exactly ``minimum_budget(*candidates[i], theta_cap=theta_cap)``
-    (``None`` when infeasible) -- the probes, floors and caps are
-    identical, only their submission is batched.
+    instead of one engine dispatch per probe.  Round 0 probes each
+    lane's cap ``theta = pi``; lanes with a
+    :func:`harmonic_fast_budget` skip it and search
+    ``[floor, theta_fast]`` instead, since the closed form already
+    passes.
 
     ``bandwidth_bounds`` enables the synthesis search's incumbent-bound
-    early exit: a lane whose utilization floor
-    (:func:`utilization_budget_floor`) already implies bandwidth
-    ``>= bandwidth_bounds[i]`` can never improve on the incumbent and is
-    pruned to ``None`` without touching the oracle.  Pass ``None`` (or
-    per-lane ``None``) to disable pruning; pruned lanes are the only
-    permitted divergence from the per-lane reference.
-
-    ``theta_caps`` overrides ``theta_cap`` per lane (still clamped to
-    ``pi``), and ``cap_feasible[i] = True`` asserts that lane ``i``'s
-    cap is already known to pass Theorem 4, skipping its round-0 cap
-    probe -- the synthesis fast path uses both to hand over a window
-    whose upper end it has proved sufficient in closed form.  Soundness
-    note: asserting feasibility of an infeasible cap would return the
-    cap itself instead of ``None``; only pass caps verified against the
-    same oracle.
+    early exit: a lane whose utilization floor already implies
+    bandwidth ``>= bandwidth_bounds[i]`` can never improve on the
+    incumbent and is pruned to ``None`` without touching the oracle.
+    Pass ``None`` (or per-lane ``None``) to disable pruning.
     """
     from repro.analysis.batched import lsched_schedulable_batch
 
@@ -165,39 +186,38 @@ def minimum_budgets_batched(
     # Per-lane closed interval [low, high] still to be searched; None
     # marks a decided lane.
     windows: List[Optional[Tuple[int, int]]] = [None] * count
-    seed_probes: List[Tuple[int, int, TaskSet]] = []
-    seed_lanes: List[int] = []
+    cap_probes: List[Tuple[int, int, TaskSet]] = []
+    cap_lanes: List[int] = []
     for index, (pi, tasks) in enumerate(candidates):
         if pi < 1:
             raise ValueError(f"server period must be >= 1, got {pi}")
-        cap: Optional[int] = theta_cap
-        if theta_caps is not None and theta_caps[index] is not None:
-            cap = theta_caps[index]
-        cap = min(cap if cap is not None else pi, pi)
         if len(tasks) == 0:
             results[index] = 1
             continue
+        fast = harmonic_fast_budget(pi, tasks)
+        if fast is not None and stats is not None:
+            stats.fast_path += 1
         low = utilization_budget_floor(pi, tasks)
-        if low > cap:
+        if low > pi:
             continue
         bound = bandwidth_bounds[index] if bandwidth_bounds is not None else None
         if bound is not None and low / pi >= bound:
             if stats is not None:
                 stats.pruned += 1
             continue
-        windows[index] = (low, cap)
-        if cap_feasible is not None and cap_feasible[index]:
+        if fast is not None:
+            windows[index] = (low, fast)
             continue
-        seed_probes.append((pi, cap, tasks))
-        seed_lanes.append(index)
-    # Round 0: the cap-feasibility probe every per-lane search starts
-    # with; lanes failing at the cap are infeasible for this period.
-    if seed_probes:
+        windows[index] = (low, pi)
+        cap_probes.append((pi, pi, tasks))
+        cap_lanes.append(index)
+    # Round 0: lanes failing at the cap are infeasible for this period.
+    if cap_probes:
         if stats is not None:
-            stats.oracle_calls += len(seed_probes)
+            stats.oracle_calls += len(cap_probes)
             stats.rounds += 1
         for lane, verdict in zip(
-            seed_lanes, lsched_schedulable_batch(seed_probes, engine=engine)
+            cap_lanes, lsched_schedulable_batch(cap_probes, engine=engine)
         ):
             if not verdict.schedulable:
                 windows[lane] = None
@@ -230,57 +250,54 @@ def minimum_budgets_batched(
     return results
 
 
-def choose_period(
-    vm_tasks: TaskSet,
-    policy: str,
-    *,
-    uniform_period: int = 50,
-    divisor: int = 2,
-) -> int:
-    """Pick a server period for one VM under the given policy.
+def minimum_budget(pi: int, tasks: TaskSet) -> Optional[int]:
+    """Smallest ``theta`` such that ``(pi, theta)`` passes Theorem 4.
 
-    * ``min_deadline`` -- ``max(1, min_k D_k // divisor)``: the classic
-      rule keeping server latency below the tightest deadline.
-    * ``harmonic`` -- largest power of two not exceeding the
-      min-deadline choice (keeps hyper-periods small).
-    * ``uniform`` -- a fixed period for every VM.
+    A batch of one: see :func:`minimum_budgets_batched`.
     """
-    if policy not in PERIOD_POLICIES:
-        raise ValueError(
-            f"unknown period policy {policy!r}; expected one of {PERIOD_POLICIES}"
-        )
-    if policy == "uniform" or len(vm_tasks) == 0:
-        return max(1, uniform_period)
-    tightest = min(task.deadline for task in vm_tasks)
-    base = max(1, tightest // divisor)
-    if policy == "min_deadline":
-        return base
-    # harmonic
-    return 1 << max(0, base.bit_length() - 1)
+    return minimum_budgets_batched([(pi, tasks)])[0]
+
+
+def choose_period(vm_tasks: TaskSet) -> int:
+    """The seed server period of one VM: ``max(1, min_k D_k // 2)``.
+
+    The classic rule keeping server latency below the tightest
+    deadline; a VM without tasks gets period 50.
+    """
+    if len(vm_tasks) == 0:
+        return 50
+    return max(1, min(task.deadline for task in vm_tasks) // 2)
 
 
 def design_servers(
     table: TimeSlotTable,
     vm_tasksets: Dict[int, TaskSet],
     *,
-    policy: str = "min_deadline",
-    uniform_period: int = 50,
+    periods: Optional[Dict[int, int]] = None,
     global_validation: bool = True,
+    engine: Optional[str] = None,
+    stats: Optional[BudgetSearchStats] = None,
 ) -> ServerDesign:
     """Dimension one server per VM and validate the set globally.
 
-    For each VM the period comes from :func:`choose_period` and the
-    budget from :func:`minimum_budget`.  VMs whose budget search fails
-    are recorded in ``failures`` with a human-readable reason; the global
-    Theorem-2 validation then runs over the successfully dimensioned
-    servers (an infeasible VM already makes the design infeasible).
+    Each VM's period is ``periods[vm]`` when the caller pins it and
+    :func:`choose_period` otherwise; all budgets come from one
+    :func:`minimum_budgets_batched` call (accounted in ``stats``).  VMs
+    whose budget search fails are recorded in ``failures`` with a
+    human-readable reason; the global Theorem-2 validation then runs
+    over the successfully dimensioned servers (an infeasible VM already
+    makes the design infeasible).
     """
+    pins = periods or {}
+    vm_ids = sorted(vm_tasksets)
+    lanes = [
+        (pins[vm] if vm in pins else choose_period(vm_tasksets[vm]), vm_tasksets[vm])
+        for vm in vm_ids
+    ]
+    budgets = minimum_budgets_batched(lanes, engine=engine, stats=stats)
     servers: Dict[int, Tuple[int, int]] = {}
     failures: Dict[int, str] = {}
-    for vm_id in sorted(vm_tasksets):
-        tasks = vm_tasksets[vm_id]
-        pi = choose_period(tasks, policy, uniform_period=uniform_period)
-        theta = minimum_budget(pi, tasks)
+    for vm_id, (pi, tasks), theta in zip(vm_ids, lanes, budgets):
         if theta is None:
             failures[vm_id] = (
                 f"no budget theta <= pi={pi} satisfies Theorem 4 for "
@@ -293,7 +310,7 @@ def design_servers(
     if global_validation and servers:
         pairs = [servers[vm] for vm in sorted(servers)]
         try:
-            global_result = gsched_schedulable(table, pairs)
+            global_result = gsched_schedulable(table, pairs, engine=engine)
         except ValueError as error:
             failures[-1] = f"global validation rejected the design: {error}"
             local_ok = False

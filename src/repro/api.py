@@ -232,9 +232,6 @@ class SystemConfig:
     #: :func:`repro.synth.table.synthesize_table` instead of the greedy
     #: packer.
     table_constraints: Sequence[TableConstraint] = ()
-    #: Server-period policy for auto-design (see ``design_servers``).
-    policy: str = "min_deadline"
-    uniform_period: int = 50
     #: Stagger pre-defined start times before packing the table.
     #: Ignored when ``table_constraints`` are given -- the constraint
     #: model treats the configured release offsets as semantic.
@@ -482,8 +479,6 @@ def _synthesize_servers_for(
     outcome = synthesize_servers(
         table,
         vm_tasksets,
-        policy=config.policy,
-        uniform_period=config.uniform_period,
         fixed=fixed,
         pinned_periods=pinned_periods,
         engine=engine,
@@ -714,9 +709,6 @@ class ChainConfig:
     seed: int = 2021
     workload: ChainWorkloadConfig = field(default_factory=ChainWorkloadConfig)
     name: str = "chains"
-    #: Server-period policy for auto-design (see ``design_servers``).
-    policy: str = "min_deadline"
-    uniform_period: int = 50
     cycles_per_slot: int = 2_000
     engine: Optional[str] = None
 
@@ -772,8 +764,6 @@ def build_chain_system(
         SystemConfig(
             tasks=workload.taskset.tasks,
             name=config.name,
-            policy=config.policy,
-            uniform_period=config.uniform_period,
             cycles_per_slot=config.cycles_per_slot,
             engine=config.engine,
         )

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.servers import minimum_budget
+from repro.analysis.servers import minimum_budgets_batched
 from repro.core.gsched import ServerSpec
 from repro.core.manager import DegradationPolicy, QuarantineEvent, VirtualizationManager
 from repro.core.priority_queue import FIFOQueue, PriorityQueue, QueueFullError
@@ -87,9 +87,10 @@ def declared_tasks() -> TaskSet:
 
 def dimension_servers(declared: TaskSet) -> List[ServerSpec]:
     """Theorem-4-minimal budgets from the *declared* loads."""
+    vms = sorted(declared.by_vm().items())
+    budgets = minimum_budgets_batched([(SERVER_PERIOD, tasks) for _vm, tasks in vms])
     specs = []
-    for vm_id, tasks in sorted(declared.by_vm().items()):
-        theta = minimum_budget(SERVER_PERIOD, tasks)
+    for (vm_id, _tasks), theta in zip(vms, budgets):
         if theta is None:
             raise ValueError(
                 f"declared load of VM {vm_id} is not servable at "

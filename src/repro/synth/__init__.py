@@ -23,7 +23,6 @@ from repro.synth.search import SearchStats, best_first_assignment, lexmin_backtr
 from repro.synth.servers import (
     ServerSearchOutcome,
     candidate_periods_for,
-    harmonic_fast_budget,
     synthesize_servers,
 )
 from repro.synth.table import (
@@ -40,7 +39,6 @@ __all__ = [
     "lexmin_backtrack",
     "ServerSearchOutcome",
     "candidate_periods_for",
-    "harmonic_fast_budget",
     "synthesize_servers",
     "OBJECTIVES",
     "TableConstraint",

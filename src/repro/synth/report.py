@@ -32,7 +32,7 @@ class SynthesisReport(ReportBase):
     verification (every Theorem-4 lane and the Theorem-2 check, run
     through the analysis oracle, not the search's internal bookkeeping).
     ``servers``/``table`` are the witness; ``provenance`` the search
-    counters; ``seed_bandwidth`` the policy designer's incumbent for
+    counters; ``seed_bandwidth`` the seed designer's incumbent for
     the improvement claim.
     """
 

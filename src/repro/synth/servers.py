@@ -5,21 +5,20 @@ them.  The search minimizes the total server bandwidth ``ΣΘᵢ/Πᵢ`` (the
 share of the R-channel the design reserves) subject to every theorem
 passing:
 
-1. **Candidate periods** per VM: divisors of the table hyper-period
+1. **Seed** per VM: :func:`~repro.analysis.servers.design_servers` at
+   the caller-pinned period or the one
+   :func:`~repro.analysis.servers.choose_period` picks -- the incumbent,
+   so synthesis can never do worse than the seed designer.
+2. **Candidate periods** per VM: divisors of the table hyper-period
    ``H`` (a server period dividing ``H`` tiles exactly into sigma*, so
    the G-Sched grids stay hyper-period-bounded), clipped to the VM's
-   tightest deadline, plus the policy period
-   :func:`~repro.analysis.servers.choose_period` would pick -- the
-   incumbent seed, so synthesis can never do worse than the policy
-   designer.
-2. **Minimum budgets** per candidate period via the lock-step batched
-   binary search (:func:`~repro.analysis.servers.minimum_budgets_batched`):
-   a whole frontier of Theorem-4 probes per numpy pass.  Candidates
-   whose utilization floor already meets the incumbent's bandwidth are
-   pruned without touching the oracle; harmonic task sets take the
-   closed-form fast path (:func:`harmonic_fast_budget`), which inverts
-   the linear supply bound at the dbf step points and needs at most two
-   oracle lanes to certify exactness.
+   tightest deadline, plus the seed period.  Their minimum budgets come
+   from the one budget search,
+   :func:`~repro.analysis.servers.minimum_budgets_batched` (a whole
+   frontier of Theorem-4 probes per numpy pass, with the closed-form
+   harmonic fast path); the seed's lanes are not searched again, and
+   the other candidates whose utilization floor already meets the
+   seed's bandwidth are pruned without touching the oracle.
 3. **Assembly** of one candidate per VM by best-first branch-and-bound
    (:func:`~repro.synth.search.best_first_assignment`): assignments are
    enumerated in non-decreasing total bandwidth with exact ``Fraction``
@@ -47,7 +46,6 @@ from repro.analysis.servers import (
     choose_period,
     design_servers,
     minimum_budgets_batched,
-    utilization_budget_floor,
 )
 from repro.core.timeslot import TimeSlotTable
 from repro.synth.search import SearchStats, best_first_assignment
@@ -67,9 +65,11 @@ class ServerSearchOutcome:
 
     ``servers`` is the chosen design (vm_id -> (pi, theta));
     ``local_results``/``global_result`` its Theorem-4/Theorem-2
-    verification; ``seed`` the policy design used as the incumbent;
+    verification; ``seed`` the seed design used as the incumbent;
     ``stats`` the search provenance.  ``improved`` records whether the
     search beat the seed's bandwidth (as opposed to matching it).
+    ``fast_path_vms`` counts budget-search *lanes* (candidate periods,
+    not VMs) that took the harmonic fast path.
     """
 
     servers: Dict[int, Tuple[int, int]]
@@ -99,77 +99,16 @@ class ServerSearchOutcome:
         )
 
 
-def harmonic_fast_budget(pi: int, tasks: TaskSet) -> Optional[int]:
-    """Closed-form sufficient budget for harmonic implicit-deadline sets.
-
-    When every deadline is implicit and the distinct task periods form a
-    harmonic chain (each divides the next), the dbf step points within
-    one VM hyper-period ``H_vm = max T`` are all multiples of ``min T``,
-    and the linear supply bound ``lsbf(t) = t*theta/pi - (2*pi-theta-1)``
-    inverts per point to ``theta >= pi*(dbf(t) + 2*pi - 1) / (t + pi)``.
-    The maximum of those ceilings over ``t in (0, H_vm]`` -- together
-    with the bandwidth condition ``theta/pi >= U``, which extends the
-    check past ``H_vm`` because ``dbf(t + H_vm) = dbf(t) + U*H_vm`` --
-    is a budget that provably passes Theorem 4.  It upper-bounds the
-    exact minimum (the linear bound under-approximates sbf), so the
-    caller shrinks its binary-search window to ``[floor, theta_fast]``
-    and certifies exactness with at most two oracle lanes.
-
-    Returns ``None`` when the set is not harmonic/implicit (no fast
-    path) or the closed form lands above ``pi`` (window unchanged).
-    """
-    if pi < 1:
-        raise ValueError(f"server period must be >= 1, got {pi}")
-    if len(tasks) == 0:
-        return None
-    ordered = sorted(tasks, key=lambda task: (task.period, task.name))
-    periods: List[int] = []
-    for task in ordered:
-        if task.deadline != task.period:
-            return None
-        if not periods or task.period != periods[-1]:
-            periods.append(task.period)
-    for smaller, larger in zip(periods, periods[1:]):
-        if larger % smaller != 0:
-            return None
-    h_vm = periods[-1]
-    base = periods[0]
-    if h_vm // base > 4_096:  # degenerate spread; fall back to search
-        return None
-    floor = utilization_budget_floor(pi, tasks)
-    theta_fast = floor
-    demand = 0
-    for step in range(1, h_vm // base + 1):
-        t = step * base
-        demand = sum((t // task.period) * task.wcet for task in ordered)
-        if demand <= 0:
-            continue
-        numerator = pi * (demand + 2 * pi - 1)
-        theta_point = -(-numerator // (t + pi))
-        if theta_point > theta_fast:
-            theta_fast = theta_point
-    if theta_fast > pi:
-        return None
-    return theta_fast
-
-
-def candidate_periods_for(
-    table: TimeSlotTable,
-    tasks: TaskSet,
-    *,
-    policy: str = "min_deadline",
-    uniform_period: int = 50,
-    extra: Sequence[int] = (),
-) -> Tuple[int, ...]:
+def candidate_periods_for(table: TimeSlotTable, tasks: TaskSet) -> Tuple[int, ...]:
     """The candidate server periods for one VM, sorted ascending.
 
     Divisors of the table hyper-period (so the synthesized ``Pi`` never
     enlarges any LCM the analysis takes), clipped to the VM's tightest
     deadline (a server period beyond it cannot deliver a full budget
-    window before the deadline), always including the policy seed period
-    and any ``extra`` candidates the caller pins.
+    window before the deadline), always including the seed period
+    :func:`~repro.analysis.servers.choose_period` picks.
     """
-    seed = choose_period(tasks, policy, uniform_period=uniform_period)
+    seed = choose_period(tasks)
     ceiling = min(task.deadline for task in tasks) if len(tasks) else seed
     grid = {
         value
@@ -177,7 +116,6 @@ def candidate_periods_for(
         if 1 <= value <= ceiling
     }
     grid.add(seed)
-    grid.update(value for value in extra if value >= 1)
     return tuple(sorted(grid))
 
 
@@ -185,8 +123,6 @@ def synthesize_servers(
     table: TimeSlotTable,
     vm_tasksets: Dict[int, TaskSet],
     *,
-    policy: str = "min_deadline",
-    uniform_period: int = 50,
     fixed: Optional[Dict[int, Tuple[int, int]]] = None,
     pinned_periods: Optional[Dict[int, int]] = None,
     engine: Optional[str] = None,
@@ -197,9 +133,10 @@ def synthesize_servers(
     ``fixed`` pins whole ``(pi, theta)`` pairs (VMs the caller specified
     completely); ``pinned_periods`` pins a VM's period but synthesizes
     its budget (a ``ServerConfig`` with ``theta=None``).  All remaining
-    VMs get the full candidate-period grid.  The policy design from
-    :func:`~repro.analysis.servers.design_servers` seeds the incumbent:
-    the returned design's bandwidth is never worse than the seed's, and
+    VMs get the full candidate-period grid.  The seed design from
+    :func:`~repro.analysis.servers.design_servers` (pinned periods, else
+    :func:`~repro.analysis.servers.choose_period`) is the incumbent: the
+    returned design's bandwidth is never worse than the seed's, and
     when the seed itself is infeasible the search may still succeed.
     """
     stats = stats if stats is not None else SearchStats()
@@ -211,69 +148,50 @@ def synthesize_servers(
         outcome.feasible = True
         return outcome
 
+    # -- the seed: one budget search at each open VM's seed period -------
+    open_vms = [vm for vm in vm_ids if vm not in fixed]
+    seed_periods = {
+        vm: pinned_periods[vm] if vm in pinned_periods else choose_period(vm_tasksets[vm])
+        for vm in open_vms
+    }
+    budget_stats = BudgetSearchStats()
     seed = design_servers(
         table,
-        {vm: vm_tasksets[vm] for vm in vm_ids if vm not in fixed},
-        policy=policy,
-        uniform_period=uniform_period,
+        {vm: vm_tasksets[vm] for vm in open_vms},
+        periods=seed_periods,
         global_validation=False,
+        engine=engine,
+        stats=budget_stats,
     )
     outcome.seed = seed
 
-    # -- per-VM candidate budgets (one lock-step batched search) ---------
+    # -- the rest of the grid, pruned by the seed's bandwidth -------------
+    # A pinned period is its VM's only candidate, so the seed searched it.
     lane_specs: List[Tuple[int, int, TaskSet]] = []  # (vm, pi, tasks)
-    for vm in vm_ids:
-        if vm in fixed:
+    bounds: List[Optional[float]] = []
+    for vm in open_vms:
+        if vm in pinned_periods:
             continue
         tasks = vm_tasksets[vm]
-        if vm in pinned_periods:
-            periods = (pinned_periods[vm],)
-        else:
-            periods = candidate_periods_for(
-                table,
-                tasks,
-                policy=policy,
-                uniform_period=uniform_period,
-            )
-        for pi in periods:
-            lane_specs.append((vm, pi, tasks))
-
-    bounds: List[Optional[float]] = []
-    caps: List[Optional[int]] = []
-    cap_ok: List[bool] = []
-    for vm, pi, tasks in lane_specs:
         seed_pair = seed.servers.get(vm)
-        # Never prune the seed's own period (the incumbent must stay in
-        # the grid) or a caller-pinned period (it is the only lane).
-        exempt = vm in pinned_periods or (
-            seed_pair is not None and seed_pair[0] == pi
-        )
-        if seed_pair is not None and not exempt:
-            bounds.append(seed_pair[1] / seed_pair[0])
-        else:
-            bounds.append(None)
-        fast = harmonic_fast_budget(pi, tasks) if len(tasks) else None
-        if fast is not None:
-            caps.append(fast)
-            cap_ok.append(True)
-            outcome.fast_path_vms += 1
-        else:
-            caps.append(None)
-            cap_ok.append(False)
-
-    budget_stats = BudgetSearchStats()
+        bound = seed_pair[1] / seed_pair[0] if seed_pair is not None else None
+        for pi in candidate_periods_for(table, tasks):
+            if pi != seed_periods[vm]:
+                lane_specs.append((vm, pi, tasks))
+                bounds.append(bound)
     budgets = minimum_budgets_batched(
         [(pi, tasks) for _vm, pi, tasks in lane_specs],
-        theta_caps=caps,
-        cap_feasible=cap_ok,
         bandwidth_bounds=bounds,
         engine=engine,
         stats=budget_stats,
     )
     stats.absorb_budget(budget_stats)
+    outcome.fast_path_vms = budget_stats.fast_path
 
     # -- rank candidates per VM -----------------------------------------
     per_vm: Dict[int, List[Tuple[Fraction, int, int]]] = {vm: [] for vm in vm_ids}
+    for vm, (pi, theta) in seed.servers.items():
+        per_vm[vm].append((Fraction(theta, pi), pi, theta))
     for (vm, pi, _tasks), theta in zip(lane_specs, budgets):
         if theta is not None:
             per_vm[vm].append((Fraction(theta, pi), pi, theta))

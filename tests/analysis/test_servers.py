@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.lsched_test import lsched_schedulable
 from repro.analysis.servers import (
+    BudgetSearchStats,
     bandwidth_of,
     choose_period,
     design_servers,
@@ -36,11 +37,10 @@ class TestMinimumBudget:
     def test_empty_taskset_gets_unit_budget(self):
         assert minimum_budget(10, TaskSet()) == 1
 
-    def test_infeasible_under_cap_returns_none(self):
+    def test_tight_deadline_needs_large_budget(self):
         # Deadline 4 under a period-10 server needs theta >= 9 to shrink
-        # the blackout enough; a cap below that makes dimensioning fail.
+        # the blackout enough, far above the utilization floor of 1.
         tasks = vm_tasks((100, 1, 4))
-        assert minimum_budget(10, tasks, theta_cap=5) is None
         assert minimum_budget(10, tasks) == 9
 
     def test_overutilized_returns_none(self):
@@ -55,24 +55,13 @@ class TestMinimumBudget:
 class TestChoosePeriod:
     def test_min_deadline_policy(self):
         tasks = vm_tasks((40, 2, 30), (20, 1, 16))
-        assert choose_period(tasks, "min_deadline") == 8
+        assert choose_period(tasks) == 8
 
-    def test_harmonic_policy_power_of_two(self):
-        tasks = vm_tasks((40, 2, 30), (20, 1, 17))
-        period = choose_period(tasks, "harmonic")
-        assert period & (period - 1) == 0  # power of two
-        assert period <= 17 // 2
-
-    def test_uniform_policy(self):
-        tasks = vm_tasks((40, 2, 30))
-        assert choose_period(tasks, "uniform", uniform_period=25) == 25
+    def test_period_at_least_one(self):
+        assert choose_period(vm_tasks((40, 1, 1))) == 1
 
     def test_empty_tasks_use_uniform(self):
-        assert choose_period(TaskSet(), "min_deadline", uniform_period=50) == 50
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown period policy"):
-            choose_period(TaskSet(), "bogus")
+        assert choose_period(TaskSet()) == 50
 
 
 class TestDesignServers:
@@ -104,6 +93,21 @@ class TestDesignServers:
         }
         design = design_servers(table, vms)
         assert not design.feasible
+
+    def test_pinned_period_used(self):
+        table = TimeSlotTable.empty(10)
+        vms = {
+            0: vm_tasks((40, 2, 30), name="vm0"),
+            1: vm_tasks((40, 2, 30), name="vm1"),
+        }
+        stats = BudgetSearchStats()
+        design = design_servers(table, vms, periods={1: 10}, stats=stats)
+        assert design.feasible
+        assert design.servers[0][0] == 15
+        assert design.servers[1][0] == 10
+        # One batched search: both lanes share each oracle round.
+        assert stats.oracle_calls >= 2
+        assert stats.rounds < stats.oracle_calls
 
     def test_as_pairs_ordered(self):
         table = TimeSlotTable.empty(10)

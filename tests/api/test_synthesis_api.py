@@ -28,9 +28,11 @@ from repro.api import (
     SystemConfig,
     TableConstraint,
     TaskKind,
+    TaskSet,
     admit,
     analyze,
     build_system,
+    lsched_schedulable,
     synthesize,
 )
 
@@ -77,6 +79,28 @@ class TestOptionalServers:
         assert spec0.pi == 10
         assert spec0.theta >= 1
         assert (system.server_for(1).pi, system.server_for(1).theta) == (10, 4)
+
+    def test_pinned_period_survives_failed_synthesis(self):
+        # VM 0 is overloaded (U = 1.2), so synthesis fails and the servers
+        # fall back to the seed design, which must honour VM 1's pin.
+        task = IOTask(name="a", period=40, wcet=2, deadline=30, vm_id=1)
+        system = build_system(
+            SystemConfig(
+                name="pin-fallback",
+                table_pattern=[1] + [0] * 9,
+                tasks=[
+                    IOTask(name="hog", period=10, wcet=9, vm_id=0),
+                    IOTask(name="hog2", period=10, wcet=3, vm_id=0),
+                    task,
+                ],
+                servers=[ServerConfig(vm_id=1, pi=10, theta=None)],
+            )
+        )
+        assert system.synthesis is not None
+        assert not system.synthesis.schedulable
+        assert [(spec.vm_id, spec.pi) for spec in system.servers] == [(1, 10)]
+        theta = system.server_for(1).theta
+        assert lsched_schedulable(10, theta, TaskSet([task])).schedulable
 
     def test_fully_specified_servers_skip_synthesis(self):
         system = build_system(

@@ -4,13 +4,9 @@ import pytest
 
 from repro.analysis.gsched_test import gsched_schedulable
 from repro.analysis.lsched_test import lsched_schedulable
-from repro.analysis.servers import minimum_budget
+from repro.analysis.servers import harmonic_fast_budget, minimum_budget
 from repro.core.timeslot import TimeSlotTable
-from repro.synth.servers import (
-    candidate_periods_for,
-    harmonic_fast_budget,
-    synthesize_servers,
-)
+from repro.synth.servers import candidate_periods_for, synthesize_servers
 from repro.tasks.task import IOTask
 from repro.tasks.taskset import TaskSet
 
@@ -159,21 +155,16 @@ class TestCandidatePeriods:
     def test_divisors_of_table_length_clipped_to_deadline(self):
         table = TimeSlotTable.from_pattern([1, 0] * 6)  # 12 slots
         tasks = TaskSet([IOTask("a", period=6, wcet=1)], name="t")
-        periods = candidate_periods_for(
-            table, tasks, policy="min_deadline", uniform_period=50
-        )
+        periods = candidate_periods_for(table, tasks)
         assert all(period <= 6 for period in periods)
         assert all(12 % period == 0 or period == 6 for period in periods)
         assert periods == tuple(sorted(set(periods)))
 
-    def test_extra_periods_included(self):
+    def test_seed_period_included(self):
+        # A deadline of 10 seeds period 5, which does not divide the
+        # 12-slot table but must still be a candidate.
         table = TimeSlotTable.from_pattern([1, 0] * 6)
-        tasks = TaskSet([IOTask("a", period=8, wcet=1)], name="t")
-        periods = candidate_periods_for(
-            table,
-            tasks,
-            policy="min_deadline",
-            uniform_period=50,
-            extra=(7,),
-        )
-        assert 7 in periods
+        tasks = TaskSet([IOTask("a", period=10, wcet=1)], name="t")
+        periods = candidate_periods_for(table, tasks)
+        assert 5 in periods
+        assert all(12 % period == 0 or period == 5 for period in periods)
