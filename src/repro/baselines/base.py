@@ -203,6 +203,56 @@ class TrialResult:
         if missed:
             self.total_missed += 1
 
+    def record_batch(
+        self,
+        tasks: Sequence[IOTask],
+        task_index: np.ndarray,
+        missed: np.ndarray,
+        responses: np.ndarray,
+        transferred: Optional[np.ndarray] = None,
+        collect: bool = False,
+    ) -> None:
+        """Fold counted jobs into the result, in order.
+
+        Job ``i`` is of task ``tasks[task_index[i]]``, missed its
+        deadline when ``missed[i]`` and took ``responses[i]`` slots; it
+        moved its task's payload unless ``transferred[i]`` is False (all
+        moved when ``transferred`` is None).  The result ends as one
+        :meth:`record` per job would leave it, with the bytes and
+        responses added job by job: the response sum is taken in job
+        order (``np.cumsum`` is a sequential sum), and new criticalities
+        enter :attr:`per_criticality` in order of first appearance.
+        ``collect`` also stores the responses of success-counted jobs
+        (:meth:`record_response_sample`).
+        """
+        if not len(task_index):
+            return
+        completed = np.bincount(task_index, minlength=len(tasks)).tolist()
+        misses = np.bincount(task_index[missed], minlength=len(tasks)).tolist()
+        present, first = np.unique(task_index, return_index=True)
+        folded: Dict[str, List[int]] = {}
+        for index in present[np.argsort(first)].tolist():
+            counts = folded.setdefault(tasks[index].criticality.value, [0, 0])
+            counts[0] += completed[index]
+            counts[1] += misses[index]
+        for value, (done, late) in folded.items():
+            old_done, old_late = self.per_criticality.get(value, (0, 0))
+            self.per_criticality[value] = (old_done + done, old_late + late)
+        self.total_completed += len(task_index)
+        self.total_missed += int(np.count_nonzero(missed))
+        moved = task_index if transferred is None else task_index[transferred]
+        payload = np.array([task.payload_bytes for task in tasks], dtype=np.int64)
+        self.bytes_transferred += int(payload[moved].sum())
+        self.response_slots_sum = float(
+            np.cumsum(np.concatenate(([self.response_slots_sum], responses)))[-1]
+        )
+        self.response_slots_max = max(self.response_slots_max, float(responses.max()))
+        if collect:
+            sampled = [task.criticality.counts_for_success for task in tasks]
+            for index, response in zip(task_index.tolist(), responses.tolist()):
+                if sampled[index]:
+                    self.record_response_sample(tasks[index].name, response)
+
     @property
     def success(self) -> bool:
         """Paper's trial success: no safety or function task missed.
@@ -350,6 +400,14 @@ class IOVirtSystem(abc.ABC):
             hops, flits, load, uniforms[:, stack_draws:]
         )
         return cycles_to_slots(cycles, config)
+
+
+def task_indices(tasks: Sequence[IOTask], jobs: Sequence[AnyJob]) -> np.ndarray:
+    """Position in ``tasks`` of each job's task, matched by name."""
+    index_of = {task.name: index for index, task in enumerate(tasks)}
+    return np.fromiter(
+        (index_of[job.task.name] for job in jobs), dtype=np.int64, count=len(jobs)
+    )
 
 
 def cycles_to_slots(cycles: float, config: TrialConfig) -> float:

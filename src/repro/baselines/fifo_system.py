@@ -31,6 +31,7 @@ from repro.baselines.base import (
     TrialResult,
     WorkloadInstance,
     cycles_to_slots,
+    task_indices,
 )
 from repro.sim.rng import RandomSource
 
@@ -102,7 +103,6 @@ class FifoSystemModel(IOVirtSystem):
         result = self._new_result(workload)
         config = workload.config
         horizon = config.horizon_slots
-        collect = config.collect_responses
         load = self.effective_load(workload)
         inflation = self.service_inflation(workload)
         overhead = cycles_to_slots(self.service_overhead_cycles, config)
@@ -119,27 +119,36 @@ class FifoSystemModel(IOVirtSystem):
 
         # The FIFO recurrence stays a scalar loop: a cumulative numpy
         # form would round differently.
+        completions = []
         server_free = 0.0
-        for job, arrival, response in zip(
-            served, arrivals[order].tolist(), responses.tolist()
-        ):
+        for job, arrival in zip(served, arrivals[order].tolist()):
             start = max(server_free, arrival)
-            completion = start + (job.actual_slots * inflation + overhead)
-            server_free = completion
-            finish = completion + response
-            if job.deadline_slot > horizon:
-                # Censored: the observation window ends before the
-                # job's verdict is due; excluded from all systems alike.
-                continue
-            missed = finish > job.deadline_slot
-            result.record(job.task.criticality, missed)
-            if completion > horizon:
-                result.unfinished += 1
-            else:
-                result.bytes_transferred += job.task.payload_bytes
-            response_slots = finish - job.release_slot
-            result.response_slots_sum += response_slots
-            result.response_slots_max = max(result.response_slots_max, response_slots)
-            if collect and job.task.criticality.counts_for_success:
-                result.record_response_sample(job.task.name, response_slots)
+            server_free = start + (job.actual_slots * inflation + overhead)
+            completions.append(server_free)
+        completion = np.array(completions, dtype=np.float64)
+        finish = completion + responses
+
+        tasks = list(workload.taskset)
+        task_index = task_indices(tasks, served)
+        releases = np.fromiter(
+            (job.release_slot for job in served), dtype=np.int64, count=len(served)
+        )
+        deadlines = releases + np.array(
+            [task.deadline for task in tasks], dtype=np.int64
+        )[task_index]
+        # Censored: jobs whose verdict is due after the observation
+        # window ends are excluded from all systems alike.  A counted job
+        # still in service at the horizon is unfinished and moved no
+        # bytes.
+        counted = deadlines <= horizon
+        transferred = completion[counted] <= horizon
+        result.unfinished += int(np.count_nonzero(~transferred))
+        result.record_batch(
+            tasks,
+            task_index[counted],
+            finish[counted] > deadlines[counted],
+            finish[counted] - releases[counted],
+            transferred=transferred,
+            collect=config.collect_responses,
+        )
         return result

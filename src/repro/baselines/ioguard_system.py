@@ -15,17 +15,18 @@ shared workload instance:
   arbiters/routers") and are scheduled by the two-layer scheduler.
 
 The trial does Python work once per job or per scheduling run, not per
-slot.  The P-channel computes its completions per task
-(:meth:`PChannel.run_until`): a task's table slots, tiled over the
-horizon, cut into ``wcet``-slot jobs.  The R-channel advances by runs: a
+slot, and runs no per-slot code path.  The P-channel computes its
+completions per task (:meth:`PChannel.run_until`): a task's table slots,
+tiled over the horizon, cut into ``wcet``-slot jobs.  The R-channel runs
+in its batch executor (:meth:`RChannel.run_until`), given every arrival
+up front: one pass per scheduling run over per-VM EDF heaps, where a
 G-Sched decision holds until the granted job completes, its budget runs
-out, a job arrives or a server period ends, so one ``execute_slot`` call
-covers all of those free slots; with no staged work it jumps to the next
-arrival and counts the skipped free slots as G-Sched idle slots.  The two
-completion streams are merged by slot, and the path delays are drawn in
-two array passes (requests in release order, responses in completion
-order), so every result, counter and random draw equals stepping each
-slot in turn.
+out, a job arrives or a server period ends, and a stretch with no staged
+work is skipped.  The two completion streams are merged by slot, the
+path delays are drawn in two array passes (requests in release order,
+responses in completion order), and the counted jobs are folded into the
+result in one :meth:`TrialResult.record_batch`, so every result, counter
+and random draw equals stepping each slot in turn.
 
 Server dimensioning per trial is ``proportional`` by default (fast,
 utilization-proportional budgets validated to fit the free bandwidth);
@@ -35,10 +36,10 @@ schedulability experiments.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from repro.baselines.base import (
     TrialConfig,
     TrialResult,
     WorkloadInstance,
+    task_indices,
 )
 from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
@@ -70,9 +72,6 @@ PROPORTIONAL_PERIOD = 100
 
 #: Budget head-room multiplier over the VM's raw utilization.
 PROPORTIONAL_MARGIN = 1.25
-
-#: Completions whose response delays are drawn in one sampler call.
-RESPONSE_BATCH = 2048
 
 
 class IOGuardSystem(IOVirtSystem):
@@ -212,39 +211,39 @@ class IOGuardSystem(IOVirtSystem):
             load, rng, config,
         )
         horizon = config.horizon_slots
-        # Merge the two channels' completions by slot (a slot belongs to
-        # one channel and completes at most one job).  Jobs whose
-        # deadline lies beyond the horizon are censored (the window ends
-        # before their verdict), matching the baseline accounting.
-        completed = [
-            pair
-            for pair in heapq.merge(
-                pchannel.run_until(horizon),
-                self._run_rchannel(rchannel, table, horizon, arrivals),
-                key=lambda pair: pair[1],
-            )
-            if pair[0].release + pair[0].task.deadline <= horizon
-        ]
-        # Response-path delays, drawn in completion order, are added
-        # before the deadline comparison; drawn a batch at a time to
-        # bound the sampler's arrays.
-        collect = config.collect_responses
-        for start in range(0, len(completed), RESPONSE_BATCH):
-            batch = completed[start : start + RESPONSE_BATCH]
-            responses = self.response_delays(
-                [job for job, _slot in batch], load, rng, config
-            ).tolist()
-            for (job, slot), response in zip(batch, responses):
-                deadline = job.release + job.task.deadline
-                finish = (slot + 1) + response
-                missed = finish > deadline
-                result.record(job.task.criticality, missed)
-                result.bytes_transferred += job.task.payload_bytes
-                elapsed = finish - job.release
-                result.response_slots_sum += elapsed
-                result.response_slots_max = max(result.response_slots_max, elapsed)
-                if collect and job.task.criticality.counts_for_success:
-                    result.record_response_sample(job.task.name, elapsed)
+        # A slot belongs to one channel and completes at most one job,
+        # so sorting by slot merges the two channels' completions.
+        completed = sorted(
+            pchannel.run_until(horizon) + rchannel.run_until(horizon, arrivals, table),
+            key=itemgetter(1),
+        )
+        jobs = [job for job, _slot in completed]
+        tasks = list(split)
+        task_index = task_indices(tasks, jobs)
+        releases = np.fromiter(
+            (job.release for job in jobs), dtype=np.int64, count=len(jobs)
+        )
+        slots = np.fromiter(
+            (slot for _job, slot in completed), dtype=np.int64, count=len(jobs)
+        )
+        deadlines = releases + np.array(
+            [task.deadline for task in tasks], dtype=np.int64
+        )[task_index]
+        # Jobs whose deadline lies beyond the horizon are censored (the
+        # window ends before their verdict), matching the baseline
+        # accounting.  The response-path delays of the others, drawn in
+        # completion order, are added before the deadline comparison.
+        counted = deadlines <= horizon
+        finish = (slots[counted] + 1) + self.response_delays(
+            list(compress(jobs, counted.tolist())), load, rng, config
+        )
+        result.record_batch(
+            tasks,
+            task_index[counted],
+            finish > deadlines[counted],
+            finish - releases[counted],
+            collect=config.collect_responses,
+        )
 
         # Jobs still queued at the horizon with an expired deadline have
         # certainly missed it.
@@ -261,9 +260,10 @@ class IOGuardSystem(IOVirtSystem):
         load: float,
         rng: RandomSource,
         config: TrialConfig,
-    ) -> List[Tuple[int, ReleasedJob]]:
-        """``(arrival slot, job)`` of the run-time jobs in arrival order:
-        release + driver/NoC delay, drawn in release order."""
+    ) -> List[Tuple[int, Job]]:
+        """``(arrival slot, job)`` of the run-time jobs that arrive
+        before the horizon, in arrival order: release + driver/NoC
+        delay, drawn in release order."""
         release_slots = np.fromiter(
             (job.release_slot for job in released), dtype=np.float64, count=len(released)
         )
@@ -271,108 +271,12 @@ class IOGuardSystem(IOVirtSystem):
             release_slots + self.request_delays(released, load, rng, config)
         ).astype(np.int64)
         order = np.argsort(arrival_slots, kind="stable")
-        return list(
-            zip(arrival_slots[order].tolist(), [released[i] for i in order.tolist()])
-        )
-
-    @staticmethod
-    def _run_rchannel(
-        rchannel: RChannel,
-        table: TimeSlotTable,
-        horizon: int,
-        arrivals: List[Tuple[int, ReleasedJob]],
-    ) -> List[Tuple[Job, int]]:
-        """Execute the free slots below ``horizon``; its completions.
-
-        Free slots are addressed by ordinal (``k``-th free slot of
-        sigma).  Every arrival at or before a slot is submitted before
-        the slot runs.  Until the next arrival or G-Sched period
-        boundary nothing the G-Sched decision reads changes but the
-        granted job's progress and budget, so one ``execute_slot`` call
-        runs the decision over those free slots, up to the job's
-        completion or the budget's end.  When no pool has staged work
-        the R-channel idles until the next arrival, so those free slots
-        are skipped and counted as idle in one step; G-Sched catches up
-        on the period boundaries it skipped at the next tick.  Every
-        counter ends where stepping each slot would have left it.
-        """
-        completed: List[Tuple[Job, int]] = []
-        cursor = 0
-
-        def submit_through(slot: int) -> int:
-            """Submit arrivals ``<= slot``; the next arrival, capped at
-            the horizon."""
-            nonlocal cursor
-            while cursor < len(arrivals) and arrivals[cursor][0] <= slot:
-                _arrival, released = arrivals[cursor]
-                job = released.task.job(
-                    release=released.release_slot, index=released.index
-                )
-                job.remaining = released.actual_slots
-                rchannel.submit(job)
-                cursor += 1
-            if cursor < len(arrivals):
-                return min(arrivals[cursor][0], horizon)
-            return horizon
-
-        free = table.free_indices()
-        length = table.length
-
-        def first_free(slot: int) -> int:
-            """Ordinal of the first free slot at or after ``slot``: the
-            number of free slots in ``[0, slot)``."""
-            cycle, offset = divmod(slot, length)
-            return cycle * len(free) + bisect_left(free, offset)
-
-        gsched = rchannel.gsched
-        next_arrival = submit_through(-1)
-        ordinal, end = 0, first_free(horizon)
-        while ordinal < end:
-            cycle, index = divmod(ordinal, len(free))
-            slot = cycle * length + free[index]
-            if slot >= next_arrival:
-                next_arrival = submit_through(slot)
-            rchannel.tick(slot)
-            stop = first_free(min(next_arrival, gsched.next_boundary))
-            job = rchannel.execute_slot(
-                slot, run=_FreeSlots(free, length, ordinal + 1, stop)
-            )
-            allocation = rchannel.last_allocation
-            if allocation is None:
-                # No pool had staged work: every free slot before the
-                # next arrival idles too.
-                resume = first_free(next_arrival)
-                gsched.idle_slots += resume - ordinal - 1
-                ordinal = resume
-                continue
-            ordinal += allocation.slots
-            if job is not None:
-                cycle, index = divmod(ordinal - 1, len(free))
-                completed.append((job, cycle * length + free[index]))
-        # Arrivals after the last executed free slot still reach their
-        # pools before the horizon.
-        submit_through(horizon - 1)
-        return completed
-
-
-class _FreeSlots(Sequence[int]):
-    """The free slots of sigma with ordinals in ``[start, stop)``, in
-    order; the ``k``-th free slot lies in hyper-period ``k // F`` at the
-    ``k % F``-th free offset."""
-
-    __slots__ = ("free", "length", "start", "stop")
-
-    def __init__(self, free: List[int], length: int, start: int, stop: int):
-        self.free = free
-        self.length = length
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __getitem__(self, index: int) -> int:
-        if not 0 <= index < self.stop - self.start:
-            raise IndexError(index)
-        cycle, offset = divmod(self.start + index, len(self.free))
-        return cycle * self.length + self.free[offset]
+        arrivals: List[Tuple[int, Job]] = []
+        for slot, index in zip(arrival_slots[order].tolist(), order.tolist()):
+            if slot >= config.horizon_slots:
+                break
+            source = released[index]
+            job = source.task.job(release=source.release_slot, index=source.index)
+            job.remaining = source.actual_slots
+            arrivals.append((slot, job))
+        return arrivals

@@ -81,14 +81,12 @@ class _ServerState:
 
 @dataclass(frozen=True)
 class Allocation:
-    """G-Sched decision for one free slot, or a run of them."""
+    """G-Sched decision for one free slot."""
 
     vm_id: int
     #: True when the slot was granted from the VM's server budget; False
     #: for work-conserving background slots.
     budgeted: bool
-    #: Consecutive free slots granted under this one decision.
-    slots: int = 1
 
 
 class GlobalScheduler:
@@ -162,7 +160,6 @@ class GlobalScheduler:
         self,
         slot: int,
         pending_vms: Dict[int, int],
-        run_slots: Optional[Dict[int, int]] = None,
     ) -> Optional[Allocation]:
         """Decide which VM receives free slot ``slot``.
 
@@ -176,15 +173,6 @@ class GlobalScheduler:
         2. otherwise, background: EDF over the *job* deadlines in the
            shadow registers (no budget consumed);
         3. otherwise the slot idles.
-
-        ``run_slots`` maps each pending vm_id to the most consecutive
-        free slots, ``slot`` first, the caller can hand that VM under this
-        one decision (default: one).  The caller guarantees that nothing
-        the decision reads changes inside them: no work arrives or
-        completes and no server crosses a period boundary.  The decision
-        then repeats on every one of them, so the grant covers them all
-        at once, stopping early when a budgeted grant exhausts the
-        budget; :attr:`Allocation.slots` is the run length.
         """
         if not pending_vms:
             self.idle_slots += 1
@@ -199,10 +187,9 @@ class GlobalScheduler:
             # which keeps the decision deterministic.
             server_deadline, _job_deadline, vm_id = min(eligible)
             state = self._states[vm_id]
-            slots = 1 if run_slots is None else min(run_slots[vm_id], state.budget)
-            state.budget -= slots
-            state.slots_consumed += slots
-            self.budgeted_grants += slots
+            state.budget -= 1
+            state.slots_consumed += 1
+            self.budgeted_grants += 1
             if self.trace is not None:
                 self.trace.record(
                     slot,
@@ -213,10 +200,9 @@ class GlobalScheduler:
                     budget_left=state.budget,
                     server_deadline=server_deadline,
                 )
-            return Allocation(vm_id=vm_id, budgeted=True, slots=slots)
+            return Allocation(vm_id=vm_id, budgeted=True)
         vm_id = min(pending_vms, key=lambda vm: (pending_vms[vm], vm))
-        slots = 1 if run_slots is None else run_slots[vm_id]
-        self.background_grants += slots
+        self.background_grants += 1
         if self.trace is not None:
             self.trace.record(
                 slot,
@@ -226,7 +212,7 @@ class GlobalScheduler:
                 budgeted=False,
                 job_deadline=pending_vms[vm_id],
             )
-        return Allocation(vm_id=vm_id, budgeted=False, slots=slots)
+        return Allocation(vm_id=vm_id, budgeted=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

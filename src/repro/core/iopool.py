@@ -122,20 +122,17 @@ class IOPool:
             return None
         return self.shadow.absolute_deadline
 
-    def execute_slot(self, slot: int = 0, slots: int = 1) -> Optional[Job]:
+    def execute_slot(self, slot: int = 0) -> Optional[Job]:
         """Run the staged job for one slot; returns it when it completes.
 
         The executor "runs the I/O operation selected by the G-Sched and
         removes it from the priority queue": on completion the job leaves
-        the queue and the shadow register is refreshed.  ``slots > 1``
-        runs the job for that many consecutive slots ending at ``slot``,
-        with nothing buffered or removed in between, so the L-Sched is
-        consulted once, after the last.
+        the queue and the shadow register is refreshed.
         """
         job = self.shadow
         if job is None:
             return None
-        job.execute(slots)
+        job.execute(1)
         if job.remaining == 0:
             self.queue.remove(job)
             self.completed += 1

@@ -1,19 +1,35 @@
 """R-channel: run-time I/O task scheduling and execution (Sec. III-A).
 
 "The design of the R-channel contains a group of I/O pools, a two-layer
-scheduler ... and an executor."  The executor here is the slot-level
-engine: every *free* slot (as designated by the time slot table) the
-G-Sched picks a VM, the chosen pool's staged operation runs for one slot,
-and completed jobs are removed from their priority queue.
+scheduler ... and an executor."  The executor comes in two styles:
+
+* :meth:`RChannel.execute_slot` runs one *free* slot (as designated by
+  the time slot table): the G-Sched picks a VM, the chosen pool's staged
+  operation runs for one slot, and a completed job is removed from its
+  priority queue.  The manager, the hypervisor, the isolation
+  experiments, schedule traces, containment guards and tracing all drive
+  the channel this way.
+* :meth:`RChannel.run_until` is the batch executor, the counterpart of
+  :meth:`~repro.core.pchannel.PChannel.run_until`: given the table and
+  every arrival up front it runs all free slots below a horizon with one
+  pass per scheduling run, over per-VM EDF heaps and the G-Sched's own
+  server states, and leaves the channel where stepping
+  :meth:`~RChannel.execute_slot` on each free slot would.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+import heapq
+import math
+from bisect import bisect_left
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.gsched import Allocation, GlobalScheduler, ServerSpec
 from repro.core.iopool import IOPool
 from repro.core.lsched import SelectionPolicy, edf_policy
+from repro.core.timeslot import TimeSlotTable
 from repro.sim.trace import TraceRecorder
 from repro.tasks.task import Job
 
@@ -98,7 +114,6 @@ class RChannel:
         self,
         slot: int,
         guard: Optional[Callable[[Job, int], bool]] = None,
-        run: Sequence[int] = (),
     ) -> Optional[Job]:
         """Run one free slot of R-channel work; returns a completed job.
 
@@ -109,28 +124,13 @@ class RChannel:
         consumed, no progress made) and counted in
         :attr:`blocked_slots`.  The burn is charged to the faulting
         VM's own allocation, never to another VM's budget.
-
-        ``run`` lists further free slots after ``slot``, in order, that
-        the same G-Sched decision may cover: the caller guarantees that
-        no job arrives and no server crosses a period boundary before
-        the last of them.  The run ends at the staged job's completion,
-        when a budgeted grant exhausts the budget, or at the end of
-        ``run``; :attr:`last_allocation` ``.slots`` is its length and a
-        completion is stamped at its last slot.  A guard or a trace
-        recorder limits the run to ``slot`` itself: both act slot by
-        slot.
         """
-        limit = 1 + len(run) if guard is None and self.trace is None else 1
         pending: Dict[int, int] = {}
-        run_slots: Optional[Dict[int, int]] = {} if limit > 1 else None
         for vm_id, pool in self.pools.items():
             deadline = pool.staged_deadline()
-            if deadline is None or vm_id in self.quarantined_vms:
-                continue
-            pending[vm_id] = deadline
-            if run_slots is not None and pool.shadow is not None:
-                run_slots[vm_id] = min(limit, pool.shadow.remaining)
-        allocation = self.gsched.allocate(slot, pending, run_slots)
+            if deadline is not None and vm_id not in self.quarantined_vms:
+                pending[vm_id] = deadline
+        allocation = self.gsched.allocate(slot, pending)
         self.last_allocation = allocation
         if allocation is None:
             return None
@@ -153,15 +153,242 @@ class RChannel:
                 vm=allocation.vm_id, job=job.name,
                 remaining=job.remaining, budgeted=allocation.budgeted,
             )
-        last = slot if allocation.slots == 1 else run[allocation.slots - 2]
-        completed = pool.execute_slot(last, slots=allocation.slots)
-        self.slots_executed += allocation.slots
+        completed = pool.execute_slot(slot)
+        self.slots_executed += 1
         if completed is not None:
-            completed.completed_at = float(last + 1)
+            completed.completed_at = float(slot + 1)
             self.jobs_completed += 1
             self.completed_jobs.append(completed)
             if self.on_complete is not None:
-                self.on_complete(completed, last)
+                self.on_complete(completed, slot)
+        return completed
+
+    def run_until(
+        self,
+        horizon: int,
+        arrivals: Sequence[Tuple[int, Job]],
+        table: TimeSlotTable,
+    ) -> List[Tuple[Job, int]]:
+        """Execute every free slot of ``table`` below ``horizon``; the
+        ``(job, slot)`` completions in slot order.
+
+        ``arrivals`` are ``(arrival slot, job)`` pairs in time order.  A
+        job is submitted before the first free slot at or after its
+        arrival slot runs; one arriving after the last free slot below
+        ``horizon`` is still submitted, one arriving at ``horizon`` or
+        later is not.
+
+        The loop makes one pass per scheduling run.  A run holds one
+        G-Sched decision -- budgeted EDF on ``(server deadline, staged
+        deadline, vm_id)``, else background EDF on ``(staged deadline,
+        vm_id)`` -- until the granted job completes, its budget runs
+        out, a job arrives or a server period ends.  A stretch with no
+        staged work is skipped without a decision.  Each VM's pool is a
+        heap of ``(absolute deadline, insertion seq, job)``, so ties
+        break in insertion order as in :class:`PriorityQueue`; budgets
+        are the G-Sched's own server states, replenished through
+        :meth:`GlobalScheduler.tick`.
+
+        The channel ends exactly where calling :meth:`tick` and
+        :meth:`execute_slot` on each free slot in turn would: G-Sched
+        budgets, deadlines and counters, channel and pool counters,
+        L-Sched and job preemption counts, job start and completion
+        stamps, and unfinished jobs buffered in their pool queues with
+        the shadow registers refreshed.  ``LocalScheduler.selection_count``
+        is the exception: it counts one selection per leftover job.
+        Needs a fresh channel, no trace recorder (per-slot events come
+        from :meth:`execute_slot` only), no quarantined VM and the EDF
+        L-Sched policy.
+        """
+        gsched = self.gsched
+        if self.trace is not None:
+            raise ValueError("run_until records no trace events; step execute_slot")
+        if self.quarantined_vms:
+            raise ValueError(
+                f"run_until needs no quarantined VM; quarantined: "
+                f"{sorted(self.quarantined_vms)}"
+            )
+        if any(pool.lsched.policy is not edf_policy for pool in self.pools.values()):
+            raise ValueError("run_until schedules pools by EDF; step execute_slot")
+        if (
+            self.quarantine_rejects
+            or gsched.next_boundary != -math.inf
+            or gsched.idle_slots + gsched.budgeted_grants + gsched.background_grants
+            or any(pool.submitted or pool.rejected for pool in self.pools.values())
+        ):
+            raise ValueError(
+                "run_until needs a channel that has run no slot and buffered no job"
+            )
+
+        # Free slots are addressed by ordinal: the k-th free slot of
+        # sigma lies in hyper-period k // F at the (k % F)-th free offset.
+        free = table.free_indices()
+        count, length = len(free), table.length
+
+        def first_free(slot: int) -> int:
+            """Ordinal of the first free slot at or after ``slot``."""
+            cycle, offset = divmod(slot, length)
+            return cycle * count + bisect_left(free, offset)
+
+        end = max(0, first_free(horizon))
+        # Each arrival's submission point: the ordinal of the first free
+        # slot at or after it; past ``end`` for arrivals at the horizon
+        # or later, which are never submitted.
+        arrival_slots = np.fromiter(
+            (slot for slot, _job in arrivals), dtype=np.int64, count=len(arrivals)
+        )
+        cycles, offsets = np.divmod(arrival_slots, length)
+        submit_at = cycles * count + np.searchsorted(
+            np.asarray(free, dtype=np.int64), offsets
+        )
+        submit_at[arrival_slots >= horizon] = end + 1
+        ordinals: List[int] = submit_at.tolist()
+
+        # Per VM: [vm_id, EDF heap of (absolute deadline, insertion seq,
+        # job), server state, pool, peak occupancy].
+        lanes: List[List[Any]] = []
+        lane_of: Dict[int, List[Any]] = {}
+        for vm_id, pool in self.pools.items():
+            lane_of[vm_id] = [vm_id, [], gsched._states[vm_id], pool, 0]
+            lanes.append(lane_of[vm_id])
+
+        completed: List[Tuple[Job, int]] = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        seq = pending = ordinal = cursor = 0
+        idle = budgeted = background = 0
+        total = len(arrivals)
+        no_arrival = end + 1
+        next_arrival = ordinals[0] if total else no_arrival
+        # Ordinal of the first free slot at or after the next server
+        # period boundary; -1 ticks the G-Sched at the first decision.
+        boundary = -1
+        last_vm: Optional[int] = None
+        last_budgeted = False
+        best: Optional[Tuple[int, int, int]]
+        fallback: Optional[Tuple[int, int]]
+        chosen: List[Any]
+        chosen_fallback: List[Any]
+        while True:
+            if ordinal >= next_arrival:
+                while cursor < total and ordinals[cursor] <= ordinal:
+                    job = arrivals[cursor][1]
+                    cursor += 1
+                    target = lane_of.get(job.task.vm_id)
+                    if target is None:
+                        raise KeyError(
+                            f"no I/O pool for VM {job.task.vm_id}; configured "
+                            f"VMs: {sorted(self.pools)}"
+                        )
+                    heap, pool = target[1], target[3]
+                    if len(heap) >= pool.queue.capacity:
+                        pool.rejected += 1
+                        pool.reject_streak += 1
+                        if pool.reject_streak > pool.max_reject_streak:
+                            pool.max_reject_streak = pool.reject_streak
+                        continue
+                    pool.submitted += 1
+                    pool.reject_streak = 0
+                    deadline = job.absolute_deadline
+                    if heap and deadline < heap[0][0]:
+                        # The arrival becomes the new head over a
+                        # buffered job: the L-Sched preempts it.
+                        head = heap[0][2]
+                        if head.remaining > 0:
+                            pool.lsched.preemption_count += 1
+                            head.preemption_count += 1
+                    heappush(heap, (deadline, seq, job))
+                    seq += 1
+                    pending += 1
+                    if len(heap) > target[4]:
+                        target[4] = len(heap)
+                next_arrival = ordinals[cursor] if cursor < total else no_arrival
+            if ordinal >= end:
+                break
+            if not pending:
+                # Nothing staged: every free slot before the next
+                # arrival idles.
+                resume = next_arrival if next_arrival < end else end
+                idle += resume - ordinal
+                ordinal = resume
+                last_vm = None
+                continue
+            if ordinal >= boundary:
+                cycle, index = divmod(ordinal, count)
+                gsched.tick(cycle * length + free[index])
+                boundary = first_free(int(gsched.next_boundary))
+            best = fallback = None
+            for lane in lanes:
+                heap = lane[1]
+                if not heap:
+                    continue
+                state = lane[2]
+                if state.budget > 0:
+                    key = (state.deadline, heap[0][0], lane[0])
+                    if best is None or key < best:
+                        best, chosen = key, lane
+                elif best is None:
+                    background_key = (heap[0][0], lane[0])
+                    if fallback is None or background_key < fallback:
+                        fallback, chosen_fallback = background_key, lane
+            stop = next_arrival if next_arrival < boundary else boundary
+            span = (stop if stop < end else end) - ordinal
+            last_vm, heap, state, pool, _peak = (
+                chosen if best is not None else chosen_fallback
+            )
+            job = heap[0][2]
+            # A job with nothing left still takes one slot, as in
+            # execute_slot.
+            left = job.remaining if job.remaining > 0 else 1
+            run = span if span < left else left
+            last_budgeted = best is not None
+            if last_budgeted:
+                if state.budget < run:
+                    run = state.budget
+                state.budget -= run
+                state.slots_consumed += run
+                budgeted += run
+            else:
+                background += run
+            if job.started_at is None:
+                cycle, index = divmod(ordinal, count)
+                job.started_at = float(cycle * length + free[index])
+            ordinal += run
+            if run < left:
+                job.remaining = left - run
+                continue
+            job.remaining = 0
+            heappop(heap)
+            pending -= 1
+            pool.completed += 1
+            cycle, index = divmod(ordinal - 1, count)
+            slot = cycle * length + free[index]
+            job.completed_at = float(slot + 1)
+            completed.append((job, slot))
+
+        if end:
+            # Stepping ticks every free slot, the last one included.
+            cycle, index = divmod(end - 1, count)
+            gsched.tick(cycle * length + free[index])
+            self.last_allocation = (
+                None if last_vm is None else Allocation(last_vm, last_budgeted)
+            )
+        gsched.idle_slots += idle
+        gsched.budgeted_grants += budgeted
+        gsched.background_grants += background
+        self.slots_executed += budgeted + background
+        self.jobs_completed += len(completed)
+        for _vm_id, heap, _state, pool, peak in lanes:
+            queue = pool.queue
+            queue.total_inserted += pool.submitted - len(heap)
+            queue.total_removed += pool.completed
+            for _deadline, _seq, job in sorted(heap):
+                queue.insert(job)
+            queue.peak_occupancy = max(queue.peak_occupancy, peak)
+            pool.refresh()
+        for job, slot in completed:
+            self.completed_jobs.append(job)
+            if self.on_complete is not None:
+                self.on_complete(job, slot)
         return completed
 
     @property

@@ -1,15 +1,19 @@
 """Unit tests for the shared trial machinery."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.base import (
     TrialConfig,
+    TrialResult,
     cycles_to_slots,
     prepare_workload,
     slots_ceil,
 )
 from repro.sim.rng import RandomSource
-from repro.tasks.task import IOTask
+from repro.tasks.task import Criticality, IOTask
 from repro.tasks.taskset import TaskSet
 
 
@@ -109,3 +113,64 @@ class TestHelpers:
     def test_slots_ceil_tolerates_fuzz(self):
         assert slots_ceil(3.0000000001) == 3
         assert slots_ceil(3.1) == 4
+
+
+CRITICALITY_TASKS = [
+    IOTask(name=f"{criticality.value}{index}", period=100, wcet=1,
+           criticality=criticality, payload_bytes=64 * (index + 1))
+    for index, criticality in enumerate(
+        [Criticality.SYNTHETIC, Criticality.SAFETY, Criticality.FUNCTION,
+         Criticality.SAFETY]
+    )
+]
+
+
+def new_result():
+    return TrialResult(
+        system="s", target_utilization=0.5, horizon_slots=100, slot_seconds=1e-5
+    )
+
+
+class TestRecordBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        head=st.lists(st.integers(0, 3), max_size=3),
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.booleans(),
+                st.floats(min_value=0.0, max_value=1e7, allow_subnormal=False),
+                st.booleans(),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_equals_one_record_per_job(self, head, jobs):
+        """Per-criticality counts and their key order, bytes moved, the
+        response sum to the last bit, the max and the samples all equal a
+        per-job fold that starts from an already used result."""
+        expected, actual = new_result(), new_result()
+        for result in (expected, actual):
+            for index in head:
+                result.record(CRITICALITY_TASKS[index].criticality, True)
+            result.response_slots_sum = 0.1
+        for index, missed, response, transferred in jobs:
+            task = CRITICALITY_TASKS[index]
+            expected.record(task.criticality, missed)
+            if transferred:
+                expected.bytes_transferred += task.payload_bytes
+            expected.response_slots_sum += response
+            expected.response_slots_max = max(expected.response_slots_max, response)
+            if task.criticality.counts_for_success:
+                expected.record_response_sample(task.name, response)
+        columns = list(zip(*jobs)) or [(), (), (), ()]
+        actual.record_batch(
+            CRITICALITY_TASKS,
+            np.array(columns[0], dtype=np.int64),
+            np.array(columns[1], dtype=bool),
+            np.array(columns[2], dtype=np.float64),
+            transferred=np.array(columns[3], dtype=bool),
+            collect=True,
+        )
+        assert actual == expected
+        assert list(actual.per_criticality) == list(expected.per_criticality)

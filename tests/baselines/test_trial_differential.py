@@ -123,8 +123,11 @@ def assert_same_trial(system, workload, seed):
     assert rchannel.slots_executed == reference.slots_executed
     assert rchannel.jobs_completed == reference.jobs_completed
     for vm_id, pool in rchannel.pools.items():
-        assert pool.submitted == reference.pools[vm_id].submitted
-        assert pool.rejected == reference.pools[vm_id].rejected
+        ref_pool = reference.pools[vm_id]
+        assert pool.submitted == ref_pool.submitted
+        assert pool.rejected == ref_pool.rejected
+        assert pool.completed == ref_pool.completed
+        assert pool.lsched.preemption_count == ref_pool.lsched.preemption_count
     assert pchannel.slots_executed == ref_pchannel.slots_executed
     assert pchannel.jobs_completed == ref_pchannel.jobs_completed
     return rchannel

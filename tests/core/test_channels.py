@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.gsched import Allocation, ServerSpec
+from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
 from repro.core.rchannel import RChannel
-from repro.sim.trace import TraceRecorder
 from repro.tasks.task import IOTask, TaskKind
 from repro.tasks.taskset import TaskSet
 
@@ -126,63 +125,3 @@ class TestRChannel:
         channel.submit(runtime_job("b", 0, 100, vm_id=1))
         assert channel.pending_jobs == 2
 
-
-class TestRChannelRuns:
-    """``execute_slot`` with ``run``: one G-Sched decision over several
-    free slots, equal to executing them one by one."""
-
-    def make(self, trace=None):
-        return RChannel([ServerSpec(0, 10, 4), ServerSpec(1, 10, 4)], trace=trace)
-
-    def test_budgeted_run_ends_with_the_budget(self):
-        channel = self.make()
-        job = runtime_job("a", 0, 100, wcet=6, vm_id=0)
-        channel.submit(job)
-        channel.tick(0)
-        assert channel.execute_slot(0, run=[1, 2, 3, 4, 5]) is None
-        assert channel.last_allocation == Allocation(0, budgeted=True, slots=4)
-        assert channel.gsched.budget_of(0) == 0
-        assert (job.remaining, job.started_at, channel.slots_executed) == (2, 0.0, 4)
-        # Background from here; the job completes on the run's last slot.
-        assert channel.execute_slot(4, run=[5, 7, 9]) is job
-        assert channel.last_allocation == Allocation(0, budgeted=False, slots=2)
-        assert job.completed_at == 6.0
-        assert channel.gsched.budgeted_grants == 4
-        assert channel.gsched.background_grants == 2
-        assert channel.slots_executed == 6 and channel.jobs_completed == 1
-
-    def test_run_equals_stepping(self):
-        def scenario(run):
-            channel = self.make()
-            jobs = [
-                runtime_job("a", 0, 90, wcet=5, vm_id=0),
-                runtime_job("b", 0, 40, wcet=3, vm_id=1),
-            ]
-            for job in jobs:
-                channel.submit(job)
-            channel.tick(0)
-            slot, done = 0, []
-            while slot < 10:
-                following = list(range(slot + 1, 10)) if run else []
-                job = channel.execute_slot(slot, run=following)
-                allocation = channel.last_allocation
-                slot += 1 if allocation is None else allocation.slots
-                if job is not None:
-                    done.append((job.name, job.completed_at))
-            gsched = channel.gsched
-            return done, channel.slots_executed, (
-                gsched.budgeted_grants, gsched.background_grants, gsched.idle_slots,
-                gsched.budget_of(0), gsched.budget_of(1),
-            )
-
-        assert scenario(run=True) == scenario(run=False)
-
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_guard_or_trace_runs_one_slot_at_a_time(self, traced):
-        channel = self.make(trace=TraceRecorder() if traced else None)
-        channel.submit(runtime_job("a", 0, 100, wcet=6, vm_id=0))
-        channel.tick(0)
-        guard = None if traced else (lambda job, slot: True)
-        channel.execute_slot(0, guard=guard, run=[1, 2, 3])
-        assert channel.last_allocation.slots == 1
-        assert channel.slots_executed == 1

@@ -1,0 +1,248 @@
+"""``RChannel.run_until`` against stepping ``execute_slot`` on every free
+slot.
+
+The batch executor must complete the same jobs at the same slots and
+leave the channel where the slot-stepped reference leaves it: G-Sched
+budgets, deadlines and counters, channel, pool, queue and L-Sched
+counters, job stamps and preemption counts, and the unfinished jobs
+buffered in queue order.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.gsched import Allocation, ServerSpec
+from repro.core.lsched import fifo_policy
+from repro.core.rchannel import RChannel
+from repro.core.timeslot import TimeSlotTable
+from repro.sim.trace import TraceRecorder
+from repro.tasks.task import IOTask
+
+
+def make_arrivals(specs):
+    """Fresh ``(arrival slot, job)`` pairs from ``(slot, vm, wcet,
+    deadline, remaining)`` specs, in time order."""
+    arrivals = []
+    for index, (slot, vm_id, wcet, deadline, remaining) in enumerate(specs):
+        task = IOTask(
+            name=f"t{index}", period=deadline, wcet=wcet, deadline=deadline,
+            vm_id=vm_id,
+        )
+        job = task.job(release=max(0, slot - 2), index=0)
+        job.remaining = remaining
+        arrivals.append((slot, job))
+    arrivals.sort(key=lambda pair: pair[0])
+    return arrivals
+
+
+def stepped(channel, horizon, arrivals, table):
+    """Reference: submit due arrivals, tick and execute each free slot;
+    arrivals after the last free slot still reach their pools."""
+    completed, cursor = [], 0
+
+    def submit_through(slot):
+        nonlocal cursor
+        while cursor < len(arrivals) and arrivals[cursor][0] <= slot:
+            channel.submit(arrivals[cursor][1])
+            cursor += 1
+
+    for slot in range(horizon):
+        if table.is_occupied(slot):
+            continue
+        submit_through(slot)
+        channel.tick(slot)
+        job = channel.execute_slot(slot)
+        if job is not None:
+            completed.append((job, slot))
+    submit_through(horizon - 1)
+    return completed
+
+
+def channel_state(channel, arrivals):
+    """Everything ``run_until`` promises to leave as stepping does."""
+    gsched = channel.gsched
+    return {
+        "servers": [
+            (vm_id, state.budget, state.deadline, state.slots_consumed)
+            for vm_id, state in gsched._states.items()
+        ],
+        "next_boundary": gsched.next_boundary,
+        "gsched": (
+            gsched.idle_slots, gsched.budgeted_grants, gsched.background_grants
+        ),
+        "channel": (
+            channel.slots_executed,
+            channel.jobs_completed,
+            [job.name for job in channel.completed_jobs],
+            channel.last_allocation,
+        ),
+        "pools": [
+            (
+                vm_id,
+                pool.submitted,
+                pool.rejected,
+                pool.completed,
+                pool.reject_streak,
+                pool.max_reject_streak,
+                pool.lsched.preemption_count,
+                pool.queue.total_inserted,
+                pool.queue.total_removed,
+                pool.queue.peak_occupancy,
+                [job.name for job in pool.queue.jobs()],
+                pool.shadow.name if pool.shadow is not None else None,
+            )
+            for vm_id, pool in channel.pools.items()
+        ],
+        "jobs": [
+            (
+                job.name, job.remaining, job.started_at, job.completed_at,
+                job.preemption_count,
+            )
+            for _slot, job in arrivals
+        ],
+    }
+
+
+def assert_matches_stepping(servers, capacity, pattern, horizon, specs):
+    table = TimeSlotTable.from_pattern(pattern)
+    calls = {"stepped": [], "run": []}
+    reference = RChannel(
+        servers, pool_capacity=capacity,
+        on_complete=lambda job, slot: calls["stepped"].append((job.name, slot)),
+    )
+    channel = RChannel(
+        servers, pool_capacity=capacity,
+        on_complete=lambda job, slot: calls["run"].append((job.name, slot)),
+    )
+    ref_arrivals, arrivals = make_arrivals(specs), make_arrivals(specs)
+    expected = [
+        (job.name, slot)
+        for job, slot in stepped(reference, horizon, ref_arrivals, table)
+    ]
+    actual = [
+        (job.name, slot) for job, slot in channel.run_until(horizon, arrivals, table)
+    ]
+    assert actual == expected
+    assert calls["run"] == calls["stepped"] == expected
+    assert channel_state(channel, arrivals) == channel_state(reference, ref_arrivals)
+    return channel
+
+
+@st.composite
+def scenarios(draw):
+    vm_count = draw(st.integers(min_value=1, max_value=3))
+    servers = []
+    for vm_id in range(vm_count):
+        # Co-prime and harmonic periods; budgets from 1 (runs out
+        # quickly) to the full period.
+        pi = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+        servers.append(ServerSpec(vm_id, pi, draw(st.integers(1, pi))))
+    capacity = draw(st.sampled_from([1, 2, 3, 64]))
+    pattern = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+    horizon = draw(st.integers(min_value=0, max_value=90))
+    # Some VMs may receive no job at all; arrivals reach past the
+    # horizon.
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, horizon + 8),
+                st.integers(0, vm_count - 1),
+                st.integers(1, 6),
+                st.integers(6, 40),
+                st.integers(1, 6),
+            ),
+            max_size=30,
+        )
+    )
+    return servers, capacity, pattern, horizon, specs
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios())
+# Co-prime periods, a budget that runs out, an empty VM, capacity 1.
+@example(
+    scenario=(
+        [ServerSpec(0, 3, 1), ServerSpec(1, 7, 2), ServerSpec(2, 5, 5)], 1,
+        [0, 1, 0, 0, 1], 60,
+        [(0, 0, 5, 30, 5), (0, 0, 2, 10, 2), (1, 1, 4, 20, 4), (2, 0, 1, 8, 1),
+         (9, 1, 6, 12, 6), (9, 1, 1, 9, 1)],
+    )
+)
+# The horizon ends inside an occupied stretch: the last arrivals come
+# after the last free slot, one of them at the horizon itself.
+@example(
+    scenario=(
+        [ServerSpec(0, 4, 2), ServerSpec(1, 4, 1)], 2,
+        [0, 0, 0, 1, 1, 1, 1, 1], 21,
+        [(3, 0, 2, 10, 2), (18, 1, 1, 8, 1), (20, 0, 1, 6, 1), (21, 1, 1, 6, 1)],
+    )
+)
+# Equal staged deadlines: budgeted and background ties go to the lower
+# vm_id.
+@example(
+    scenario=(
+        [ServerSpec(0, 9, 1), ServerSpec(1, 9, 1)], 64, [0], 12,
+        [(0, 1, 3, 20, 3), (0, 0, 3, 20, 3)],
+    )
+)
+def test_run_until_matches_stepping(scenario):
+    assert_matches_stepping(*scenario)
+
+
+def test_preemption_by_an_earlier_deadline():
+    channel = assert_matches_stepping(
+        [ServerSpec(0, 10, 10)], 64, [0], 20,
+        [(0, 0, 6, 30, 6), (2, 0, 2, 8, 2), (3, 0, 1, 20, 1)],
+    )
+    assert channel.pools[0].lsched.preemption_count == 1
+
+
+def test_no_free_slot():
+    channel = assert_matches_stepping(
+        [ServerSpec(0, 5, 2)], 2, [1, 1], 10,
+        [(0, 0, 1, 10, 1), (4, 0, 1, 10, 1), (5, 0, 1, 10, 1), (12, 0, 1, 10, 1)],
+    )
+    assert channel.pools[0].rejected == 1
+    assert channel.last_allocation is None
+
+
+def test_last_allocation_is_the_last_free_slot_decision():
+    channel = assert_matches_stepping(
+        [ServerSpec(0, 10, 2)], 64, [0], 6, [(0, 0, 6, 20, 6)]
+    )
+    assert channel.last_allocation == Allocation(0, budgeted=False)
+
+
+class TestPreconditions:
+    def make(self, trace=None):
+        return RChannel([ServerSpec(0, 10, 4), ServerSpec(1, 10, 4)], trace=trace)
+
+    def test_trace_recorder_refused(self):
+        channel = self.make(trace=TraceRecorder())
+        with pytest.raises(ValueError, match="trace"):
+            channel.run_until(10, [], TimeSlotTable.empty(5))
+
+    @pytest.mark.parametrize("use", ["tick", "execute", "submit"])
+    def test_used_channel_refused(self, use):
+        channel = self.make()
+        if use == "tick":
+            channel.tick(0)
+        elif use == "execute":
+            channel.execute_slot(0)
+        else:
+            (_slot, job), = make_arrivals([(0, 0, 1, 10, 1)])
+            channel.submit(job)
+        with pytest.raises(ValueError, match="run no slot"):
+            channel.run_until(10, [], TimeSlotTable.empty(5))
+
+    def test_quarantined_vm_refused(self):
+        channel = self.make()
+        channel.quarantine_vm(1)
+        with pytest.raises(ValueError, match="quarantined"):
+            channel.run_until(10, [], TimeSlotTable.empty(5))
+
+    def test_non_edf_policy_refused(self):
+        channel = RChannel([ServerSpec(0, 10, 4)], policy=fifo_policy)
+        with pytest.raises(ValueError, match="EDF"):
+            channel.run_until(10, [], TimeSlotTable.empty(5))
