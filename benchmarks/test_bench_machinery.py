@@ -79,7 +79,7 @@ def test_bench_admission_rate(benchmark):
                 wcet=rng.randint(1, 6),
                 vm_id=i % 2,
             )
-            if controller.try_admit(task).admitted:
+            if controller.try_admit(task).schedulable:
                 admitted += 1
         return admitted
 

@@ -5,6 +5,13 @@ release times, per-job actual execution times, payload sizes -- so that
 "the data input to the examined systems was identical in each execution"
 (the paper's fairness requirement).  Systems only differ in how they
 schedule and what overheads they add.
+
+The instance keeps its releases as :class:`ReleasedJob` objects and, for
+the trial loops, as int64 :class:`JobColumns` indexed by task position,
+computed once and shared by every system.  The shared path-delay sampler
+takes per-job flit counts, gathered from a per-task table
+(:func:`task_flits`), and per-criticality accounting folds task-indexed
+arrays (:meth:`TrialResult.record_batch`).
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ import abc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +92,21 @@ class ReleasedJob:
         return self.release_slot + self.task.deadline
 
 
+class JobColumns(NamedTuple):
+    """The releases of a workload as int64 columns, in ``releases``
+    order: release ``i`` is job ``index[i]`` of task
+    ``taskset[task[i]]`` (a position in the task set), released at slot
+    ``release[i]`` with ``actual[i]`` slots of work.  ``by_slot`` is the
+    :meth:`WorkloadInstance.releases_by_slot` permutation:
+    ``releases_by_slot()[k] is releases[by_slot[k]]``."""
+
+    task: np.ndarray
+    index: np.ndarray
+    release: np.ndarray
+    actual: np.ndarray
+    by_slot: np.ndarray
+
+
 @dataclass
 class WorkloadInstance:
     """All stochastic draws of one trial, shared across systems."""
@@ -102,6 +125,28 @@ class WorkloadInstance:
         """Distinct VMs of the task set, at least 1; computed once."""
         return max(1, len(self.taskset.vm_ids()))
 
+    @cached_property
+    def columns(self) -> JobColumns:
+        """The releases as columns; computed once, shared read-only by
+        every system that runs the workload."""
+        tasks = list(self.taskset)
+        position = {task.name: index for index, task in enumerate(tasks)}
+        releases, count = self.releases, len(self.releases)
+        task, index, release, actual = (
+            np.fromiter(values, dtype=np.int64, count=count)
+            for values in (
+                map(position.__getitem__, map(attrgetter("task.name"), releases)),
+                map(attrgetter("index"), releases),
+                map(attrgetter("release_slot"), releases),
+                map(attrgetter("actual_slots"), releases),
+            )
+        )
+        # Each task's rank by name, so the sort keys are those of
+        # ``(release_slot, task.name, index)``.
+        name_rank = np.argsort(sorted(range(len(tasks)), key=lambda p: tasks[p].name))
+        by_slot = np.lexsort((index, name_rank[task], release))
+        return JobColumns(task, index, release, actual, by_slot)
+
     def releases_by_slot(self) -> List[ReleasedJob]:
         """Releases in (slot, task, index) order; computed once, shared
         read-only by every system that runs the workload."""
@@ -109,9 +154,7 @@ class WorkloadInstance:
 
     @cached_property
     def _releases_by_slot(self) -> List[ReleasedJob]:
-        return sorted(
-            self.releases, key=lambda r: (r.release_slot, r.task.name, r.index)
-        )
+        return [self.releases[row] for row in self.columns.by_slot.tolist()]
 
 
 def prepare_workload(
@@ -293,8 +336,8 @@ class TrialResult:
         )
 
 
-#: A pre-drawn release or a materialised job: the delay sampler reads
-#: only ``job.task``.
+#: A pre-drawn release or a materialised job: the one-row delay
+#: samplers read only ``job.task``.
 AnyJob = Union[ReleasedJob, Job]
 
 
@@ -340,23 +383,25 @@ class IOVirtSystem(abc.ABC):
     # -- path delays -------------------------------------------------------
 
     def request_delays(
-        self, jobs: Sequence[AnyJob], load: float, rng: RandomSource,
+        self, flits: np.ndarray, load: float, rng: RandomSource,
         config: TrialConfig,
     ) -> np.ndarray:
         """Software + NoC delay, in slots, from each job's release to its
-        arrival at the I/O subsystem; drawn in ``jobs`` order."""
+        arrival at the I/O subsystem, for jobs of ``flits`` flits each
+        (:func:`task_flits`); drawn in ``flits`` order."""
         return self._path_delays(
-            jobs, self.stack.request_delays, self.request_hops, load, rng, config
+            flits, self.stack.request_delays, self.request_hops, load, rng, config
         )
 
     def response_delays(
-        self, jobs: Sequence[AnyJob], load: float, rng: RandomSource,
+        self, flits: np.ndarray, load: float, rng: RandomSource,
         config: TrialConfig,
     ) -> np.ndarray:
         """Software + NoC delay, in slots, from each job's device
-        completion back to the application; drawn in ``jobs`` order."""
+        completion back to the application, for jobs of ``flits`` flits
+        each; drawn in ``flits`` order."""
         return self._path_delays(
-            jobs, self.stack.response_delays, self.response_hops, load, rng, config
+            flits, self.stack.response_delays, self.response_hops, load, rng, config
         )
 
     def _request_delay_slots(
@@ -364,18 +409,22 @@ class IOVirtSystem(abc.ABC):
         workload: WorkloadInstance,
     ) -> float:
         """One job's request delay: a one-row :meth:`request_delays`."""
-        return float(self.request_delays([job], load, rng, workload.config)[0])
+        return float(
+            self.request_delays(task_flits([job.task]), load, rng, workload.config)[0]
+        )
 
     def _response_delay_slots(
         self, job: AnyJob, load: float, rng: RandomSource,
         workload: WorkloadInstance,
     ) -> float:
         """One job's response delay: a one-row :meth:`response_delays`."""
-        return float(self.response_delays([job], load, rng, workload.config)[0])
+        return float(
+            self.response_delays(task_flits([job.task]), load, rng, workload.config)[0]
+        )
 
     def _path_delays(
         self,
-        jobs: Sequence[AnyJob],
+        flits: np.ndarray,
         software: Callable[[float, np.ndarray], np.ndarray],
         hops: int,
         load: float,
@@ -385,28 +434,21 @@ class IOVirtSystem(abc.ABC):
         """Each job draws its stack jitter, then its VMM quantum
         residual, then its NoC jitter -- the order of one scalar
         ``stack`` then ``noc`` sample per job."""
-        flits = np.fromiter(
-            (
-                1 + (job.task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES
-                for job in jobs
-            ),
-            dtype=np.int64,
-            count=len(jobs),
-        )
         stack_draws = self.stack.draws_per_delay
         width = stack_draws + self.noc.draws_per_sample(hops)
-        uniforms = rng.random_array(len(jobs) * width).reshape(len(jobs), width)
+        uniforms = rng.random_array(len(flits) * width).reshape(len(flits), width)
         cycles = software(load, uniforms[:, :stack_draws]) + self.noc.samples(
             hops, flits, load, uniforms[:, stack_draws:]
         )
         return cycles_to_slots(cycles, config)
 
 
-def task_indices(tasks: Sequence[IOTask], jobs: Sequence[AnyJob]) -> np.ndarray:
-    """Position in ``tasks`` of each job's task, matched by name."""
-    index_of = {task.name: index for index, task in enumerate(tasks)}
-    return np.fromiter(
-        (index_of[job.task.name] for job in jobs), dtype=np.int64, count=len(jobs)
+def task_flits(tasks: Sequence[IOTask]) -> np.ndarray:
+    """NoC flits of one job of each task: a header flit plus the
+    payload in whole flits."""
+    return np.array(
+        [1 + (task.payload_bytes + FLIT_BYTES - 1) // FLIT_BYTES for task in tasks],
+        dtype=np.int64,
     )
 
 

@@ -9,19 +9,20 @@ failure I/O-GUARD removes.
 Because FIFO service admits a closed recurrence
 (``start = max(server_free, arrival)``), baseline trials run in
 O(jobs log jobs) instead of slot-stepping, which keeps the 1000-trial
-sweeps of Fig. 7 tractable.  A trial draws its path delays in two array
-passes of the shared sampler (:meth:`IOVirtSystem.request_delays`):
-every request in release order, then every response in service order --
-the draws, and so the results, of one scalar draw per job in that
-order.  Only the recurrence itself stays a per-job Python loop.
+sweeps of Fig. 7 tractable.  A trial works on the workload's
+task-indexed columns (:attr:`WorkloadInstance.columns`) and draws its
+path delays in two array passes of the shared sampler
+(:meth:`IOVirtSystem.request_delays`, fed per-job flit counts from a
+per-task table): every request in release order, then every response in
+service order -- the draws, and so the results, of one scalar draw per
+job in that order.  Only the recurrence itself stays a per-job Python
+loop, over floats.
 Subclasses supply the per-system hooks: issue times (the budget gate of
 RT-Xen), path parameters (stack model, hop counts, NoC load factor) and
 per-operation service inflation.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from repro.baselines.base import (
     TrialResult,
     WorkloadInstance,
     cycles_to_slots,
-    task_indices,
+    task_flits,
 )
 from repro.sim.rng import RandomSource
 
@@ -86,14 +87,12 @@ class FifoSystemModel(IOVirtSystem):
         )
         return job.actual_slots * self.service_inflation(workload) + overhead
 
-    def issue_slots(
-        self, jobs: List[ReleasedJob], workload: WorkloadInstance
-    ) -> np.ndarray:
+    def issue_slots(self, workload: WorkloadInstance) -> np.ndarray:
         """When each job's request leaves the guest (slots, float), in
-        ``jobs`` order; the request path delay is added on top."""
-        return np.fromiter(
-            (job.release_slot for job in jobs), dtype=np.float64, count=len(jobs)
-        )
+        :meth:`~WorkloadInstance.releases_by_slot` order; the request
+        path delay is added on top."""
+        columns = workload.columns
+        return columns.release[columns.by_slot].astype(np.float64)
 
     # -- trial execution --------------------------------------------------------
 
@@ -106,33 +105,34 @@ class FifoSystemModel(IOVirtSystem):
         load = self.effective_load(workload)
         inflation = self.service_inflation(workload)
         overhead = cycles_to_slots(self.service_overhead_cycles, config)
+        tasks = list(workload.taskset)
+        columns = workload.columns
 
         # Request delays are drawn in release order, response delays in
         # service order: every request draw precedes every response draw.
-        jobs = workload.releases_by_slot()
-        arrivals = self.issue_slots(jobs, workload) + self.request_delays(
-            jobs, load, rng, config
+        flits = task_flits(tasks)[columns.task[columns.by_slot]]
+        arrivals = self.issue_slots(workload) + self.request_delays(
+            flits, load, rng, config
         )
         order = np.argsort(arrivals, kind="stable")
-        served = [jobs[index] for index in order.tolist()]
-        responses = self.response_delays(served, load, rng, config)
+        responses = self.response_delays(flits[order], load, rng, config)
+        served = columns.by_slot[order]
 
         # The FIFO recurrence stays a scalar loop: a cumulative numpy
         # form would round differently.
         completions = []
         server_free = 0.0
-        for job, arrival in zip(served, arrivals[order].tolist()):
-            start = max(server_free, arrival)
-            server_free = start + (job.actual_slots * inflation + overhead)
+        for service, arrival in zip(
+            (columns.actual[served] * inflation + overhead).tolist(),
+            arrivals[order].tolist(),
+        ):
+            server_free = max(server_free, arrival) + service
             completions.append(server_free)
         completion = np.array(completions, dtype=np.float64)
         finish = completion + responses
 
-        tasks = list(workload.taskset)
-        task_index = task_indices(tasks, served)
-        releases = np.fromiter(
-            (job.release_slot for job in served), dtype=np.int64, count=len(served)
-        )
+        task_index = columns.task[served]
+        releases = columns.release[served]
         deadlines = releases + np.array(
             [task.deadline for task in tasks], dtype=np.int64
         )[task_index]

@@ -14,19 +14,23 @@ shared workload instance:
   NoC transfer: processors connect to the hypervisor "without involving
   arbiters/routers") and are scheduled by the two-layer scheduler.
 
-The trial does Python work once per job or per scheduling run, not per
-slot, and runs no per-slot code path.  The P-channel computes its
-completions per task (:meth:`PChannel.run_until`): a task's table slots,
-tiled over the horizon, cut into ``wcet``-slot jobs.  The R-channel runs
-in its batch executor (:meth:`RChannel.run_until`), given every arrival
-up front: one pass per scheduling run over per-VM EDF heaps, where a
-G-Sched decision holds until the granted job completes, its budget runs
-out, a job arrives or a server period ends, and a stretch with no staged
-work is skipped.  The two completion streams are merged by slot, the
-path delays are drawn in two array passes (requests in release order,
-responses in completion order), and the counted jobs are folded into the
-result in one :meth:`TrialResult.record_batch`, so every result, counter
-and random draw equals stepping each slot in turn.
+The trial does Python work once per run-time job or per scheduling
+run, not per slot, and runs no per-slot code path.  It reads the
+workload as task-indexed columns (:attr:`WorkloadInstance.columns`), and
+only run-time arrivals become :class:`~repro.tasks.task.Job` objects.
+The P-channel returns its completions as columns
+(:meth:`PChannel.run_until`): a task's table slots, tiled over the
+horizon, cut into ``wcet``-slot jobs.  The R-channel runs in its batch
+executor (:meth:`RChannel.run_until`), given every arrival up front: one
+pass per scheduling run over per-VM EDF heaps, where a G-Sched decision
+holds until the granted job completes, its budget runs out, a job
+arrives or a server period ends, and a stretch with no staged work is
+skipped.  The two completion streams are merged by a stable argsort on
+slot, the path delays are drawn in two array passes from per-task flit
+counts (requests in release order, responses in completion order), and
+the counted jobs are folded into the result in one
+:meth:`TrialResult.record_batch`, so every result, counter and random
+draw equals stepping each slot in turn.
 
 Server dimensioning per trial is ``proportional`` by default (fast,
 utilization-proportional budgets validated to fit the free bandwidth);
@@ -37,8 +41,6 @@ schedulability experiments.
 from __future__ import annotations
 
 import math
-from itertools import compress
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,11 +48,9 @@ import numpy as np
 from repro.analysis.servers import design_servers
 from repro.baselines.base import (
     IOVirtSystem,
-    ReleasedJob,
-    TrialConfig,
     TrialResult,
     WorkloadInstance,
-    task_indices,
+    task_flits,
 )
 from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
@@ -197,35 +197,45 @@ class IOGuardSystem(IOVirtSystem):
         result = self._new_result(workload)
         config = workload.config
         split, table = self._split_with_fallback(workload.taskset)
-        runtime = split.runtime()
+        predefined, runtime = split.predefined(), split.runtime()
         servers = self._dimension_servers(table, runtime)
 
-        pchannel = PChannel(split.predefined(), table=table)
+        pchannel = PChannel(predefined, table=table)
         rchannel = RChannel(servers, pool_capacity=max(64, len(runtime) * 4))
 
-        predefined_names = {task.name for task in split.predefined()}
         load = min(0.95, workload.target_utilization * self.noc_load_factor)
+        # Jobs are accounted by their task's position in the workload's
+        # task set; ``split`` holds same-named copies of those tasks.
+        tasks = list(workload.taskset)
+        position = {task.name: index for index, task in enumerate(tasks)}
+        flits = task_flits(tasks)
+        is_runtime = np.zeros(len(tasks), dtype=bool)
+        is_runtime[[position[task.name] for task in runtime]] = True
+        rows = np.flatnonzero(is_runtime[workload.columns.task])
 
-        arrivals = self._arrivals(
-            [job for job in workload.releases if job.task.name not in predefined_names],
-            load, rng, config,
-        )
         horizon = config.horizon_slots
-        # A slot belongs to one channel and completes at most one job,
-        # so sorting by slot merges the two channels' completions.
-        completed = sorted(
-            pchannel.run_until(horizon) + rchannel.run_until(horizon, arrivals, table),
-            key=itemgetter(1),
+        arrivals = self._arrivals(workload, rows, flits, load, rng)
+        pcompleted = pchannel.run_until(horizon)
+        rcompleted = rchannel.run_until(horizon, arrivals, table)
+        # Completions as (task position, release, slot) columns.  A slot
+        # belongs to one channel and completes at most one job, so
+        # sorting by slot merges the two channels' completions.
+        pchannel_tasks = np.array(
+            [position[task.name] for task in predefined], dtype=np.int64
         )
-        jobs = [job for job, _slot in completed]
-        tasks = list(split)
-        task_index = task_indices(tasks, jobs)
-        releases = np.fromiter(
-            (job.release for job in jobs), dtype=np.int64, count=len(jobs)
+        completed = np.concatenate(
+            (
+                np.stack(
+                    (pchannel_tasks[pcompleted.task], pcompleted.release, pcompleted.slot)
+                ),
+                np.array(
+                    [(position[job.task.name], job.release, slot) for job, slot in rcompleted],
+                    dtype=np.int64,
+                ).reshape(len(rcompleted), 3).T,
+            ),
+            axis=1,
         )
-        slots = np.fromiter(
-            (slot for _job, slot in completed), dtype=np.int64, count=len(jobs)
-        )
+        task_index, releases, slots = completed[:, np.argsort(completed[2], kind="stable")]
         deadlines = releases + np.array(
             [task.deadline for task in tasks], dtype=np.int64
         )[task_index]
@@ -235,7 +245,7 @@ class IOGuardSystem(IOVirtSystem):
         # completion order, are added before the deadline comparison.
         counted = deadlines <= horizon
         finish = (slots[counted] + 1) + self.response_delays(
-            list(compress(jobs, counted.tolist())), load, rng, config
+            flits[task_index[counted]], load, rng, config
         )
         result.record_batch(
             tasks,
@@ -256,27 +266,35 @@ class IOGuardSystem(IOVirtSystem):
 
     def _arrivals(
         self,
-        released: List[ReleasedJob],
+        workload: WorkloadInstance,
+        rows: np.ndarray,
+        flits: np.ndarray,
         load: float,
         rng: RandomSource,
-        config: TrialConfig,
     ) -> List[Tuple[int, Job]]:
-        """``(arrival slot, job)`` of the run-time jobs that arrive
-        before the horizon, in arrival order: release + driver/NoC
-        delay, drawn in release order."""
-        release_slots = np.fromiter(
-            (job.release_slot for job in released), dtype=np.float64, count=len(released)
-        )
+        """``(arrival slot, job)`` of the released jobs ``rows`` (in
+        ``workload.releases`` order) that arrive before the horizon, in
+        arrival order: release + driver/NoC delay, drawn in release
+        order.  Only these jobs become :class:`Job` objects."""
+        config = workload.config
+        columns = workload.columns
         arrival_slots = np.ceil(
-            release_slots + self.request_delays(released, load, rng, config)
+            columns.release[rows]
+            + self.request_delays(flits[columns.task[rows]], load, rng, config)
         ).astype(np.int64)
         order = np.argsort(arrival_slots, kind="stable")
+        order = order[: np.searchsorted(arrival_slots[order], config.horizon_slots)]
+        arriving = rows[order]
+        tasks = list(workload.taskset)
         arrivals: List[Tuple[int, Job]] = []
-        for slot, index in zip(arrival_slots[order].tolist(), order.tolist()):
-            if slot >= config.horizon_slots:
-                break
-            source = released[index]
-            job = source.task.job(release=source.release_slot, index=source.index)
-            job.remaining = source.actual_slots
+        for slot, task, release, index, actual in zip(
+            arrival_slots[order].tolist(),
+            columns.task[arriving].tolist(),
+            columns.release[arriving].tolist(),
+            columns.index[arriving].tolist(),
+            columns.actual[arriving].tolist(),
+        ):
+            job = tasks[task].job(release=release, index=index)
+            job.remaining = actual
             arrivals.append((slot, job))
         return arrivals

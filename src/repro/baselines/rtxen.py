@@ -14,11 +14,11 @@ enhancement were implemented in software."  The modelled costs:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.base import ReleasedJob, TrialResult, WorkloadInstance
+from repro.baselines.base import TrialResult, WorkloadInstance
 from repro.baselines.fifo_system import FifoSystemModel
 from repro.noc.latency import NocLatencyModel
 from repro.sim.rng import RandomSource
@@ -89,16 +89,36 @@ class RTXenSystem(FifoSystemModel):
         self._period_index = {}
         return super().run_trial(workload, rng)
 
-    def issue_slots(
-        self, jobs: List[ReleasedJob], workload: WorkloadInstance
-    ) -> np.ndarray:
-        """Release -> (budget gate): the software path delay follows."""
+    def issue_slots(self, workload: WorkloadInstance) -> np.ndarray:
+        """Release -> (budget gate): the software path delay follows.
+
+        Approximates RTDS budget accounting at I/O granularity: each
+        vCPU period admits ``quota`` I/O issues per VM; in release
+        order, an issue beyond the quota waits for the next period.
+        """
         quota = self._issue_quota(workload)
-        return np.fromiter(
-            (self._budget_gate(job, quota) for job in jobs),
-            dtype=np.float64,
-            count=len(jobs),
-        )
+        period = self.vcpu_period_slots
+        period_index, period_issues = self._period_index, self._period_issues
+        columns = workload.columns
+        rows = columns.by_slot
+        vm_ids = np.array([task.vm_id for task in workload.taskset], dtype=np.int64)
+        issued = []
+        for vm_id, release in zip(
+            vm_ids[columns.task[rows]].tolist(), columns.release[rows].tolist()
+        ):
+            current = release // period
+            if period_index.get(vm_id) != current:
+                period_index[vm_id] = current
+                period_issues[vm_id] = 0
+            if period_issues[vm_id] < quota:
+                period_issues[vm_id] += 1
+                issued.append(release)
+            else:
+                # Stalled to the next replenishment.
+                period_index[vm_id] = current + 1
+                period_issues[vm_id] = 1
+                issued.append((current + 1) * period)
+        return np.array(issued, dtype=np.float64)
 
     def _issue_quota(self, workload: WorkloadInstance) -> int:
         """I/O issues one vCPU period admits per VM.
@@ -115,24 +135,3 @@ class RTXenSystem(FifoSystemModel):
         )
         compute_share = min(0.9, workload.target_utilization * 0.5)
         return max(1, int(budget * (1.0 - compute_share) / issue_cost_slots))
-
-    def _budget_gate(self, job: ReleasedJob, quota: int) -> float:
-        """Earliest slot the guest's vCPU can issue the request.
-
-        Approximates RTDS budget accounting at I/O granularity: each
-        period admits ``quota`` I/O issues per VM; issues beyond the
-        quota wait for the next period.  Call in release order.
-        """
-        vm_id = job.task.vm_id
-        period = self.vcpu_period_slots
-        current_period = job.release_slot // period
-        if self._period_index.get(vm_id) != current_period:
-            self._period_index[vm_id] = current_period
-            self._period_issues[vm_id] = 0
-        if self._period_issues[vm_id] < quota:
-            self._period_issues[vm_id] += 1
-            return float(job.release_slot)
-        # Stalled to the next replenishment.
-        self._period_index[vm_id] = current_period + 1
-        self._period_issues[vm_id] = 1
-        return float((current_period + 1) * period)

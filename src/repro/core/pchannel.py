@@ -7,11 +7,25 @@ timer and then compares the synchronized results with the time slot
 table.  Once the system executes at a starting time point of a pre-loaded
 I/O task, the executor loads this task to the connected virtualization
 driver for execution."
+
+The executor comes in two styles:
+
+* :meth:`PChannel.execute_slot` runs one occupied slot and returns the
+  :class:`~repro.tasks.task.Job` it completes.  The manager, the
+  hypervisor, schedule traces and tracing drive the channel this way.
+* :meth:`PChannel.run_until` is the batch executor used by the Fig. 7
+  trial.  A pre-defined task fires at its static sigma* slots, so its
+  completions are a pure function of the table and the horizon: each
+  task's table offsets, tiled over the horizon and cut into
+  ``wcet``-slot jobs, give :class:`PChannelCompletions` columns (task,
+  job index, release, first slot, completion slot) with no per-job
+  object.  The channel's counters and in-flight jobs end where stepping
+  would leave them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +33,19 @@ from repro.core.timeslot import TimeSlotTable, build_pchannel_table
 from repro.sim.trace import TraceRecorder
 from repro.tasks.task import IOTask, Job, TaskKind
 from repro.tasks.taskset import TaskSet
+
+
+class PChannelCompletions(NamedTuple):
+    """Completed pre-defined jobs as int64 columns, in slot order: row
+    ``i`` is job ``index[i]`` of task ``tasks[task[i]]`` (its position
+    in the channel's task set), released at ``release[i]``, first run in
+    slot ``first[i]`` and completed in slot ``slot[i]``."""
+
+    task: np.ndarray
+    index: np.ndarray
+    release: np.ndarray
+    first: np.ndarray
+    slot: np.ndarray
 
 
 class PChannel:
@@ -95,28 +122,38 @@ class PChannel:
             return job
         return None
 
-    def run_until(self, horizon: int) -> List[Tuple[Job, int]]:
-        """Execute every table slot below ``horizon``; the ``(job, slot)``
-        completions in slot order.
+    def run_until(self, horizon: int) -> PChannelCompletions:
+        """Execute every table slot below ``horizon``; the completions as
+        columns, in slot order.
 
-        Leaves the channel exactly where calling :meth:`execute_slot` on
-        each occupied slot in turn would, but works per task: the task's
-        table offsets, tiled over the horizon, are its slots.  The
-        leading slots :meth:`_current_job` idles through are dropped and
-        the rest are cut into ``wcet``-slot jobs, each released at the
-        period boundary containing its first slot; a cut-off last chunk
-        stays in flight.  Needs a fresh channel and no trace recorder
-        (per-slot events come from :meth:`execute_slot` only).
+        Leaves :attr:`slots_executed`, :attr:`jobs_completed` and the
+        per-task job counts and in-flight jobs exactly where calling
+        :meth:`execute_slot` on each occupied slot in turn would, but
+        works per task: the task's table offsets, tiled over the
+        horizon, are its slots.  The leading slots :meth:`_current_job`
+        idles through are dropped and the rest are cut into
+        ``wcet``-slot jobs, each released at the period boundary
+        containing its first slot; a cut-off last chunk stays in flight.
+        A completed job is a row, not a :class:`Job`: it is not appended
+        to :attr:`completed_jobs`.  Needs a fresh channel, no trace
+        recorder and no ``on_complete`` hook (per-slot events and per-job
+        callbacks come from :meth:`execute_slot` only).
         """
         if self.trace is not None:
             raise ValueError("run_until records no trace events; step execute_slot")
+        if self.on_complete is not None:
+            raise ValueError("run_until calls no on_complete hook; step execute_slot")
         if self._job_counts:
             raise ValueError("run_until needs a channel that has run no job yet")
+        position = {task.name: index for index, task in enumerate(self.tasks)}
         offsets_of: Dict[str, List[int]] = {}
         for offset in sorted(self.table.entries):
             offsets_of.setdefault(self.table.entries[offset].name, []).append(offset)
         cycles = np.arange(0, max(horizon, 0), self.table.length)
-        completed_jobs: List[Job] = []
+        # Per task: the (task, index, release, first, slot) columns of its
+        # completed jobs, after an empty row for a channel with none.
+        empty = np.zeros(0, dtype=np.int64)
+        columns: List[Tuple[np.ndarray, ...]] = [(empty,) * 5]
         # (first slot, task, job count) and (first slot, task, cut-off
         # job) per task, to insert the dict keys in stepping order.
         firsts: List[Tuple[int, str, int]] = []
@@ -137,17 +174,15 @@ class PChannel:
             indices = (chunk_firsts - task.offset) // task.period
             releases = task.offset + indices * task.period
             full = len(slots) // wcet
-            for first, last, release, index in zip(
-                chunk_firsts[:full].tolist(),
-                slots[wcet - 1 :: wcet].tolist(),
-                releases.tolist(),
-                indices.tolist(),
-            ):
-                job = task.job(release=release, index=index)
-                job.remaining = 0
-                job.started_at = float(first)
-                job.completed_at = float(last + 1)
-                completed_jobs.append(job)
+            columns.append(
+                (
+                    np.full(full, position[name], dtype=np.int64),
+                    indices[:full],
+                    releases[:full],
+                    chunk_firsts[:full],
+                    slots[wcet - 1 :: wcet],
+                )
+            )
             if len(chunk_firsts) > full:
                 job = task.job(release=int(releases[-1]), index=int(indices[-1]))
                 job.remaining = wcet - (len(slots) - full * wcet)
@@ -159,17 +194,11 @@ class PChannel:
             self._job_counts[name] = count
         for _slot, name, job in sorted(in_flight, key=lambda entry: entry[0]):
             self._in_flight[name] = job
-        # Each job completes at its own slot: ``completed_at - 1``.
-        completed_jobs.sort(key=lambda job: job.completed_at)
-        completed: List[Tuple[Job, int]] = []
-        for job in completed_jobs:
-            slot = int(job.completed_at) - 1
-            self.jobs_completed += 1
-            self.completed_jobs.append(job)
-            if self.on_complete is not None:
-                self.on_complete(job, slot)
-            completed.append((job, slot))
-        return completed
+        merged = [np.concatenate(column) for column in zip(*columns)]
+        # A slot completes at most one job: sorting by slot is stepping order.
+        order = np.argsort(merged[-1], kind="stable")
+        self.jobs_completed += len(order)
+        return PChannelCompletions(*(column[order] for column in merged))
 
     def _current_job(self, task: IOTask, slot: int) -> Optional[Job]:
         """The in-flight job of ``task`` covering absolute slot ``slot``.

@@ -33,11 +33,15 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.chains.model import CauseEffectChain
 from repro.obs.events import IOPOOL_ENQUEUE, JOB_COMPLETE, Span
 from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:
+    # Annotation only: importing ``repro.chains`` here would be circular
+    # (``repro.chains.simulate`` imports this module).
+    from repro.chains.model import CauseEffectChain
 
 #: The categories chain derivation needs; pass to a whitelisting
 #: :class:`TraceRecorder` to keep chain-instrumented sweeps cheap.

@@ -1,11 +1,34 @@
 """End-to-end tests for ``python -m repro.obs``."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.obs.cli import main
 from repro.obs.perfetto import validate_chrome_trace
 
 HORIZON = "800"
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+def test_module_runs_in_a_fresh_interpreter(tmp_path):
+    """``python -m repro.obs`` imports ``repro.obs`` first, with nothing
+    else loaded: its import graph must be free of cycles."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.obs", "export", "--horizon", "200",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    validate_chrome_trace(json.loads((tmp_path / "trace.json").read_text()))
+    assert (tmp_path / "metrics.json").is_file()
 
 
 class TestExport:

@@ -2,7 +2,9 @@
 
 The reference functions below are the scalar formulas the simulator
 drew per job before sampling moved to arrays: one ``rng.uniform`` per
-jitter term, stack first, then NoC.  Every array sampler must give the
+jitter term, stack first, then NoC, with the flit count read off each
+job's task.  The system samplers take per-job flit counts gathered from
+a per-task table instead.  Every array sampler must give the
 same floats, bit for bit, and leave the generator in the same state.
 """
 
@@ -19,6 +21,7 @@ from repro.baselines import (
     TrialConfig,
     prepare_workload,
 )
+from repro.baselines.base import task_flits
 from repro.noc.latency import MAX_MODEL_LOAD, NocLatencyModel
 from repro.noc.packet import FLIT_BYTES
 from repro.sim.rng import RandomSource
@@ -172,6 +175,8 @@ def sample_workload(seed):
 def test_system_sampler_interleaves_stack_then_noc_per_job(system, load, seed):
     workload = sample_workload(seed % 1000)
     jobs = workload.releases_by_slot()
+    columns = workload.columns
+    flits = task_flits(list(workload.taskset))[columns.task[columns.by_slot]]
     config = workload.config
     for bulk_form, one_row, base, hops in (
         (system.request_delays, system._request_delay_slots,
@@ -184,7 +189,7 @@ def test_system_sampler_interleaves_stack_then_noc_per_job(system, load, seed):
             reference_delay_slots(system, job, base, hops, load, scalar, config)
             for job in jobs
         ]
-        assert bulk_form(jobs, load, bulk, config).tolist() == expected
+        assert bulk_form(flits, load, bulk, config).tolist() == expected
         assert bulk.getstate() == scalar.getstate()
         for job in jobs[:3]:
             assert one_row(job, load, bulk, workload) == reference_delay_slots(
@@ -226,4 +231,4 @@ def test_negative_load_rejected_everywhere(name):
     # The scalar forms check the load before drawing.
     assert rng.getstate() == state
     with pytest.raises(ValueError, match="negative load"):
-        LegacySystem().request_delays(sample_workload(1).releases, -0.1, rng, TrialConfig())
+        LegacySystem().request_delays(np.ones(3, dtype=np.int64), -0.1, rng, TrialConfig())

@@ -1,11 +1,12 @@
 """``PChannel.run_until`` against stepping ``execute_slot`` slot by slot.
 
-The per-task completions must equal the slot-stepped ones -- the same
-jobs completing at the same slots, in the same order -- and leave every
-counter, the completed list and the in-flight state where stepping
-leaves them.
+The columnar completions must equal the slot-stepped ones -- the same
+jobs (task, index, release, first slot) completing at the same slots, in
+the same order -- and leave every counter and the in-flight state where
+stepping leaves them.
 """
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,26 +35,25 @@ def channel_state(channel):
     return (
         channel.slots_executed,
         channel.jobs_completed,
-        channel.completed_jobs,
         list(channel._in_flight.items()),
         list(channel._job_counts.items()),
     )
 
 
 def assert_run_until_matches_stepping(tasks, table, activation_slot, horizon):
-    calls = {"stepped": [], "run": []}
-    reference = PChannel(
-        tasks, table=table, activation_slot=activation_slot,
-        on_complete=lambda job, slot: calls["stepped"].append((job, slot)),
-    )
-    channel = PChannel(
-        tasks, table=table, activation_slot=activation_slot,
-        on_complete=lambda job, slot: calls["run"].append((job, slot)),
-    )
+    reference = PChannel(tasks, table=table, activation_slot=activation_slot)
+    channel = PChannel(tasks, table=table, activation_slot=activation_slot)
     expected = stepped(reference, horizon)
-    assert channel.run_until(horizon) == expected
+    completions = channel.run_until(horizon)
+    position = {task.name: index for index, task in enumerate(tasks)}
+    rows = [
+        [position[job.task.name], job.index, job.release, int(job.started_at), slot]
+        for job, slot in expected
+    ]
+    assert all(column.dtype == np.int64 for column in completions)
+    assert np.column_stack(completions).tolist() == rows
     assert channel_state(channel) == channel_state(reference)
-    assert calls["run"] == calls["stepped"] == expected
+    assert channel.completed_jobs == []
     return expected
 
 
@@ -132,3 +132,11 @@ def test_run_until_refuses_a_used_channel():
     channel.execute_slot(channel.table.occupied_indices()[0])
     with pytest.raises(ValueError):
         channel.run_until(100)
+
+
+def test_run_until_refuses_a_completion_hook():
+    tasks = TaskSet([IOTask(name="a", period=10, wcet=2, kind=TaskKind.PREDEFINED)])
+    channel = PChannel(tasks, on_complete=lambda job, slot: None)
+    with pytest.raises(ValueError, match="on_complete"):
+        channel.run_until(100)
+    assert channel.slots_executed == 0
