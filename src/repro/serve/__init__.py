@@ -3,10 +3,11 @@
 ``repro.serve`` turns the library's :class:`~repro.core.admission.AdmissionController`
 into a long-running service: an asyncio front-end (newline-JSON and
 HTTP/1.1 framings over one message vocabulary) routes per-VM admission
-traffic to sharded worker processes, batches analyze requests per
-scheduling epoch through :func:`repro.api.analyze_many`, and sheds
-load through the :class:`~repro.core.manager.DegradationPolicy` when
-a shard saturates.
+traffic to sharded controllers called on its event-loop thread (no
+worker process, no thread hop on the write path), batches analyze
+requests per scheduling epoch through :func:`repro.api.analyze_many`,
+and sheds load through the :class:`~repro.core.manager.DegradationPolicy`
+when a shard saturates.
 
 Entry points: ``python -m repro.serve serve`` (run a server) and
 ``... client`` (drive one).

@@ -62,6 +62,11 @@ _REQUIRED_FIELDS = {
     "shutdown": (),
 }
 
+#: Required fields that must hold an integer (bools rejected, as for
+#: ``seq``): they pick a VM or size the pool, so a malformed value is
+#: refused here rather than coerced.
+_INT_FIELDS = {"withdraw": ("vm_id",), "rebalance": ("shards",)}
+
 
 class ProtocolError(ValueError):
     """A malformed request; maps to a structured error response."""
@@ -97,7 +102,23 @@ def validate_request(message: Dict[str, Any]) -> Dict[str, Any]:
     for field in _REQUIRED_FIELDS[op]:
         if field not in message:
             raise ProtocolError(f"op {op!r} requires field {field!r}")
+    for field in _INT_FIELDS.get(op, ()):
+        _require_int(op, field, message[field])
+    if op == "admit":
+        task = message["task"]
+        if not isinstance(task, dict):
+            raise ProtocolError("task must be an object")
+        _require_int(op, "task.vm_id", task.get("vm_id", 0))
+    if op == "analyze" and not isinstance(message.get("tasks", []), list):
+        raise ProtocolError("tasks must be a list of task objects")
     return message
+
+
+def _require_int(op: str, field: str, value: Any) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProtocolError(
+            f"op {op!r} field {field!r} must be an integer, got {value!r}"
+        )
 
 
 def ok_response(seq: int, **payload: Any) -> Dict[str, Any]:

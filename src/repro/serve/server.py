@@ -4,20 +4,25 @@ Request flow
 ------------
 
 * ``admit``/``withdraw`` route to the owning VM's shard
-  (:class:`~repro.serve.shard.ShardPool`) and execute immediately, in
-  per-connection FIFO order.  Every outcome is appended to the
-  seq-keyed decision log as one canonical-JSON line.
-* ``analyze`` requests join the *current scheduling epoch* and are
-  flushed as one batch: the epoch loop materializes one
-  :class:`repro.api.System` per request against the epoch-consistent
-  population and submits the whole column through
-  :func:`repro.api.analyze_many`, which packs the whole column into
-  the batched analysis kernels -- one numpy pass for the batch instead
-  of one engine dispatch per request.
+  (:class:`~repro.serve.shard.ShardPool`) in per-connection FIFO
+  order.  Shards live on the event-loop thread: the request yields the
+  loop once, counted as in flight on its shard, then calls the
+  controller directly.  Every outcome is appended to the seq-keyed
+  decision log as one canonical-JSON line.  ``snapshot``, ``stats``
+  and ``rebalance`` also run on the loop thread, so no shard state is
+  ever touched from another thread.
+* ``analyze`` requests are parsed on arrival and join the *current
+  scheduling epoch*; the epoch is flushed as one batch: the epoch loop
+  copies the admitted population on the loop thread, then, in a
+  worker thread, materializes one :class:`repro.api.System` per
+  request and submits the whole column through
+  :func:`repro.api.analyze_many`, which packs the column into the
+  batched analysis kernels -- one numpy pass for the batch instead of
+  one engine dispatch per request.
 * Overload sheds load instead of queueing without bound: when a
-  shard's in-flight count reaches ``queue_limit`` the request is
-  rejected with a ``shedding`` error and the rejection feeds the
-  per-VM :class:`~repro.core.manager.DegradationPolicy` streak
+  shard's in-flight count (requests parked at their yield) reaches
+  ``queue_limit`` the request is rejected with a ``shedding`` error
+  and the rejection feeds the per-VM :class:`~repro.core.manager.DegradationPolicy` streak
   (``slot`` = epoch index); a VM that keeps flooding is quarantined
   (GearV-style: LO-priority churn is dropped so admitted HI
   guarantees keep holding) and rejected immediately thereafter.
@@ -35,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from collections import deque
 
@@ -56,7 +61,8 @@ from repro.serve.protocol import (
     parse_http_request_line,
     validate_request,
 )
-from repro.serve.shard import ShardPool
+from repro.serve.shard import ShardHandle, ShardPool
+from repro.tasks.task import IOTask
 from repro.tasks.serialization import canonical_json, task_from_dict
 
 
@@ -69,8 +75,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     shards: int = 2
-    #: Shard backend: ``"process"`` (worker processes) or ``"inline"``.
-    backend: str = "process"
     incremental: bool = True
     #: Per-shard decision-ring bound (see AdmissionController).
     max_decisions: Optional[int] = 4096
@@ -107,7 +111,8 @@ class ServeConfig:
 @dataclass
 class _PendingAnalyze:
     seq: int
-    message: Dict[str, Any]
+    #: The request's what-if tasks, parsed on arrival.
+    tasks: List[IOTask]
     future: "asyncio.Future[Dict[str, Any]]" = field(repr=False, default=None)  # type: ignore[assignment]
 
 
@@ -135,7 +140,6 @@ class AdmissionServer:
             config.table_pattern,
             config.servers,
             config.shards,
-            backend=config.backend,
             incremental=config.incremental,
             max_decisions=config.max_decisions,
         )
@@ -194,8 +198,7 @@ class AdmissionServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        assert self._loop is not None
-        await self._loop.run_in_executor(None, self.pool.stop)
+        self.pool.stop()
 
     # -- connection handling ------------------------------------------------
 
@@ -310,10 +313,7 @@ class AdmissionServer:
     async def _admit(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
         self.counters["admits"] += 1
         task = message["task"]
-        if not isinstance(task, dict):
-            self.counters["protocol_errors"] += 1
-            return error_response(seq, "protocol", "task must be an object")
-        vm_id = int(task.get("vm_id", 0))
+        vm_id = task.get("vm_id", 0)
         shard = self.pool.shard_for(vm_id)
         if shard is None:
             return error_response(
@@ -341,7 +341,7 @@ class AdmissionServer:
                 vm_id=vm_id,
                 quarantined=tripped,
             )
-        reply = await self._call_shard(shard, {"op": "admit", "task": task})
+        reply = await self._call_shard(shard, vm_id, {"op": "admit", "task": task})
         if not reply.get("ok"):
             error = reply.get("error", {})
             return error_response(
@@ -362,7 +362,7 @@ class AdmissionServer:
         self, seq: int, message: Dict[str, Any]
     ) -> Dict[str, Any]:
         self.counters["withdraws"] += 1
-        vm_id = int(message["vm_id"])
+        vm_id = message["vm_id"]
         task_name = str(message["task_name"])
         shard = self.pool.shard_for(vm_id)
         if shard is None:
@@ -373,7 +373,7 @@ class AdmissionServer:
                 vm_id=vm_id,
             )
         reply = await self._call_shard(
-            shard, {"op": "withdraw", "vm_id": vm_id, "task_name": task_name}
+            shard, vm_id, {"op": "withdraw", "vm_id": vm_id, "task_name": task_name}
         )
         self._log_entry(
             seq,
@@ -397,31 +397,32 @@ class AdmissionServer:
 
     async def _analyze(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
         self.counters["analyzes"] += 1
+        try:
+            tasks = [task_from_dict(data) for data in message.get("tasks", [])]
+        except (ValueError, TypeError) as exc:
+            self.counters["protocol_errors"] += 1
+            return error_response(seq, "protocol", str(exc))
         assert self._loop is not None
-        entry = _PendingAnalyze(seq=seq, message=message)
+        entry = _PendingAnalyze(seq=seq, tasks=tasks)
         entry.future = self._loop.create_future()
         self._pending.append(entry)
         return await entry.future
 
     async def _snapshot(self, seq: int) -> Dict[str, Any]:
-        assert self._loop is not None
-        merged = await self._loop.run_in_executor(None, self.pool.snapshot)
-        return ok_response(seq, snapshot=merged.to_payload())
+        return ok_response(seq, snapshot=self.pool.snapshot().to_payload())
 
     async def _rebalance(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
-        shards = int(message["shards"])
+        shards = message["shards"]
         if shards < 1:
             return error_response(
                 seq, "protocol", f"shards must be >= 1, got {shards}"
             )
-        assert self._loop is not None
-        merged = await self._loop.run_in_executor(None, self.pool.snapshot)
-        await self._loop.run_in_executor(None, self.pool.stop)
+        merged = self.pool.snapshot()
+        self.pool.stop()
         self.pool = ShardPool(
             self.config.table_pattern,
             self.config.servers,
             shards,
-            backend=self.config.backend,
             incremental=self.config.incremental,
             max_decisions=self.config.max_decisions,
             warm_from=merged,
@@ -429,10 +430,6 @@ class AdmissionServer:
         return ok_response(seq, shards=shards)
 
     async def _stats(self, seq: int) -> Dict[str, Any]:
-        assert self._loop is not None
-        pool_counters = await self._loop.run_in_executor(
-            None, self.pool.counters
-        )
         quarantined = [
             vm_id
             for vm_id, _pi, _theta in sorted(self.config.servers)
@@ -443,11 +440,10 @@ class AdmissionServer:
             stats={
                 "epoch": self.epoch,
                 "shards": self.pool.num_shards,
-                "backend": self.config.backend,
                 "counters": {
                     key: self.counters[key] for key in sorted(self.counters)
                 },
-                "pool": pool_counters,
+                "pool": self.pool.counters(),
                 "quarantined_vms": quarantined,
                 "quarantine_log": [
                     {
@@ -464,14 +460,24 @@ class AdmissionServer:
         )
 
     async def _call_shard(
-        self, shard: Any, message: Dict[str, Any]
+        self, shard: ShardHandle, vm_id: int, message: Dict[str, Any]
     ) -> Dict[str, Any]:
-        assert self._loop is not None
+        """Call ``vm_id``'s shard after yielding the loop once.
+
+        The request counts as in flight on its shard while parked, which
+        is what ``queue_limit`` shedding reads; the yield also lets other
+        connections run between the requests of one buffered burst.  A
+        ``rebalance`` may replace the pool while the request is parked,
+        so the shard is looked up again after the yield.
+        """
         shard.inflight += 1
         try:
-            return await self._loop.run_in_executor(None, shard.call, message)
+            await asyncio.sleep(0)
         finally:
             shard.inflight -= 1
+        current = self.pool.shard_for(vm_id)
+        assert current is not None  # the VM set never changes
+        return current.call(message)
 
     # -- epoch batching -----------------------------------------------------
 
@@ -488,13 +494,13 @@ class AdmissionServer:
             return
         self.counters["analyze_batches"] += 1
         assert self._loop is not None
+        population = self.pool.population()
         try:
-            population = await self._loop.run_in_executor(
-                None, self.pool.population
-            )
-            payloads = [entry.message for entry in pending]
-            reports = await self._loop.run_in_executor(
-                None, self._run_analyze_batch, population, payloads
+            results = await self._loop.run_in_executor(
+                None,
+                self._run_analyze_batch,
+                population,
+                [entry.tasks for entry in pending],
             )
         except Exception as exc:  # surface, never wedge the futures
             for entry in pending:
@@ -503,18 +509,26 @@ class AdmissionServer:
                         error_response(entry.seq, "internal", str(exc))
                     )
             return
-        for entry, report in zip(pending, reports):
+        for entry, result in zip(pending, results):
+            if isinstance(result, str):
+                self.counters["protocol_errors"] += 1
+                response = error_response(entry.seq, "protocol", result)
+            else:
+                response = ok_response(entry.seq, epoch=self.epoch, report=result)
             if not entry.future.done():
-                entry.future.set_result(
-                    ok_response(entry.seq, epoch=self.epoch, report=report)
-                )
+                entry.future.set_result(response)
 
     def _run_analyze_batch(
         self,
         population: Dict[int, List[Dict[str, Any]]],
-        payloads: List[Dict[str, Any]],
-    ) -> List[Dict[str, Any]]:
-        """One epoch's analyze column through ``repro.api.analyze_many``."""
+        extras: List[List[IOTask]],
+    ) -> List[Union[Dict[str, Any], str]]:
+        """One epoch's analyze column through ``repro.api.analyze_many``.
+
+        Returns one report dict per request, or the message of the
+        ``ValueError`` its system raised when built (a what-if task whose
+        name is already taken), so one bad request fails alone.
+        """
         from repro.api import (
             ServerConfig,
             SystemConfig,
@@ -531,11 +545,11 @@ class AdmissionServer:
             ServerConfig(vm_id=vm_id, pi=pi, theta=theta)
             for vm_id, pi, theta in sorted(self.config.servers)
         ]
-        systems = []
-        for index, payload in enumerate(payloads):
-            extra = [task_from_dict(data) for data in payload.get("tasks", [])]
-            systems.append(
-                build_system(
+        systems: Dict[int, Any] = {}
+        errors: Dict[int, str] = {}
+        for index, extra in enumerate(extras):
+            try:
+                systems[index] = build_system(
                     SystemConfig(
                         tasks=base_tasks + extra,
                         name=f"{self.config.name}.epoch{self.epoch}.{index}",
@@ -544,9 +558,13 @@ class AdmissionServer:
                         stagger=False,
                     )
                 )
-            )
-        reports = analyze_many(systems)
-        return [self._report_to_dict(report) for report in reports]
+            except ValueError as exc:
+                errors[index] = str(exc)
+        reports = dict(zip(systems, analyze_many(list(systems.values()))))
+        return [
+            errors[index] if index in errors else self._report_to_dict(reports[index])
+            for index in range(len(extras))
+        ]
 
     @staticmethod
     def _report_to_dict(report: Any) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Sharded admission-controller workers.
+"""Sharded admission controllers.
 
 The service partitions the system's VMs over ``N`` shards; each shard
 owns one :class:`~repro.core.admission.AdmissionController` restricted
@@ -12,14 +12,11 @@ global demand is a sum of non-negative per-server terms), so each
 shard's subset controller always constructs once the *full* server set
 has been validated by the service front-end.
 
-Two backends share the :class:`AdmissionShard` logic:
-
-* ``"inline"`` -- the shard lives in the server process (tests, and
-  platforms without ``fork``);
-* ``"process"`` -- the shard runs in a ``multiprocessing`` worker
-  connected over a pipe, built either fresh from a
-  :class:`ShardConfig` or warm from a
-  :class:`~repro.core.admission.ControllerSnapshot` payload.
+Shards live in the server process and are called on its event-loop
+thread: a write is a direct call into the controller, with no thread
+hop and no process boundary on the path.  A shard is built either
+fresh from a :class:`ShardConfig` or warm from a
+:class:`~repro.core.admission.ControllerSnapshot`.
 
 Warm restarts and rebalancing round-trip through snapshots:
 :meth:`ShardPool.snapshot` merges the per-shard snapshots into one
@@ -29,8 +26,6 @@ back into per-shard warm-start payloads for any new shard count.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -91,8 +86,8 @@ class ShardConfig:
 class AdmissionShard:
     """One VM group's controller plus its request handler.
 
-    ``handle`` speaks dicts in, dicts out (the pipe wire form); the
-    server's dispatcher owns protocol framing and sequencing.
+    ``handle`` speaks dicts in, dicts out; the server's dispatcher owns
+    protocol framing and sequencing.
     """
 
     def __init__(
@@ -140,8 +135,6 @@ class AdmissionShard:
                     "retained_decisions": len(self.controller.decisions),
                 },
             }
-        if op == "ping":
-            return {"ok": True}
         return {
             "ok": False,
             "error": {"kind": "internal", "message": f"unknown shard op {op!r}"},
@@ -197,111 +190,38 @@ class AdmissionShard:
         return {"ok": True, "population": population}
 
 
-def shard_worker(
-    conn: Any,
-    config_payload: Optional[Dict[str, Any]],
-    snapshot_payload: Optional[Dict[str, Any]],
-) -> None:
-    """Worker-process entry: serve shard requests over a pipe until stop."""
-    if snapshot_payload is not None:
-        shard = AdmissionShard(
-            snapshot=ControllerSnapshot.from_payload(snapshot_payload)
-        )
-    else:
-        assert config_payload is not None
-        shard = AdmissionShard(config=ShardConfig.from_payload(config_payload))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message.get("op") == "stop":
-            conn.send({"ok": True})
-            break
-        try:
-            conn.send(shard.handle(message))
-        except Exception as exc:  # worker must always answer the pipe
-            conn.send(
-                {"ok": False, "error": {"kind": "internal", "message": str(exc)}}
-            )
-
-
-def _mp_context() -> Any:
-    """Fork where available (fast, no import re-exec); spawn elsewhere."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
 class ShardHandle:
-    """Uniform call interface over an inline or worker-process shard."""
+    """One shard on the server's event-loop thread, plus its load count.
+
+    ``call`` is the single seam every shard request goes through.  It
+    runs on the event-loop thread only, so no lock guards the
+    controller.
+    """
 
     def __init__(
         self,
         index: int,
         vm_ids: List[int],
-        backend: str,
         config: Optional[ShardConfig] = None,
         snapshot: Optional[ControllerSnapshot] = None,
     ) -> None:
-        if backend not in ("inline", "process"):
-            raise ValueError(f"unknown shard backend {backend!r}")
         self.index = index
         self.vm_ids = list(vm_ids)
-        self.backend = backend
-        #: In-flight request count, maintained by the server dispatcher;
-        #: the shedding decision reads it before enqueueing.
+        #: Requests parked at their yield before calling this shard,
+        #: maintained by the server dispatcher; shedding reads it.
         self.inflight = 0
-        self._lock = threading.Lock()
-        self._shard: Optional[AdmissionShard] = None
-        self._conn: Any = None
-        self._process: Any = None
-        if backend == "inline":
-            self._shard = AdmissionShard(config=config, snapshot=snapshot)
-        else:
-            context = _mp_context()
-            parent, child = context.Pipe(duplex=True)
-            self._conn = parent
-            self._process = context.Process(
-                target=shard_worker,
-                args=(
-                    child,
-                    None if config is None else config.to_payload(),
-                    None if snapshot is None else snapshot.to_payload(),
-                ),
-                daemon=True,
-            )
-            self._process.start()
-            child.close()
+        self._shard: Optional[AdmissionShard] = AdmissionShard(
+            config=config, snapshot=snapshot
+        )
 
     def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Blocking request/reply round trip (thread-safe)."""
-        with self._lock:
-            if self._shard is not None:
-                return self._shard.handle(message)
-            self._conn.send(message)
-            return self._conn.recv()
+        """Request/reply on the shard's controller."""
+        if self._shard is None:
+            raise RuntimeError(f"shard {self.index} is stopped")
+        return self._shard.handle(message)
 
     def stop(self) -> None:
-        if self._shard is not None:
-            self._shard = None
-            return
-        if self._conn is not None:
-            try:
-                with self._lock:
-                    self._conn.send({"op": "stop"})
-                    self._conn.recv()
-            except (BrokenPipeError, EOFError, OSError):  # pragma: no cover
-                pass
-            self._conn.close()
-            self._conn = None
-        if self._process is not None:
-            self._process.join(timeout=5)
-            if self._process.is_alive():  # pragma: no cover - hung worker
-                self._process.terminate()
-                self._process.join(timeout=5)
-            self._process = None
+        self._shard = None
 
 
 def merge_snapshots(
@@ -402,14 +322,12 @@ class ShardPool:
         servers: Sequence[Tuple[int, int, int]],
         num_shards: int,
         *,
-        backend: str = "process",
         incremental: bool = True,
         max_decisions: Optional[int] = None,
         warm_from: Optional[ControllerSnapshot] = None,
     ) -> None:
         self.table_pattern = list(table_pattern)
         self.servers = [tuple(entry) for entry in servers]
-        self.backend = backend
         self.incremental = incremental
         self.max_decisions = max_decisions
         by_vm = {entry[0]: entry for entry in self.servers}
@@ -423,14 +341,11 @@ class ShardPool:
             warm_parts = partition_snapshot(warm_from, num_shards)
         for index, group in enumerate(groups):
             if warm_parts is not None:
-                handle = ShardHandle(
-                    index, group, backend, snapshot=warm_parts[index]
-                )
+                handle = ShardHandle(index, group, snapshot=warm_parts[index])
             else:
                 handle = ShardHandle(
                     index,
                     group,
-                    backend,
                     config=ShardConfig(
                         table_pattern=self.table_pattern,
                         servers=[by_vm[vm_id] for vm_id in group],

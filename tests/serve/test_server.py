@@ -1,9 +1,11 @@
 """Admission-server tests: dispatch, batching, shedding, rebalance.
 
 Each test runs a real server on an ephemeral loopback port inside
-``asyncio.run`` and talks to it over asyncio streams (same loop, no
-threads), with the inline shard backend for speed; the process backend
-gets one dedicated round trip.
+``asyncio.run`` and talks to it over asyncio streams on the same loop.
+Because the clients share the server's loop, a test can write to several
+connections with no ``await`` in between and so make their requests
+arrive in one loop turn: that is how the concurrency tests (shedding,
+fairness, rebalance with parked requests) stay deterministic.
 """
 
 import asyncio
@@ -14,6 +16,8 @@ import pytest
 from repro.core.admission import ConfigurationError
 from repro.serve.protocol import decode_message, encode_message
 from repro.serve.server import AdmissionServer, ServeConfig
+from repro.serve.shard import AdmissionShard, ShardConfig, ShardPool
+from repro.tasks.serialization import canonical_json
 
 PATTERN = [1 if slot % 5 == 0 else 0 for slot in range(20)]
 SERVERS = [(0, 10, 2), (1, 10, 2), (2, 20, 3), (3, 20, 3)]
@@ -24,7 +28,6 @@ def make_config(**overrides):
         table_pattern=PATTERN,
         servers=SERVERS,
         shards=2,
-        backend="inline",
         epoch_interval=0.005,
     )
     defaults.update(overrides)
@@ -54,6 +57,24 @@ def run_with_server(test_body, **config_overrides):
             await server.stop()
 
     return asyncio.run(_main())
+
+
+async def open_connections(server, count):
+    """``count`` connections, each answered once so its handler is live."""
+    connections = []
+    for _ in range(count):
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(encode_message({"op": "ping", "seq": 0}))
+        await writer.drain()
+        assert decode_message(await reader.readline())["ok"]
+        connections.append((reader, writer))
+    return connections
+
+
+async def close_connections(connections):
+    for _reader, writer in connections:
+        writer.close()
+        await writer.wait_closed()
 
 
 def admit(seq, vm_id, name, period=100, wcet=2):
@@ -112,6 +133,7 @@ class TestDispatch:
             stats = (await request({"op": "stats", "seq": 2}))["stats"]
             assert stats["shards"] == 2
             assert stats["counters"]["admits"] == 1
+            assert stats["pool"]["admitted_count"] == 1
             snapshot = (await request({"op": "snapshot", "seq": 3}))[
                 "snapshot"
             ]
@@ -135,6 +157,40 @@ class TestDispatch:
             writer.close()
 
         asyncio.run(_main())
+
+
+MALFORMED_FIELDS = [
+    admit(5, "x", "a"),
+    admit(5, True, "a"),
+    admit(5, 1.5, "a"),
+    {"op": "admit", "seq": 5, "task": "a"},
+    {"op": "withdraw", "seq": 5, "vm_id": "x", "task_name": "t"},
+    {"op": "withdraw", "seq": 5, "vm_id": False, "task_name": "t"},
+    {"op": "rebalance", "seq": 5, "shards": "x"},
+    {"op": "rebalance", "seq": 5, "shards": True},
+    {"op": "rebalance", "seq": 5, "shards": 2.0},
+]
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "message", MALFORMED_FIELDS, ids=lambda message: canonical_json(message)
+    )
+    def test_typed_error_keeps_connection_and_state(self, message):
+        async def body(server, request):
+            await request(admit(1, 0, "t"))
+            before = (await request({"op": "snapshot", "seq": 2}))["snapshot"]
+            response = await request(message)
+            assert not response["ok"]
+            assert response["error"]["kind"] == "protocol"
+            assert server.counters["protocol_errors"] == 1
+            # The same connection still answers, and nothing changed.
+            assert (await request({"op": "ping", "seq": 6}))["ok"]
+            after = (await request({"op": "snapshot", "seq": 7}))["snapshot"]
+            assert canonical_json(after) == canonical_json(before)
+            assert server.pool.num_shards == 2
+
+        run_with_server(body)
 
 
 class TestDecisionLog:
@@ -166,6 +222,9 @@ class TestDecisionLog:
         run_with_server(body, log_limit=3)
 
 
+ANALYZE_PROBE = {"name": "w", "vm_id": 0, "period": 50, "wcet": 1}
+
+
 class TestEpochBatching:
     def test_concurrent_analyzes_share_a_batch(self):
         async def _main():
@@ -195,6 +254,38 @@ class TestEpochBatching:
             # All three arrived within one epoch interval -> one batch.
             assert server.counters["analyze_batches"] == 1
             assert server.counters["analyzes"] == 3
+
+        asyncio.run(_main())
+
+    @pytest.mark.parametrize(
+        "bad_tasks",
+        [[{"vm_id": 0}], "w", [ANALYZE_PROBE, ANALYZE_PROBE]],
+        ids=["unparsable", "not-a-list", "duplicate-name"],
+    )
+    def test_malformed_analyze_fails_alone(self, bad_tasks):
+        async def _main():
+            server = AdmissionServer(make_config(epoch_interval=0.05))
+            await server.start()
+            try:
+                connections = await open_connections(server, 2)
+                messages = [
+                    {"op": "analyze", "seq": 1, "tasks": [ANALYZE_PROBE]},
+                    {"op": "analyze", "seq": 2, "tasks": bad_tasks},
+                ]
+                for (_reader, writer), message in zip(connections, messages):
+                    writer.write(encode_message(message))
+                responses = await asyncio.gather(
+                    *[reader.readline() for reader, _writer in connections]
+                )
+                await close_connections(connections)
+            finally:
+                await server.stop()
+            ok, bad = [decode_message(line) for line in responses]
+            assert ok["ok"] and ok["report"]["schedulable"]
+            assert ok["report"]["local_results"]["0"]["task_names"] == ["w"]
+            assert not bad["ok"] and bad["error"]["kind"] == "protocol"
+            assert server.counters["analyze_batches"] == 1
+            assert server.counters["protocol_errors"] == 1
 
         asyncio.run(_main())
 
@@ -261,6 +352,84 @@ class TestOverload:
         run_with_server(body, queue_limit=0, reject_limit=2)
 
 
+class TestConcurrency:
+    def test_shedding_under_concurrent_admits(self):
+        """Admits parked at their yield count against ``queue_limit``."""
+
+        async def body(server, request):
+            connections = await open_connections(server, 6)
+            for index, (_reader, writer) in enumerate(connections):
+                writer.write(encode_message(admit(index + 1, 0, f"c{index}")))
+            replies = await asyncio.gather(
+                *[reader.readline() for reader, _writer in connections]
+            )
+            await close_connections(connections)
+            kinds = [
+                "ok" if reply["ok"] else reply["error"]["kind"]
+                for reply in map(decode_message, replies)
+            ]
+            assert sorted(kinds) == ["ok"] * 2 + ["shedding"] * 4
+            assert server.counters["shed"] == 4
+
+        run_with_server(body, queue_limit=2)
+
+    def test_ping_answered_while_a_burst_drains(self):
+        """One connection's buffered burst does not starve another."""
+        burst = 3000
+
+        async def body(server, request):
+            connections = await open_connections(server, 1)
+            [(burst_reader, burst_writer)] = connections
+            lines = []
+            for index in range(burst // 2):
+                lines.append(encode_message(admit(2 * index + 1, 0, "a")))
+                lines.append(
+                    encode_message(
+                        {
+                            "op": "withdraw",
+                            "seq": 2 * index + 2,
+                            "vm_id": 0,
+                            "task_name": "a",
+                        }
+                    )
+                )
+            burst_writer.write(b"".join(lines))
+            response = await request({"op": "ping", "seq": 0})
+            served = server.counters["admits"] + server.counters["withdraws"]
+            assert response["ok"]
+            assert served < burst // 10
+            for _ in range(burst):
+                assert decode_message(await burst_reader.readline())["ok"]
+            await close_connections(connections)
+
+        run_with_server(body)
+
+    def test_writes_use_no_thread(self):
+        async def body(server, request):
+            loop = asyncio.get_running_loop()
+            run_in_executor = loop.run_in_executor
+            calls = []
+
+            def recording(*args):
+                calls.append(args)
+                return run_in_executor(*args)
+
+            loop.run_in_executor = recording
+            messages = [
+                admit(1, 0, "a"),
+                {"op": "withdraw", "seq": 2, "vm_id": 0, "task_name": "a"},
+                {"op": "snapshot", "seq": 3},
+                {"op": "stats", "seq": 4},
+                {"op": "rebalance", "seq": 5, "shards": 3},
+                admit(6, 1, "b"),
+            ]
+            for message in messages:
+                assert (await request(message))["ok"]
+            assert calls == []
+
+        run_with_server(body)
+
+
 class TestRebalance:
     def test_rebalance_preserves_state_and_decisions(self):
         async def body(server, request):
@@ -276,6 +445,73 @@ class TestRebalance:
             assert response["ok"]
 
         run_with_server(body)
+
+    def test_parked_requests_follow_a_rebalance(self, monkeypatch):
+        """Requests parked at their yield re-route to the new pool.
+
+        Each round pipelines three admits per VM on that VM's connection
+        and a ``rebalance`` on a fifth, all in one loop turn, so the
+        rebalance runs while admits are parked.  Every decision must
+        equal a replay of the same admits through one fresh shard.
+        """
+        parked = []
+        snapshot = ShardPool.snapshot
+
+        def counting_snapshot(pool):
+            parked.append(sum(shard.inflight for shard in pool.shards))
+            return snapshot(pool)
+
+        monkeypatch.setattr(ShardPool, "snapshot", counting_snapshot)
+        sent = []
+
+        async def body(server, request):
+            connections = await open_connections(server, 5)
+            *vm_connections, (control_reader, control_writer) = connections
+            for round_index in range(4):
+                for vm_id, (_reader, writer) in enumerate(vm_connections):
+                    for index in range(3):
+                        sent.append(
+                            admit(
+                                len(sent) + 1,
+                                vm_id,
+                                f"vm{vm_id}.r{round_index}.t{index}",
+                                period=50 if index % 2 else 100,
+                                wcet=1 + (round_index + index) % 3,
+                            )
+                        )
+                        writer.write(encode_message(sent[-1]))
+                control_writer.write(
+                    encode_message(
+                        {"op": "rebalance", "seq": 0, "shards": round_index + 2}
+                    )
+                )
+                for reader, _writer in vm_connections:
+                    for _ in range(3):
+                        assert decode_message(await reader.readline())["ok"]
+                assert decode_message(await control_reader.readline())["ok"]
+            await close_connections(connections)
+            return server.decision_log_lines()
+
+        log = run_with_server(body)
+        assert any(count > 0 for count in parked)
+        replay = AdmissionShard(
+            config=ShardConfig(
+                table_pattern=PATTERN, servers=SERVERS, max_decisions=4096
+            )
+        )
+        expected = [
+            canonical_json(
+                {
+                    "decision": replay.handle(
+                        {"op": "admit", "task": message["task"]}
+                    )["decision"],
+                    "op": "admit",
+                    "seq": message["seq"],
+                }
+            )
+            for message in sent
+        ]
+        assert log == expected
 
     def test_rebalance_rejects_zero_shards(self):
         async def body(server, request):
@@ -356,14 +592,3 @@ class TestStartupValidation:
     def test_from_system_payload_validates_keys(self):
         with pytest.raises(ValueError, match="servers"):
             ServeConfig.from_system_payload({"table_pattern": [0, 1]})
-
-
-class TestProcessBackendEndToEnd:
-    def test_admit_via_worker_processes(self):
-        async def body(server, request):
-            response = await request(admit(1, 3, "deep"))
-            assert response["ok"] and response["decision"]["schedulable"]
-            stats = (await request({"op": "stats", "seq": 2}))["stats"]
-            assert stats["pool"]["admitted_count"] == 1
-
-        run_with_server(body, backend="process")

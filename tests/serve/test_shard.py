@@ -1,4 +1,4 @@
-"""Shard-layer tests: partitioning, backends, snapshot merge/split.
+"""Shard-layer tests: partitioning, the shard pool, snapshot merge/split.
 
 The load-bearing property is shard-count invariance: because per-VM
 Theorem-4 admission reads only that VM's state, the same per-VM
@@ -8,7 +8,7 @@ an N-shard pool.
 
 import pytest
 
-from repro.core.admission import AdmissionController, ControllerSnapshot
+from repro.core.admission import AdmissionController
 from repro.core.gsched import ServerSpec
 from repro.core.timeslot import TimeSlotTable
 from repro.serve.shard import (
@@ -25,8 +25,8 @@ PATTERN = [1 if slot % 5 == 0 else 0 for slot in range(20)]
 SERVERS = [(0, 10, 2), (1, 10, 2), (2, 20, 3), (3, 20, 3)]
 
 
-def make_pool(num_shards, backend="inline", **kwargs):
-    return ShardPool(PATTERN, SERVERS, num_shards, backend=backend, **kwargs)
+def make_pool(num_shards, **kwargs):
+    return ShardPool(PATTERN, SERVERS, num_shards, **kwargs)
 
 
 def admit_request(vm_id, name, period=100, wcet=2):
@@ -94,6 +94,15 @@ class TestInlinePool:
         reply = pool.shard_for(0).call({"op": "admit", "task": {"name": "x"}})
         assert not reply["ok"] and reply["error"]["kind"] == "protocol"
         pool.stop()
+
+    def test_stop_is_idempotent(self):
+        pool = make_pool(2)
+        shard = pool.shard_for(0)
+        pool.stop()
+        pool.stop()
+        assert pool.num_shards == 0
+        with pytest.raises(RuntimeError, match="stopped"):
+            shard.call(admit_request(0, "late"))
 
     def test_counters_aggregate_across_shards(self):
         pool = make_pool(2)
@@ -200,25 +209,3 @@ class TestSnapshotMergeSplit:
             direct.try_admit(task_from_dict(request["task"]))
         assert pool.snapshot().to_json() == direct.snapshot().to_json()
         pool.stop()
-
-
-class TestProcessBackend:
-    def test_worker_round_trip(self):
-        pool = make_pool(2, backend="process")
-        try:
-            reply = pool.shard_for(0).call(admit_request(0, "t0"))
-            assert reply["ok"] and reply["decision"]["schedulable"]
-            snapshot = pool.snapshot()
-            assert isinstance(snapshot, ControllerSnapshot)
-            assert [t["name"] for t in pool.population()[0]] == ["t0"]
-        finally:
-            pool.stop()
-
-    def test_stop_is_idempotent(self):
-        pool = make_pool(1, backend="process")
-        pool.stop()
-        pool.stop()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            make_pool(1, backend="carrier-pigeon")
