@@ -210,46 +210,6 @@ def step_grid(
     return _tiled(base, hyperperiod, horizon)
 
 
-def server_step_grid(
-    periods: Sequence[int],
-    horizon: int,
-    *,
-    lcm_cap: int = GRID_LCM_CAP,
-    stats: Optional[BatchStats] = None,
-) -> np.ndarray:
-    """All distinct Eq. (3) jump points in ``[0, horizon]``, sorted.
-
-    The server-demand twin of :func:`step_grid` (points are the period
-    multiples), with the same hyper-period tiling shortcut.
-    """
-    def enumerated() -> np.ndarray:
-        return vec._dedup_sorted(
-            np.sort(vec.server_points_in_range(list(periods), 0, horizon))
-        )
-
-    if horizon < 0 or not periods:
-        return np.zeros(0, dtype=np.int64)
-    try:
-        hyperperiod = lcm_capped(sorted(set(periods)), lcm_cap)
-    except OverflowError:
-        return enumerated()
-    if horizon <= hyperperiod:
-        return enumerated()
-    base = vec._dedup_sorted(
-        np.sort(
-            np.concatenate(
-                [
-                    np.arange(pi, hyperperiod + 1, pi, dtype=np.int64)
-                    for pi in sorted(set(periods))
-                ]
-            )
-        )
-    )
-    if stats is not None:
-        stats.grids_tiled += 1
-    return _tiled(base, hyperperiod, horizon)
-
-
 # -- grid + demand curves (the event-cumsum trick) ---------------------------
 #
 # A dbf is a step function whose only jumps sit at the very points the

@@ -5,10 +5,11 @@ pick them.  This module holds the one budget search and the seed
 designer built on it:
 
 * :func:`minimum_budgets_batched` -- the minimum ``Theta`` passing the
-  L-Sched test (Theorem 4) for many ``(Pi, tasks)`` lanes at once, by
-  lock-step binary search with the closed-form harmonic fast path
-  (:func:`harmonic_fast_budget`); :func:`minimum_budget` is a batch of
-  one.
+  L-Sched test (Theorem 4) for many ``(Pi, tasks)`` lanes at once, by a
+  lock-step fixpoint on per-step-point minimum budgets (Eq. (8)
+  inverted per point), started at the closed-form harmonic cap
+  (:func:`harmonic_fast_budget`) where there is one;
+  :func:`minimum_budget` is a batch of one.
 * :func:`design_servers` -- one server per VM at the period the caller
   pins or :func:`choose_period` picks, budgets from one batched search,
   validated globally with Theorem 2.  It is the analytic designer and
@@ -19,8 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.analysis import vectorized as vec
+from repro.analysis.batched import (
+    BATCH_CELL_BUDGET,
+    RAGGED_POINTS_CAP,
+    _raw_slack,
+    _taskset_grid_demand_many,
+    _theorem4_bound_raw,
+    lsched_schedulable_batch,
+)
+from repro.analysis.demand import DemandSignature, demand_signature
+from repro.analysis.engine import INT64_SAFE_HORIZON
 from repro.analysis.gsched_test import GSchedResult, gsched_schedulable
 from repro.core.timeslot import TimeSlotTable
 from repro.tasks.taskset import TaskSet
@@ -55,13 +69,13 @@ class ServerDesign:
 class BudgetSearchStats:
     """Accounting for one batched minimum-budget search.
 
-    ``oracle_calls`` counts Theorem-4 lanes submitted to the batch
-    oracle (the quantity the synthesis differential tests bound), ``pruned``
+    ``oracle_calls`` counts lane evaluations -- one per open lane per
+    round, whether the per-point kernel or a Theorem-4 probe decides it
+    (the quantity the synthesis differential tests bound) -- ``pruned``
     the candidate lanes eliminated by the utilization lower bound
-    before any oracle call, ``rounds`` the lock-step binary-search
-    iterations (each round is one :func:`lsched_schedulable_batch`
-    numpy pass over every still-undecided lane), and ``fast_path`` the
-    lanes whose window :func:`harmonic_fast_budget` shrank.
+    before any evaluation, ``rounds`` the lock-step fixpoint rounds of
+    :func:`minimum_budgets_batched`, and ``fast_path`` the lanes that
+    start from the :func:`harmonic_fast_budget` cap instead of ``pi``.
     """
 
     oracle_calls: int = 0
@@ -83,8 +97,8 @@ def utilization_budget_floor(pi: int, tasks: TaskSet) -> int:
     would deliver less bandwidth than the tasks demand), so this is a
     sound per-node bound for pruning candidate periods: if even the
     floor's bandwidth ``floor/pi`` is no better than an incumbent
-    design, the period cannot improve on it.  It is also where
-    :func:`minimum_budgets_batched` starts each lane's search.
+    design, the period cannot improve on it.  It is also the lower
+    bound every lane of :func:`minimum_budgets_batched` starts from.
     """
     if pi < 1:
         raise ValueError(f"server period must be >= 1, got {pi}")
@@ -106,11 +120,11 @@ def harmonic_fast_budget(pi: int, tasks: TaskSet) -> Optional[int]:
     check past ``H_vm`` because ``dbf(t + H_vm) = dbf(t) + U*H_vm`` --
     is a budget that provably passes Theorem 4.  It upper-bounds the
     exact minimum (the linear bound under-approximates sbf), so
-    :func:`minimum_budgets_batched` shrinks the lane's binary-search
-    window to ``[floor, theta_fast]`` and skips the probe at the cap.
+    :func:`minimum_budgets_batched` starts the lane's fixpoint there
+    instead of at ``pi``: its first round runs on the shorter window.
 
     Returns ``None`` when the set is empty or not harmonic/implicit (no
-    fast path) or the closed form lands above ``pi`` (window unchanged).
+    fast path) or the closed form lands above ``pi`` (start unchanged).
     """
     if pi < 1:
         raise ValueError(f"server period must be >= 1, got {pi}")
@@ -159,19 +173,39 @@ def minimum_budgets_batched(
     Lane ``i`` returns the least ``theta`` in
     ``[utilization_budget_floor(pi, tasks), pi]`` such that
     ``(pi, theta)`` passes Theorem 4, or ``None`` when even
-    ``theta = pi`` fails; an empty task set gets ``1``.  Schedulability
-    is monotone in theta (sbf(Gamma, t) is non-decreasing in theta for
-    fixed pi), so each lane binary-searches its window.
+    ``theta = pi`` fails; an empty task set gets ``1``.
 
-    The searches run in *lock step*: every round packs the
-    still-undecided lanes' probes into one
-    :func:`~repro.analysis.batched.lsched_schedulable_batch` call, so a
-    whole candidate frontier costs ``O(log max_pi)`` numpy passes
-    instead of one engine dispatch per probe.  Round 0 probes each
-    lane's cap ``theta = pi``; lanes with a
-    :func:`harmonic_fast_budget` skip it and search
-    ``[floor, theta_fast]`` instead, since the closed form already
-    passes.
+    With positive slack Theorem 4 is exact (it decides Theorem 3), so
+    every passing ``theta`` meets ``dbf(t) <= sbf(pi, theta, t)`` at
+    *every* step point ``t``, and the per-point minimum budget ``m(t)``
+    (the least ``theta`` whose Eq. (8) supply covers ``dbf(t)``) is a
+    lower bound on the answer wherever ``t`` lies.  A candidate ``c``
+    with positive slack passes exactly when ``m(t) <= c`` at every step
+    point up to its horizon ``H(c)``.  Each lane therefore iterates a
+    fixpoint: starting from its upper end (the
+    :func:`harmonic_fast_budget` cap, else ``pi``), one *round* computes
+    ``g = max(floor, max m(t) over t <= H(c))``.  ``g > pi`` proves the
+    lane infeasible; ``g <= c`` with ``c`` a proven lower bound (or
+    ``g == c``) makes ``c`` the answer; otherwise the lane continues at
+    ``c = g``, which is a lower bound.  ``c`` only rises after the first
+    round, and ``H(c)`` only shrinks with it, so a lane typically
+    settles in two or three rounds.
+
+    The lanes advance in *lock step*: a round builds every kernel lane's
+    step grid and demand curve with one
+    :func:`~repro.analysis.batched._taskset_grid_demand_many` pass and
+    inverts Eq. (8) per point with one vectorized bisection over
+    ``theta`` on int64 arrays.  A lane the kernel must not take -- zero
+    slack at ``c`` (decided by Theorem 3), a horizon above
+    :data:`~repro.analysis.engine.INT64_SAFE_HORIZON`, or a grid over
+    :data:`~repro.analysis.batched.RAGGED_POINTS_CAP` points -- gets one
+    :func:`~repro.analysis.batched.lsched_schedulable_batch` probe at
+    ``c`` instead: a pass answers ``c`` when it is a lower bound and
+    restarts the lane at the floor otherwise; a failure lifts ``c`` to
+    the per-point budget at the reported ``failing_t``.  The control
+    flow depends on no engine: ``engine`` only selects the probes'
+    implementation, so the rounds and lane evaluations are identical
+    under every engine.
 
     ``bandwidth_bounds`` enables the synthesis search's incumbent-bound
     early exit: a lane whose utilization floor already implies
@@ -179,15 +213,11 @@ def minimum_budgets_batched(
     incumbent and is pruned to ``None`` without touching the oracle.
     Pass ``None`` (or per-lane ``None``) to disable pruning.
     """
-    from repro.analysis.batched import lsched_schedulable_batch
-
     count = len(candidates)
     results: List[Optional[int]] = [None] * count
-    # Per-lane closed interval [low, high] still to be searched; None
-    # marks a decided lane.
-    windows: List[Optional[Tuple[int, int]]] = [None] * count
-    cap_probes: List[Tuple[int, int, TaskSet]] = []
-    cap_lanes: List[int] = []
+    floors: Dict[int, int] = {}
+    # index -> (candidate c, whether c is a proven lower bound)
+    open_lanes: Dict[int, Tuple[int, bool]] = {}
     for index, (pi, tasks) in enumerate(candidates):
         if pi < 1:
             raise ValueError(f"server period must be >= 1, got {pi}")
@@ -205,49 +235,164 @@ def minimum_budgets_batched(
             if stats is not None:
                 stats.pruned += 1
             continue
-        if fast is not None:
-            windows[index] = (low, fast)
-            continue
-        windows[index] = (low, pi)
-        cap_probes.append((pi, pi, tasks))
-        cap_lanes.append(index)
-    # Round 0: lanes failing at the cap are infeasible for this period.
-    if cap_probes:
+        start = fast if fast is not None else pi
+        floors[index] = low
+        open_lanes[index] = (start, start == low)
+    while open_lanes:
         if stats is not None:
-            stats.oracle_calls += len(cap_probes)
             stats.rounds += 1
-        for lane, verdict in zip(
-            cap_lanes, lsched_schedulable_batch(cap_probes, engine=engine)
-        ):
-            if not verdict.schedulable:
-                windows[lane] = None
-    # Lock-step binary search over every still-open window.
-    while True:
-        probes: List[Tuple[int, int, TaskSet]] = []
-        lanes: List[int] = []
-        for index, window in enumerate(windows):
-            if window is None:
+            stats.oracle_calls += len(open_lanes)
+        needs = _round_needs(candidates, open_lanes, floors, engine)
+        advanced: Dict[int, Tuple[int, bool]] = {}
+        for index, (candidate, lower) in open_lanes.items():
+            need = needs[index]
+            if need > candidates[index][0]:
                 continue
-            low, high = window
-            if low >= high:
-                results[index] = low
-                windows[index] = None
-                continue
-            mid = (low + high) // 2
-            probes.append((candidates[index][0], mid, candidates[index][1]))
-            lanes.append(index)
-        if not probes:
-            break
-        if stats is not None:
-            stats.oracle_calls += len(probes)
-            stats.rounds += 1
-        for lane, probe, verdict in zip(
-            lanes, probes, lsched_schedulable_batch(probes, engine=engine)
-        ):
-            low, high = windows[lane]  # type: ignore[misc]
-            mid = probe[1]
-            windows[lane] = (low, mid) if verdict.schedulable else (mid + 1, high)
+            if need == candidate or (lower and need < candidate):
+                results[index] = candidate
+            else:
+                advanced[index] = (need, True)
+        open_lanes = advanced
     return results
+
+
+class _KernelLane(NamedTuple):
+    """One open lane the per-point kernel decides this round."""
+
+    index: int
+    pi: int
+    #: A proven lower bound on the answer: ``c`` or the floor.
+    known: int
+    signature: DemandSignature
+    horizon: int
+    #: Step-point estimate up to ``horizon`` (the grid's size bound).
+    points: int
+
+
+def _round_needs(
+    candidates: Sequence[Tuple[int, TaskSet]],
+    open_lanes: Dict[int, Tuple[int, bool]],
+    floors: Dict[int, int],
+    engine: Optional[str],
+) -> Dict[int, int]:
+    """One fixpoint round: each open lane's next budget lower bound ``g``.
+
+    Kernel lanes get ``max(known lower bound, max m(t) over t <= H(c))``;
+    probe lanes get ``c`` (pass, lower bound), the floor (pass, not a
+    lower bound) or the per-point budget at the failing step point.
+    """
+    needs: Dict[int, int] = {}
+    kernel: List[_KernelLane] = []
+    probes: List[int] = []
+    for index, (candidate, lower) in open_lanes.items():
+        pi, tasks = candidates[index]
+        num, den = _raw_slack(pi, candidate, tasks)
+        if num > 0:
+            horizon = _theorem4_bound_raw(pi, candidate, tasks, num, den)
+            if horizon <= INT64_SAFE_HORIZON:
+                signature = demand_signature(tasks)
+                points = vec._grid_estimate(vec.step_pairs(signature), horizon)
+                if points <= RAGGED_POINTS_CAP:
+                    known = candidate if lower else floors[index]
+                    kernel.append(
+                        _KernelLane(index, pi, known, signature, horizon, points)
+                    )
+                    continue
+        probes.append(index)
+    # Memory bound: a group's grids hold at most BATCH_CELL_BUDGET
+    # points (a lane alone may reach RAGGED_POINTS_CAP).
+    group: List[_KernelLane] = []
+    size = 0
+    for lane in kernel:
+        if group and size + lane.points > BATCH_CELL_BUDGET:
+            needs.update(_group_needs(group))
+            group, size = [], 0
+        group.append(lane)
+        size += lane.points
+    if group:
+        needs.update(_group_needs(group))
+    if probes:
+        verdicts = lsched_schedulable_batch(
+            [
+                (candidates[index][0], open_lanes[index][0], candidates[index][1])
+                for index in probes
+            ],
+            engine=engine,
+        )
+        for index, verdict in zip(probes, verdicts):
+            candidate, lower = open_lanes[index]
+            if verdict.schedulable:
+                needs[index] = candidate if lower else floors[index]
+                continue
+            assert verdict.failing_t is not None
+            assert verdict.failing_demand is not None
+            needs[index] = int(
+                _point_budgets(
+                    np.array([candidates[index][0]], dtype=np.int64),
+                    np.array([candidate], dtype=np.int64),
+                    np.array([verdict.failing_t], dtype=np.int64),
+                    np.array([verdict.failing_demand], dtype=np.int64),
+                )[0]
+            )
+    return needs
+
+
+def _group_needs(group: Sequence[_KernelLane]) -> Dict[int, int]:
+    """``max(known, max m(t))`` per lane: one grid build, one inversion."""
+    built = _taskset_grid_demand_many(
+        [(lane.signature, lane.horizon) for lane in group]
+    )
+    sizes = np.array([grid.size for grid, _demand in built], dtype=np.int64)
+    lane_ids = np.repeat(np.arange(len(group), dtype=np.int64), sizes)
+    points = np.concatenate([grid for grid, _demand in built])
+    demand = np.concatenate([curve for _grid, curve in built])
+    known = np.array([lane.known for lane in group], dtype=np.int64)
+    pis = np.array([lane.pi for lane in group], dtype=np.int64)[lane_ids]
+    # Only points the known lower bound does not already cover can
+    # raise a lane's need.
+    short = demand > _sbf_periodic(pis, known[lane_ids], points)
+    lane_ids = lane_ids[short]
+    need = known.copy()
+    if lane_ids.size:
+        np.maximum.at(
+            need,
+            lane_ids,
+            _point_budgets(
+                pis[short], known[lane_ids], points[short], demand[short]
+            ),
+        )
+    return {lane.index: int(value) for lane, value in zip(group, need)}
+
+
+def _sbf_periodic(pis: np.ndarray, thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Eq. (8) elementwise on int64 arrays, exactly as ``sbf_server``."""
+    t_shift = t - (pis - thetas)
+    whole = t_shift // pis
+    tail = np.maximum(t_shift - pis * whole - (pis - thetas), 0)
+    # For t_shift < 0, whole*theta + tail <= 0: the sbf's leading flat.
+    return np.maximum(whole * thetas + tail, 0)
+
+
+def _point_budgets(
+    pis: np.ndarray, known: np.ndarray, t: np.ndarray, demand: np.ndarray
+) -> np.ndarray:
+    """Per point, the least ``theta`` in ``(known, pi]`` whose Eq. (8)
+    supply at ``t`` covers ``demand``, or ``pi + 1`` when none does.
+
+    Needs ``sbf(pi, known, t) < demand``.  Eq. (8) is non-decreasing in
+    ``theta``, so this is one lock-step bisection over every point:
+    at most ``log2(pi + 1)`` numpy steps.
+    """
+    low = known + 1
+    high = pis + 1
+    while True:
+        open_ = low < high
+        if not open_.any():
+            return low
+        mid = (low + high) // 2
+        covered = _sbf_periodic(pis, np.minimum(mid, pis), t) >= demand
+        high = np.where(open_ & covered, mid, high)
+        low = np.where(open_ & ~covered, mid + 1, low)
 
 
 def minimum_budget(pi: int, tasks: TaskSet) -> Optional[int]:

@@ -131,18 +131,28 @@ def supply_at_least(table: TimeSlotTable, demand: int) -> int:
 
     Used by server dimensioning to translate a slot requirement into a
     latency bound.  ``demand`` of zero returns 0.
+
+    Whole hyper-periods are jumped in closed form: ``sbf(sigma, k*H + r)
+    = k*F + enum(r)`` (Eq. 2), so with ``k = (demand - 1) // F`` the
+    remainder needs ``1 <= demand - k*F <= F`` slots.  ``enum`` is
+    non-decreasing in the window and ``enum(H) = F``, so the smallest
+    such ``r`` in ``[0, H]`` is found by binary search: O(log H) memoized
+    Eq. (1) enumerations instead of a linear scan.
     """
     if demand < 0:
         raise ValueError(f"demand must be >= 0, got {demand}")
     if demand == 0:
         return 0
-    if table.free_slots == 0:
-        raise ValueError("table supplies no free slots; demand unreachable")
-    h = table.total_slots
     f = table.free_slots
-    # Jump whole hyper-periods first, then scan the remainder.
-    whole = max(0, (demand - f) + f - 1) // f if demand > f else 0
-    t = whole * h
-    while table.sbf(t) < demand:
-        t += 1
-    return t
+    if f == 0:
+        raise ValueError("table supplies no free slots; demand unreachable")
+    whole = (demand - 1) // f
+    need = demand - whole * f
+    low, high = 0, table.total_slots
+    while low < high:
+        mid = (low + high) // 2
+        if table.sbf_cache.enum(mid) >= need:
+            high = mid
+        else:
+            low = mid + 1
+    return whole * table.total_slots + low

@@ -522,8 +522,10 @@ def build_system(config: SystemConfig) -> System:
     ``System.design``.  Raises
     :class:`~repro.core.timeslot.TableOverflowError` when the
     pre-defined tasks cannot be packed and :class:`ConfigurationError`
-    (naming the conflicting device/slot pair) when a pinned pattern
-    cannot host them.
+    when a pinned pattern cannot host them (naming the conflicting
+    device/slot pair) or when every server is pinned and a VM with
+    run-time tasks has none (naming the VM) -- :func:`analyze` runs
+    Theorem 4 only for VMs with a server, so such a VM would escape it.
     """
     taskset = TaskSet(list(config.tasks), name=config.name)
     predefined = taskset.predefined()
@@ -539,6 +541,15 @@ def build_system(config: SystemConfig) -> System:
             ServerSpec(entry.vm_id, entry.pi, entry.theta)
             for entry in config.servers
         ]
+        unserved = sorted(
+            {task.vm_id for task in taskset.runtime()}
+            - {spec.vm_id for spec in servers}
+        )
+        if unserved:
+            raise ConfigurationError(
+                f"run-time tasks in VM(s) {unserved} have no server; pin a "
+                f"ServerConfig for each, or give theta=None to synthesize it"
+            )
     else:
         synthesis, outcome = _synthesize_servers_for(config, table, taskset)
         servers = []

@@ -65,14 +65,17 @@ def as_slot_count(value: Any, what: str = "slot value") -> int:
 class SbfCache:
     """Explicit per-table memo for the Eq. (1)/(2) supply computation.
 
-    One instance per :class:`TimeSlotTable`.  Holds the doubled prefix-sum
-    array (built lazily from the occupancy bitmap) and the per-window
-    enumeration results, and counts hits/misses so the experiment
-    runner's timing summary can report cache effectiveness.  Dropping the
-    cache (:meth:`clear`) is always safe -- it only costs recomputation.
+    One instance per :class:`TimeSlotTable`.  Holds the free-slot count
+    ``F`` and the doubled prefix-sum array (both built lazily from the
+    occupancy bitmap) and the per-window enumeration results, and counts
+    hits/misses so the experiment runner's timing summary can report
+    cache effectiveness.  Dropping the cache (:meth:`clear`) is always
+    safe -- it only costs recomputation.
     """
 
-    __slots__ = ("_table", "_windows", "_free_prefix", "hits", "misses")
+    __slots__ = (
+        "_table", "_windows", "_free_prefix", "_free_count", "hits", "misses"
+    )
 
     def __init__(self, table: "TimeSlotTable") -> None:
         # A weak back-reference: no table <-> cache cycle, so a table is
@@ -81,8 +84,16 @@ class SbfCache:
         self._table = weakref.ref(table)
         self._windows: Dict[int, int] = {}
         self._free_prefix: Optional[np.ndarray] = None
+        self._free_count: Optional[int] = None
         self.hits = 0
         self.misses = 0
+
+    def free_count(self) -> int:
+        """``F``: free slots in one repetition of sigma*."""
+        if self._free_count is None:
+            occupied = self._owner()._occupied
+            self._free_count = int(occupied.size - occupied.sum())
+        return self._free_count
 
     def free_prefix(self) -> np.ndarray:
         """Prefix sums of free slots over two repetitions of sigma*."""
@@ -118,9 +129,10 @@ class SbfCache:
         return table
 
     def clear(self) -> None:
-        """Drop memoized windows and the prefix array."""
+        """Drop memoized windows, the prefix array and ``F``."""
         self._windows.clear()
         self._free_prefix = None
+        self._free_count = None
         self.hits = 0
         self.misses = 0
 
@@ -209,8 +221,8 @@ class TimeSlotTable:
 
     @property
     def free_slots(self) -> int:
-        """``F`` in the analysis."""
-        return int(self.length - self._occupied.sum())
+        """``F`` in the analysis (memoized in :attr:`sbf_cache`)."""
+        return self.sbf_cache.free_count()
 
     @property
     def occupied_slots(self) -> int:

@@ -25,15 +25,11 @@ wall-clock or environment data anywhere).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.metrics.backpressure import BackPressureReport
 from repro.metrics.stats import LatencyStats, summarize
-from repro.metrics.success import SweepPoint
 from repro.sim.trace import TraceRecorder
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.synth.report import SynthesisReport
 
 Number = Union[int, float]
 
@@ -226,53 +222,6 @@ class MetricsRegistry:
             self.gauge(f"{prefix}.{name}.currsize").set(
                 stats[name]["currsize"]
             )
-
-    def ingest_synthesis(
-        self, report: "SynthesisReport", prefix: str = "synthesis"
-    ) -> None:
-        """Search-tree counters + design gauges of one synthesis run.
-
-        The counters mirror :class:`~repro.synth.search.SearchStats`
-        (oracle calls, pruned/expanded nodes, backtracks); the gauges
-        capture the design itself (bandwidth, server count, verdict)
-        so a dashboard can watch search effort against design quality.
-        The bound trajectory lands in a histogram: its spread shows how
-        quickly the incumbent converged.
-        """
-        stats = report.stats
-        self.counter(f"{prefix}.oracle_calls").inc(stats.oracle_calls)
-        self.counter(f"{prefix}.pruned_nodes").inc(stats.pruned_nodes)
-        self.counter(f"{prefix}.nodes_expanded").inc(stats.nodes_expanded)
-        self.counter(f"{prefix}.rounds").inc(stats.rounds)
-        self.counter(f"{prefix}.incumbent_updates").inc(
-            stats.incumbent_updates
-        )
-        self.counter(f"{prefix}.backtracks").inc(stats.backtracks)
-        self.gauge(f"{prefix}.schedulable").set(
-            1.0 if report.schedulable else 0.0
-        )
-        self.gauge(f"{prefix}.bandwidth").set(report.bandwidth)
-        if report.seed_bandwidth is not None:
-            self.gauge(f"{prefix}.seed_bandwidth").set(report.seed_bandwidth)
-        self.gauge(f"{prefix}.servers").set(len(report.servers))
-        self.gauge(f"{prefix}.fast_path_lanes").set(report.fast_path_vms)
-        self.gauge(f"{prefix}.hyperperiod").set(report.table.total_slots)
-        for _nodes, objective in stats.bound_trajectory:
-            self.histogram(f"{prefix}.incumbent_bound").observe(objective)
-
-    def ingest_sweep_point(
-        self, point: SweepPoint, prefix: str = "sweep"
-    ) -> None:
-        """Success ratio + throughput of one aggregated sweep cell."""
-        util = f"{point.target_utilization:g}".replace(".", "_")
-        cell = f"{prefix}.{point.system}.u{util}"
-        self.counter(f"{cell}.trials").inc(point.trials)
-        self.gauge(f"{cell}.success_ratio").set(point.success_ratio)
-        self.gauge(f"{cell}.throughput_mbps").set(point.mean_throughput_mbps)
-        self.gauge(f"{cell}.throughput_stdev").set(
-            point.stdev_throughput_mbps
-        )
-        self.gauge(f"{cell}.miss_ratio").set(point.mean_miss_ratio)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

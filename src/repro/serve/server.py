@@ -402,6 +402,14 @@ class AdmissionServer:
         except (ValueError, TypeError) as exc:
             self.counters["protocol_errors"] += 1
             return error_response(seq, "protocol", str(exc))
+        for task in tasks:
+            if self.pool.shard_for(task.vm_id) is None:
+                return error_response(
+                    seq,
+                    "unknown_vm",
+                    f"no server configured for VM {task.vm_id}",
+                    vm_id=task.vm_id,
+                )
         assert self._loop is not None
         entry = _PendingAnalyze(seq=seq, tasks=tasks)
         entry.future = self._loop.create_future()
@@ -413,9 +421,15 @@ class AdmissionServer:
 
     async def _rebalance(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
         shards = message["shards"]
-        if shards < 1:
+        vm_count = len(self.config.servers)
+        if not 1 <= shards <= vm_count:
+            # Every shard owns at least one VM; more would only build idle
+            # controllers on the loop thread while every connection waits.
             return error_response(
-                seq, "protocol", f"shards must be >= 1, got {shards}"
+                seq,
+                "protocol",
+                f"shards must lie in [1, {vm_count}] (the configured VM "
+                f"count), got {shards}",
             )
         merged = self.pool.snapshot()
         self.pool.stop()

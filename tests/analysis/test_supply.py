@@ -1,6 +1,8 @@
 """Unit tests for supply bound functions (Eqs. 1, 2, 8)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.supply import (
     linear_sigma_lower_bound,
@@ -145,3 +147,26 @@ class TestSupplyAtLeast:
     def test_negative_demand(self, small_table):
         with pytest.raises(ValueError):
             supply_at_least(small_table, -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pattern=st.lists(st.booleans(), min_size=1, max_size=60).filter(
+            lambda bits: not all(bits)
+        )
+    )
+    def test_equals_linear_scan_below_three_hyperperiods(self, pattern):
+        table = TimeSlotTable.from_pattern([int(bit) for bit in pattern])
+        h = table.total_slots
+        t = 0
+        for demand in range(3 * h):
+            while table.sbf(t) < demand:
+                t += 1
+            assert supply_at_least(table, demand) == t
+
+    def test_free_slot_count_tracks_occupancy_changes(self):
+        table = TimeSlotTable.from_pattern([1, 0, 0, 1])
+        assert table.free_slots == 2
+        table._occupied[1] = True
+        table.sbf_cache.clear()
+        assert table.free_slots == 1
+        assert supply_at_least(table, 1) == 4

@@ -8,7 +8,8 @@ Covers the api_redesign contract end to end:
 * ``repro.api.synthesize`` round-trips with ``build_system``;
 * ``ServerConfig`` takes ``pi``/``theta`` by keyword only;
 * ``ConfigurationError`` names the conflicting device/slot pair for
-  infeasible hand-written tables;
+  infeasible hand-written tables, and the VM when every server is
+  pinned and a VM with run-time tasks has none;
 * the ``ReportBase`` extraction changes neither reprs nor behavior of
   the existing report classes.
 """
@@ -16,6 +17,8 @@ Covers the api_redesign contract end to end:
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AnalysisReport,
@@ -150,6 +153,75 @@ class TestOptionalServers:
             admit(synthesized, probe).schedulable
             == admit(explicit, probe).schedulable
         )
+
+
+@st.composite
+def partly_pinned_configs(draw):
+    """Up to three VMs, each with 0-2 run-time tasks and no server
+    entry, a pinned period or a fully pinned server."""
+    tasks = []
+    servers = []
+    for vm_id in range(3):
+        for index in range(draw(st.integers(min_value=0, max_value=2))):
+            period = draw(st.sampled_from((20, 40, 50, 100)))
+            tasks.append(
+                IOTask(
+                    name=f"vm{vm_id}.t{index}",
+                    period=period,
+                    wcet=draw(st.integers(min_value=1, max_value=period // 8)),
+                    vm_id=vm_id,
+                )
+            )
+        pin = draw(st.sampled_from(("none", "period", "full")))
+        pi = draw(st.sampled_from((5, 10, 20)))
+        if pin == "period":
+            servers.append(ServerConfig(vm_id, pi=pi))
+        elif pin == "full":
+            servers.append(
+                ServerConfig(
+                    vm_id, pi=pi, theta=draw(st.integers(min_value=1, max_value=pi // 4))
+                )
+            )
+    return demo_config(
+        name="partly-pinned",
+        tasks=tasks,
+        servers=draw(st.sampled_from((servers, None))) if servers else None,
+    )
+
+
+class TestEveryRuntimeVmChecked:
+    def test_fully_pinned_config_without_a_vms_server_is_rejected(self):
+        config = SystemConfig(
+            tasks=[
+                IOTask(name="ok", period=50, wcet=1, vm_id=0),
+                IOTask(name="hog", period=50, wcet=49, vm_id=1),
+            ],
+            servers=[ServerConfig(0, pi=10, theta=2)],
+        )
+        with pytest.raises(ConfigurationError, match=r"VM\(s\) \[1\]"):
+            build_system(config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=partly_pinned_configs())
+    def test_build_raises_or_analysis_covers_every_runtime_vm(self, config):
+        runtime_vms = {task.vm_id for task in config.tasks}
+        try:
+            system = build_system(config)
+        except ConfigurationError as error:
+            assert config.servers is not None
+            assert all(entry.theta is not None for entry in config.servers)
+            unserved = sorted(runtime_vms - {e.vm_id for e in config.servers})
+            assert unserved and str(unserved) in str(error)
+            return
+        report = analyze(system)
+        failures = system.design.failures if system.design else {}
+        for vm_id in sorted(runtime_vms):
+            # A VM the synthesis could not dimension has no server to
+            # test; it is named in the design failures, which make the
+            # report unschedulable.
+            assert vm_id in report.local_results or (
+                vm_id in failures and not report.schedulable
+            )
 
 
 class TestSynthesizeFacade:

@@ -289,6 +289,34 @@ class TestEpochBatching:
 
         asyncio.run(_main())
 
+    def test_analyze_in_unknown_vm_is_typed_and_fails_alone(self):
+        async def _main():
+            server = AdmissionServer(make_config(epoch_interval=0.05))
+            await server.start()
+            try:
+                connections = await open_connections(server, 2)
+                stray = dict(ANALYZE_PROBE, name="stray", vm_id=99, wcet=49)
+                messages = [
+                    {"op": "analyze", "seq": 1, "tasks": [ANALYZE_PROBE]},
+                    {"op": "analyze", "seq": 2, "tasks": [stray]},
+                ]
+                for (_reader, writer), message in zip(connections, messages):
+                    writer.write(encode_message(message))
+                responses = await asyncio.gather(
+                    *[reader.readline() for reader, _writer in connections]
+                )
+                await close_connections(connections)
+            finally:
+                await server.stop()
+            ok, stray_response = [decode_message(line) for line in responses]
+            assert ok["ok"] and ok["report"]["schedulable"]
+            assert ok["report"]["local_results"]["0"]["task_names"] == ["w"]
+            assert not stray_response["ok"]
+            assert stray_response["error"]["kind"] == "unknown_vm"
+            assert server.counters["analyze_batches"] == 1
+
+        asyncio.run(_main())
+
     def test_analyze_sees_admitted_population(self):
         async def body(server, request):
             await request(admit(1, 0, "a", period=50, wcet=2))
@@ -482,7 +510,7 @@ class TestRebalance:
                         writer.write(encode_message(sent[-1]))
                 control_writer.write(
                     encode_message(
-                        {"op": "rebalance", "seq": 0, "shards": round_index + 2}
+                        {"op": "rebalance", "seq": 0, "shards": round_index + 1}
                     )
                 )
                 for reader, _writer in vm_connections:
@@ -520,6 +548,24 @@ class TestRebalance:
             )
             assert not response["ok"]
             assert response["error"]["kind"] == "protocol"
+
+        run_with_server(body)
+
+    @pytest.mark.parametrize("shards", [len(SERVERS) + 1, 20_000])
+    def test_rebalance_rejects_more_shards_than_vms(self, shards):
+        async def body(server, request):
+            for index in range(4):
+                await request(admit(index, index, f"t{index}"))
+            before = server.pool.snapshot().to_json()
+            response = await request(
+                {"op": "rebalance", "seq": 9, "shards": shards}
+            )
+            assert not response["ok"]
+            assert response["error"]["kind"] == "protocol"
+            assert server.pool.num_shards == 2
+            # The canonical snapshot bytes, hence their digest, are unchanged.
+            assert server.pool.snapshot().to_json() == before
+            assert (await request(admit(10, 1, "next")))["ok"]
 
         run_with_server(body)
 

@@ -3,8 +3,9 @@
 ``python -m repro.exp synth`` prints this text; CI compares one run
 against another, which cannot see a drift shared by every run.  This pin
 holds the bytes themselves -- designs, bandwidths, and the oracle,
-pruned and fastpath provenance columns.  The digest was computed before
-the seed designer and the synthesis grid shared one budget search.
+pruned and fastpath provenance columns.  It was last regenerated when
+the budget search moved from bisection to a per-point fixpoint, which
+changed only the oracle column (fewer lane evaluations per search).
 Regenerate only for an intended behaviour change, and say why in the
 change log.
 """
@@ -13,7 +14,7 @@ import hashlib
 
 from repro.exp.synth import render_synth_sweep, run_synth_sweep
 
-RENDER_SHA256 = "35a4f856ed6d770fb3406e40f77c1788ff391cdee2b8bfa37d3e052fd10e01eb"
+RENDER_SHA256 = "22efa2c0610679ae3b73c5e9d9cee5da1136083442be2740d5a4d77da6098c89"
 
 
 def test_render_synth_sweep_matches_pinned_digest():
