@@ -560,12 +560,7 @@ def _qpa_taskset_windows(
         return points.max(axis=1)
 
     def sbf(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        t_shift = t - (pis[rows] - thetas[rows])
-        whole = t_shift // pis[rows]
-        tail = np.maximum(
-            t_shift - pis[rows] * whole - (pis[rows] - thetas[rows]), 0
-        )
-        return np.maximum(whole * thetas[rows] + tail, 0)
+        return vec.sbf_server_at(pis[rows], thetas[rows], t)
 
     # 0 = still descending, 1 = schedulable, 2 = fail, 3 = scan.
     verdict = np.zeros(n, dtype=np.int8)

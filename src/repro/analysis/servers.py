@@ -36,6 +36,7 @@ from repro.analysis.batched import (
 from repro.analysis.demand import DemandSignature, demand_signature
 from repro.analysis.engine import INT64_SAFE_HORIZON
 from repro.analysis.gsched_test import GSchedResult, gsched_schedulable
+from repro.analysis.supply import sbf_server_uncached
 from repro.core.timeslot import TimeSlotTable
 from repro.tasks.taskset import TaskSet
 
@@ -326,15 +327,30 @@ def _round_needs(
                 continue
             assert verdict.failing_t is not None
             assert verdict.failing_demand is not None
-            needs[index] = int(
-                _point_budgets(
-                    np.array([candidates[index][0]], dtype=np.int64),
-                    np.array([candidate], dtype=np.int64),
-                    np.array([verdict.failing_t], dtype=np.int64),
-                    np.array([verdict.failing_demand], dtype=np.int64),
-                )[0]
+            needs[index] = _point_budget(
+                candidates[index][0],
+                candidate,
+                verdict.failing_t,
+                verdict.failing_demand,
             )
     return needs
+
+
+def _point_budget(pi: int, known: int, t: int, demand: int) -> int:
+    """:func:`_point_budgets` for one point, in Python ints.
+
+    A probe lane's failing point may lie past int64 (its horizon is
+    what sent it to the probe), so this bisects ``theta`` over
+    ``(known, pi]`` with the scalar Eq. (8).
+    """
+    low, high = known + 1, pi + 1
+    while low < high:
+        mid = (low + high) // 2
+        if sbf_server_uncached(pi, mid, t) >= demand:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def _group_needs(group: Sequence[_KernelLane]) -> Dict[int, int]:
@@ -350,7 +366,7 @@ def _group_needs(group: Sequence[_KernelLane]) -> Dict[int, int]:
     pis = np.array([lane.pi for lane in group], dtype=np.int64)[lane_ids]
     # Only points the known lower bound does not already cover can
     # raise a lane's need.
-    short = demand > _sbf_periodic(pis, known[lane_ids], points)
+    short = demand > vec.sbf_server_at(pis, known[lane_ids], points)
     lane_ids = lane_ids[short]
     need = known.copy()
     if lane_ids.size:
@@ -362,15 +378,6 @@ def _group_needs(group: Sequence[_KernelLane]) -> Dict[int, int]:
             ),
         )
     return {lane.index: int(value) for lane, value in zip(group, need)}
-
-
-def _sbf_periodic(pis: np.ndarray, thetas: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Eq. (8) elementwise on int64 arrays, exactly as ``sbf_server``."""
-    t_shift = t - (pis - thetas)
-    whole = t_shift // pis
-    tail = np.maximum(t_shift - pis * whole - (pis - thetas), 0)
-    # For t_shift < 0, whole*theta + tail <= 0: the sbf's leading flat.
-    return np.maximum(whole * thetas + tail, 0)
 
 
 def _point_budgets(
@@ -390,7 +397,7 @@ def _point_budgets(
         if not open_.any():
             return low
         mid = (low + high) // 2
-        covered = _sbf_periodic(pis, np.minimum(mid, pis), t) >= demand
+        covered = vec.sbf_server_at(pis, np.minimum(mid, pis), t) >= demand
         high = np.where(open_ & covered, mid, high)
         low = np.where(open_ & ~covered, mid + 1, low)
 

@@ -31,7 +31,7 @@ first-failing witnesses.  The property suite
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -123,13 +123,20 @@ def dbf_servers_at(
     return total
 
 
-def sbf_server_at(pi: int, theta: int, ts: np.ndarray) -> np.ndarray:
-    """Eq. (8) periodic-resource supply at every ``t`` in ``ts``."""
+def sbf_server_at(
+    pi: Union[int, np.ndarray], theta: Union[int, np.ndarray], ts: np.ndarray
+) -> np.ndarray:
+    """Eq. (8) periodic-resource supply at every ``t`` in ``ts``.
+
+    ``pi`` and ``theta`` may be int64 arrays broadcasting against
+    ``ts``: one server per point.
+    """
     ts = np.asarray(ts, dtype=np.int64)
     t_shift = ts - (pi - theta)
     whole = t_shift // pi
     tail = np.maximum(t_shift - pi * whole - (pi - theta), 0)
-    return np.where(t_shift < 0, 0, whole * theta + tail)
+    # For t_shift < 0, whole*theta + tail < 0: the sbf's leading flat.
+    return np.maximum(whole * theta + tail, 0)
 
 
 def sbf_sigma_at(table: TimeSlotTable, ts: np.ndarray) -> np.ndarray:

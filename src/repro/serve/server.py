@@ -61,7 +61,7 @@ from repro.serve.protocol import (
     parse_http_request_line,
     validate_request,
 )
-from repro.serve.shard import ShardHandle, ShardPool
+from repro.serve.shard import ShardHandle, ShardPool, check_shard_count
 from repro.tasks.task import IOTask
 from repro.tasks.serialization import canonical_json, task_from_dict
 
@@ -421,16 +421,12 @@ class AdmissionServer:
 
     async def _rebalance(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
         shards = message["shards"]
-        vm_count = len(self.config.servers)
-        if not 1 <= shards <= vm_count:
-            # Every shard owns at least one VM; more would only build idle
-            # controllers on the loop thread while every connection waits.
-            return error_response(
-                seq,
-                "protocol",
-                f"shards must lie in [1, {vm_count}] (the configured VM "
-                f"count), got {shards}",
-            )
+        try:
+            # Checked before the live pool stops: a rejected count leaves
+            # it serving unchanged.
+            check_shard_count(shards, len(self.config.servers))
+        except ValueError as error:
+            return error_response(seq, "protocol", str(error))
         merged = self.pool.snapshot()
         self.pool.stop()
         self.pool = ShardPool(

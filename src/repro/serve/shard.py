@@ -52,6 +52,20 @@ def partition_vms(vm_ids: Sequence[int], num_shards: int) -> List[List[int]]:
     return [ordered[index::num_shards] for index in range(num_shards)]
 
 
+def check_shard_count(num_shards: int, vm_count: int) -> None:
+    """Reject a shard count outside ``[1, vm_count]``.
+
+    Every shard owns at least one VM; more would only build idle
+    controllers.  :class:`ShardPool` enforces this at construction and
+    the service's ``rebalance`` checks it before stopping the live pool.
+    """
+    if not 1 <= num_shards <= vm_count:
+        raise ValueError(
+            f"shards must lie in [1, {vm_count}] (the configured VM "
+            f"count), got {num_shards}"
+        )
+
+
 @dataclass
 class ShardConfig:
     """Everything one shard needs to build its subset controller."""
@@ -333,6 +347,7 @@ class ShardPool:
         by_vm = {entry[0]: entry for entry in self.servers}
         if len(by_vm) != len(self.servers):
             raise ValueError("duplicate VM id in server set")
+        check_shard_count(num_shards, len(by_vm))
         groups = partition_vms(sorted(by_vm), num_shards)
         self.shards: List[ShardHandle] = []
         self._route: Dict[int, ShardHandle] = {}

@@ -635,6 +635,11 @@ class TestStartupValidation:
         assert excinfo.value.failing_t is not None
         assert excinfo.value.servers == ((0, 10, 5), (1, 10, 5))
 
+    @pytest.mark.parametrize("shards", [0, len(SERVERS) + 1])
+    def test_shard_count_outside_the_vm_count_rejected(self, shards):
+        with pytest.raises(ValueError, match=r"shards must lie in \[1, 4\]"):
+            AdmissionServer(make_config(shards=shards))
+
     def test_from_system_payload_validates_keys(self):
         with pytest.raises(ValueError, match="servers"):
             ServeConfig.from_system_payload({"table_pattern": [0, 1]})

@@ -93,6 +93,22 @@ class TestProbeRoutes:
         assert probes == [(4, 4), (4, 1), (4, 2)]
         assert stats.rounds == stats.oracle_calls == 3
 
+    def test_failing_point_past_int64(self, engine, probes):
+        # The kernel lowers the harmonic cap 3 to the floor 2, whose
+        # slack of 1/2**64 sends the lane to a probe; the probe fails at
+        # t = 2**64 with demand 2**63 - 1, so the lifted budget must be
+        # found without int64 arrays.  The kernel then confirms 3.
+        tasks = TaskSet([IOTask("a", period=1 << 64, wcet=(1 << 63) - 1)])
+        theta, stats = search(4, tasks, engine)
+        assert theta == linear_scan(4, tasks) == 3
+        assert probes == [(4, 2)]
+        assert stats.rounds == stats.oracle_calls == 3
+        failure = lsched_schedulable(4, 2, tasks, engine="scalar")
+        assert failure.failing_t is not None
+        assert failure.failing_t >= 1 << 63
+        assert failure.failing_demand is not None
+        assert failure.failing_demand >= 1 << 62
+
     def test_grid_over_the_point_cap(self, engine, probes, monkeypatch):
         tasks = TaskSet(
             [
