@@ -74,6 +74,7 @@ from repro.core.admission import (
 from repro.core.gsched import ServerSpec
 from repro.core.hypervisor import HypervisorConfig, IOGuardHypervisor
 from repro.core.timeslot import (
+    TableConstraint,
     TableOverflowError,
     TimeSlotTable,
     build_pchannel_table,
@@ -94,7 +95,6 @@ from repro.hw import (
 from repro.sim.trace import TraceRecorder
 from repro.synth.report import SynthesisReport
 from repro.synth.servers import ServerSearchOutcome, synthesize_servers
-from repro.synth.table import TableConstraint, synthesize_table
 from repro.tasks.generators import generate_random_taskset
 from repro.tasks.task import Criticality, IOTask, Job, TaskKind
 from repro.tasks.taskset import TaskSet
@@ -117,7 +117,6 @@ __all__ = [
     "SynthesisReport",
     "ServerSearchOutcome",
     "synthesize_servers",
-    "synthesize_table",
     "TableConstraint",
     # cause-effect chains
     "ChainConfig",
@@ -227,14 +226,14 @@ class SystemConfig:
     #: against the pre-defined jobs (:class:`ConfigurationError` names
     #: the conflicting device/slot pair when hosting is impossible).
     table_pattern: Optional[Sequence[int]] = None
-    #: Precedence/time-lag constraints between pre-defined tasks; when
-    #: set (and no pattern is pinned) the table comes from
-    #: :func:`repro.synth.table.synthesize_table` instead of the greedy
-    #: packer.
+    #: Precedence/time-lag constraints between pre-defined tasks, which
+    #: the table builder (:func:`repro.core.timeslot.build_pchannel_table`)
+    #: keeps when no pattern is pinned; a constrained table it cannot
+    #: build is a :class:`ConfigurationError` naming device and slot.
     table_constraints: Sequence[TableConstraint] = ()
     #: Stagger pre-defined start times before packing the table.
-    #: Ignored when ``table_constraints`` are given -- the constraint
-    #: model treats the configured release offsets as semantic.
+    #: Ignored when ``table_constraints`` are given: the lags relate
+    #: jobs by their configured release offsets.
     stagger: bool = True
     #: Slot length for simulation (cycles).
     cycles_per_slot: int = 2_000
@@ -428,23 +427,23 @@ def _validate_pinned_table(table: TimeSlotTable, predefined: TaskSet) -> None:
 
 
 def _build_table(config: SystemConfig, predefined: TaskSet) -> TimeSlotTable:
-    """The sigma* for a config: pinned, synthesized, or greedily packed."""
+    """The sigma* for a config: pinned, or built under its constraints."""
     if config.table_pattern is not None:
         table = TimeSlotTable.from_pattern(list(config.table_pattern))
         _validate_pinned_table(table, predefined)
         return table
-    if config.table_constraints:
-        synthesis = synthesize_table(
+    try:
+        return build_pchannel_table(
             predefined, constraints=config.table_constraints
         )
-        if not synthesis.feasible or synthesis.table is None:
-            raise ConfigurationError(
-                f"table synthesis failed: {synthesis.reason}",
-                device=synthesis.failed_device,
-                slot=synthesis.failed_slot,
-            )
-        return synthesis.table
-    return build_pchannel_table(predefined)
+    except TableOverflowError as error:
+        if not config.table_constraints:
+            raise
+        raise ConfigurationError(
+            f"constrained table construction failed: {error}",
+            device=error.device,
+            slot=error.slot,
+        ) from error
 
 
 def _synthesize_servers_for(
@@ -513,17 +512,18 @@ def _synthesize_servers_for(
 def build_system(config: SystemConfig) -> System:
     """Instantiate a system from its configuration.
 
-    Builds the time slot table (packing the pre-defined tasks unless a
-    pattern is pinned or constraints request synthesis) and the per-VM
-    servers.  Servers the config leaves open -- no ``servers`` block,
+    Builds the time slot table (packing the pre-defined tasks, under
+    ``table_constraints`` if any, unless a pattern is pinned) and the
+    per-VM servers.  Servers the config leaves open -- no ``servers`` block,
     or entries with ``theta=None`` -- are synthesized bandwidth-
     minimally (:mod:`repro.synth`); the full :class:`SynthesisReport`
     lands on ``System.synthesis`` and its design summary on
     ``System.design``.  Raises
     :class:`~repro.core.timeslot.TableOverflowError` when the
     pre-defined tasks cannot be packed and :class:`ConfigurationError`
-    when a pinned pattern cannot host them (naming the conflicting
-    device/slot pair) or when every server is pinned and a VM with
+    when they cannot be packed under ``table_constraints`` or a pinned
+    pattern cannot host them (naming the conflicting device/slot pair),
+    or when every server is pinned and a VM with
     run-time tasks has none (naming the VM) -- :func:`analyze` runs
     Theorem 4 only for VMs with a server, so such a VM would escape it.
     """

@@ -118,8 +118,9 @@ class IOGuardSystem(IOVirtSystem):
     ) -> Tuple[TaskSet, TimeSlotTable]:
         """Apply the preload split, demoting tasks the table cannot hold.
 
-        The greedy spread packer can fail at very high pre-load
-        utilization; demoting the largest-period pre-defined task back to
+        The table builder raises :class:`TableOverflowError` at very high
+        pre-load utilization, when its search finds no table within its
+        node cap; demoting the largest-period pre-defined task back to
         the R-channel and retrying converges because each demotion
         strictly reduces P-channel demand.
         """

@@ -9,10 +9,22 @@ time; the G-Sched analysis derives ``sbf(sigma, t)`` from it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import weakref
+from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -26,7 +38,23 @@ MAX_TABLE_LENGTH = 2_000_000
 
 
 class TableOverflowError(ValueError):
-    """Raised when pre-defined jobs cannot be packed into the table."""
+    """Raised when pre-defined jobs cannot be packed into the table.
+
+    ``device``/``slot`` name the job the table search could not place
+    (its task's device and its release slot mod ``H``); both are
+    ``None`` when the hyper-period itself is over the cap.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        device: Optional[str] = None,
+        slot: Optional[int] = None,
+    ) -> None:
+        super().__init__(message)
+        self.device = device
+        self.slot = slot
 
 
 def as_slot_count(value: Any, what: str = "slot value") -> int:
@@ -282,23 +310,6 @@ class TimeSlotTable:
         whole, rest = divmod(t, self.length)
         return self.sbf_cache.enum(rest) + whole * self.free_slots
 
-    # -- free-slot iteration (run-time use) -----------------------------------------
-
-    def next_free_slot(self, from_slot: int) -> int:
-        """Smallest free absolute slot ``>= from_slot``.
-
-        Raises ``ValueError`` when the table has no free slots at all.
-        """
-        if self.free_slots == 0:
-            raise ValueError("time slot table has no free slots")
-        slot = as_slot_count(from_slot, "from_slot")
-        # At most one full hyper-period of probing is needed.
-        for _ in range(self.length + 1):
-            if self.is_free(slot):
-                return slot
-            slot += 1
-        raise AssertionError("unreachable: free slot must exist within H")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TimeSlotTable(H={self.length}, F={self.free_slots}, "
@@ -331,19 +342,64 @@ def stagger_offsets(predefined: TaskSet) -> TaskSet:
 #: Supported sigma* layout strategies.
 PLACEMENTS = ("contiguous", "spread")
 
+#: Candidates the table search may examine after its first dead end.
+#: The first descent is the greedy packing and always runs to the end;
+#: backtracking past it gets this budget, so an over-constrained model
+#: fails in bounded time and memory.
+SEARCH_NODE_CAP = 100_000
+
+
+@dataclass(frozen=True)
+class TableConstraint:
+    """Precedence with time lag between two pre-defined tasks.
+
+    For every job index ``j``, the first slot of job ``j`` of ``after``
+    lies at least ``min_lag`` slots after the last slot of job ``j`` of
+    ``before`` (``min_lag = 0``: merely afterwards) and -- when
+    ``max_lag`` is set -- at most ``max_lag`` slots after it.  Slots are
+    compared unwrapped (``release + offset`` in the job's window), so a
+    job wrapping across the hyper-period seam keeps its order.  Both
+    tasks must have the same period (same job cadence) and
+    ``before.offset <= after.offset``.
+    """
+
+    before: str
+    after: str
+    min_lag: int = 0
+    max_lag: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.min_lag < 0:
+            raise ValueError(f"min_lag must be >= 0, got {self.min_lag}")
+        if self.max_lag is not None and self.max_lag < self.min_lag:
+            raise ValueError(
+                f"max_lag {self.max_lag} < min_lag {self.min_lag} "
+                f"for {self.before!r} -> {self.after!r}"
+            )
+        if self.before == self.after:
+            raise ValueError(f"constraint relates {self.before!r} to itself")
+
+
+#: One job in decision order: its task, its unwrapped release slot and
+#: one ``(log index, release, C, min_lag, max_lag)`` per predecessor,
+#: where ``log index`` is the position of the predecessor job's first
+#: slot in the search's undo log.
+_Lag = Tuple[int, int, int, int, Optional[int]]
+_Job = Tuple[IOTask, int, Tuple[_Lag, ...]]
+
 
 def build_pchannel_table(
-    predefined: TaskSet,
+    predefined: Iterable[IOTask],
     *,
-    max_length: int = MAX_TABLE_LENGTH,
     placement: str = "spread",
+    constraints: Sequence[TableConstraint] = (),
 ) -> TimeSlotTable:
     """Construct sigma* from the pre-defined task set.
 
     Pre-defined tasks are strictly periodic; each job of task ``tau``
-    must receive ``C`` slots inside its window ``[release, release+D)``,
-    where ``release = offset + j*T``.  Tasks are placed shortest period
-    first (rate-monotonic packing order).  Two layouts with a real
+    must receive ``C`` distinct slots inside its window
+    ``[release, release + D)``, where ``release = offset + j*T`` and
+    windows wrap across the hyper-period seam.  Two layouts with a real
     design trade-off (studied by the layout ablation):
 
     * ``"spread"`` (default): the job's slots are spaced evenly across
@@ -361,143 +417,360 @@ def build_pchannel_table(
       bursts depress ``sbf`` for small windows, which can make tightly
       constrained R-channel servers infeasible at high preload.
 
-    If a window lacks ``C`` free slots in total,
-    :class:`TableOverflowError` is raised -- the experiment must lower
-    the P-channel share instead of silently dropping pre-defined work.
+    ``constraints`` add :class:`TableConstraint` precedence with time
+    lags between same-index jobs of equal-period tasks.
+
+    The table is found by a depth-first search over slot decisions.
+    Tasks are decided shortest period first, in ``(period, name)`` order
+    (rate-monotonic packing), job by job; tasks linked by constraints
+    are decided together, job index by job index, predecessors first.
+    A spread decision places one slot: slot ``k`` probes the window
+    cyclically from its ideal offset ``int(k * D / C)``.  A contiguous
+    decision places a whole job: every free run by start, then the
+    earliest free slots.  The first descent takes every first candidate,
+    which is the greedy table; only a dead end backtracks, within
+    :data:`SEARCH_NODE_CAP`.  Memory is one occupancy byte per slot and
+    an undo log of the committed slots.
+
+    Raises :class:`TableOverflowError` (naming the blocking job's
+    device and release slot) when the search is exhausted or over its
+    cap -- the experiment must lower the P-channel share instead of
+    silently dropping pre-defined work -- and ``ValueError`` for a
+    malformed constraint set (duplicate or unknown task names, unequal
+    periods, misordered offsets, cycles).
     """
     if placement not in PLACEMENTS:
         raise ValueError(
             f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
         )
     tasks = sorted(predefined, key=lambda task: (task.period, task.name))
+    groups = _decision_groups(tasks, constraints)
     if not tasks:
         return TimeSlotTable.empty(1)
     hyperperiod = reduce(math.lcm, (task.period for task in tasks))
-    if hyperperiod > max_length:
+    if hyperperiod > MAX_TABLE_LENGTH:
         raise TableOverflowError(
-            f"pre-defined hyper-period {hyperperiod} exceeds cap {max_length}"
+            f"pre-defined hyper-period {hyperperiod} exceeds cap "
+            f"{MAX_TABLE_LENGTH}"
         )
-    occupied = np.zeros(hyperperiod, dtype=bool)
-    entries: Dict[int, IOTask] = {}
-    for task in tasks:
-        job_count = hyperperiod // task.period
-        for job_index in range(job_count):
-            release = task.offset + job_index * task.period
-            if placement == "spread":
-                _place_job_spread(task, release, occupied, entries, hyperperiod)
-            else:
-                _place_job_contiguous(
-                    task, release, occupied, entries, hyperperiod
-                )
+    jobs = _decision_jobs(groups, constraints, hyperperiod)
+    occupied, slots = _search(jobs, hyperperiod, placement == "spread")
     table = TimeSlotTable(hyperperiod)
-    table._occupied = occupied
-    table.entries = entries
+    table._occupied = np.frombuffer(occupied, dtype=np.bool_)
+    owners = (task for task, _release, _lags in jobs for _ in range(task.wcet))
+    table.entries = dict(zip(slots, owners))
     table.sbf_cache.clear()  # occupancy replaced wholesale
     return table
 
 
-def _place_job_contiguous(
-    task: IOTask,
-    release: int,
-    occupied: np.ndarray,
-    entries: Dict[int, IOTask],
-    hyperperiod: int,
-) -> None:
-    """Reserve a burst of ``C`` slots starting at the job's start time.
+def _decision_groups(
+    tasks: List[IOTask], constraints: Sequence[TableConstraint]
+) -> List[List[IOTask]]:
+    """Validate ``constraints``; the task groups in decision order.
 
-    Prefers the earliest fully-free run of length ``C`` inside the
-    window; falls back to the earliest ``C`` free slots (fragmented but
-    still inside the deadline window) when no whole run exists.
+    Unconstrained tasks are groups of one.  Tasks linked by constraints
+    form one group, placed where its first task in ``tasks`` order
+    stands, with its tasks in topological order (ties in ``tasks``
+    order) so every predecessor is decided first.
     """
-    window = task.deadline
-    wcet = task.wcet
-    # Pass 1: earliest contiguous run.
-    for start in range(window - wcet + 1):
-        indices = [(release + start + i) % hyperperiod for i in range(wcet)]
-        if not any(occupied[index] for index in indices):
-            for index in indices:
-                occupied[index] = True
-                entries[index] = task
-            return
-    # Pass 2: earliest free slots, fragmented.
-    chosen: List[int] = []
-    for offset in range(window):
-        index = (release + offset) % hyperperiod
-        if not occupied[index]:
-            chosen.append(index)
-            if len(chosen) == wcet:
-                break
-    if len(chosen) < wcet:
-        raise TableOverflowError(
-            f"cannot place pre-defined task {task.name!r} (release "
-            f"{release}) within its {window}-slot deadline window; "
-            "P-channel overloaded"
-        )
-    for index in chosen:
-        occupied[index] = True
-        entries[index] = task
+    if not constraints:
+        return [[task] for task in tasks]
+    index = {task.name: position for position, task in enumerate(tasks)}
+    if len(index) != len(tasks):
+        raise ValueError("pre-defined task names must be unique")
+    successors: Dict[str, List[str]] = {task.name: [] for task in tasks}
+    indegree = dict.fromkeys(index, 0)
+    parent = list(range(len(tasks)))  # union-find over linked tasks
 
+    def root(position: int) -> int:
+        while parent[position] != position:
+            parent[position] = parent[parent[position]]
+            position = parent[position]
+        return position
 
-def _place_job_spread(
-    task: IOTask,
-    release: int,
-    occupied: np.ndarray,
-    entries: Dict[int, IOTask],
-    hyperperiod: int,
-) -> None:
-    """Reserve ``task.wcet`` slots spaced evenly across the window."""
-    window = task.deadline
-    stride = window / task.wcet
-    chosen: List[int] = []
-    taken_local = set()
-    for i in range(task.wcet):
-        ideal = int(i * stride)
-        slot_offset = None
-        for probe in range(window):
-            candidate = (ideal + probe) % window
-            index = (release + candidate) % hyperperiod
-            if candidate not in taken_local and not occupied[index]:
-                slot_offset = candidate
-                break
-        if slot_offset is None:
-            raise TableOverflowError(
-                f"cannot place pre-defined task {task.name!r} (release "
-                f"{release}) within its {window}-slot deadline window; "
-                "P-channel overloaded"
+    for constraint in constraints:
+        for name in (constraint.before, constraint.after):
+            if name not in index:
+                raise ValueError(f"constraint references unknown task {name!r}")
+        before = tasks[index[constraint.before]]
+        after = tasks[index[constraint.after]]
+        if before.period != after.period:
+            raise ValueError(
+                f"constraint {before.name!r} -> {after.name!r} relates tasks "
+                "with different periods"
             )
-        taken_local.add(slot_offset)
-        chosen.append((release + slot_offset) % hyperperiod)
-    for index in chosen:
-        occupied[index] = True
-        entries[index] = task
+        if before.offset > after.offset:
+            raise ValueError(
+                f"constraint {before.name!r} -> {after.name!r} needs "
+                f"before.offset ({before.offset}) <= after.offset "
+                f"({after.offset}); shift the release offsets"
+            )
+        successors[before.name].append(after.name)
+        indegree[after.name] += 1
+        parent[root(index[before.name])] = root(index[after.name])
+    ready = [index[name] for name, count in indegree.items() if count == 0]
+    heapq.heapify(ready)
+    groups: Dict[int, List[IOTask]] = {}
+    decided = 0
+    while ready:
+        position = heapq.heappop(ready)
+        decided += 1
+        groups.setdefault(root(position), []).append(tasks[position])
+        for name in successors[tasks[position].name]:
+            indegree[name] -= 1
+            if indegree[name] == 0:
+                heapq.heappush(ready, index[name])
+    if decided != len(tasks):
+        raise ValueError("precedence constraints form a cycle")
+    return sorted(
+        groups.values(), key=lambda group: min(index[task.name] for task in group)
+    )
 
 
-def merge_tables(tables: Sequence[TimeSlotTable]) -> TimeSlotTable:
-    """Merge per-source tables into one (union of occupancy).
+def _decision_jobs(
+    groups: List[List[IOTask]],
+    constraints: Sequence[TableConstraint],
+    hyperperiod: int,
+) -> List[_Job]:
+    """Every job of one hyper-period, in decision order."""
+    incoming: Dict[str, List[TableConstraint]] = {}
+    for constraint in constraints:
+        incoming.setdefault(constraint.after, []).append(constraint)
+    jobs: List[_Job] = []
+    logged = 0  # slots committed before the next job, on any full path
+    for group in groups:
+        period = group[0].period
+        count = hyperperiod // period
+        if len(group) == 1:
+            task = group[0]
+            jobs.extend((task, task.offset + index * period, ()) for index in range(count))
+            logged += count * task.wcet
+            continue
+        for index in range(count):
+            placed: Dict[str, Tuple[int, int, int]] = {}
+            for task in group:
+                release = task.offset + index * period
+                lags = tuple(
+                    (*placed[c.before], c.min_lag, c.max_lag)
+                    for c in incoming.get(task.name, ())
+                )
+                placed[task.name] = (logged, release, task.wcet)
+                jobs.append((task, release, lags))
+                logged += task.wcet
+    return jobs
 
-    Slot collisions raise ``ValueError``: two pre-defined jobs cannot share
-    one slot of the single I/O resource.
+
+def _search(
+    jobs: List[_Job], hyperperiod: int, spread: bool
+) -> Tuple[bytearray, List[int]]:
+    """Depth-first search for the slots of every job, in decision order.
+
+    Returns the occupancy bytes and the committed slots, job by job.
+    The path is a stack of decisions, each with the index of the
+    candidate it took; a dead end pops the last decision, releases its
+    slots from the undo log and resumes it at its next candidate.
+    Within a spread job, an offset exhausted at one decision is banned
+    from that job's later decisions, so each set of a job's slots is
+    tried once rather than in every order.
     """
-    if not tables:
-        return TimeSlotTable.empty(1)
-    hyperperiod = reduce(math.lcm, (table.length for table in tables))
-    if hyperperiod > MAX_TABLE_LENGTH:
-        raise TableOverflowError(
-            f"merged hyper-period {hyperperiod} exceeds cap {MAX_TABLE_LENGTH}"
+    occupied = bytearray(hyperperiod)
+    log: List[int] = []  # undo log: committed slots, job by job
+    cursors: List[int] = []  # candidate index of each decision on the path
+    bans: Dict[int, List[int]] = {}  # decision level -> offsets it exhausted
+    budget: Optional[int] = None  # counts down from the first dead end
+    deepest = (0, 0)
+    position = k = cursor = 0
+    while position < len(jobs):
+        task, release, lags = jobs[position]
+        wcet = task.wcet
+        window = task.deadline
+        base = release % hyperperiod
+        # The job's decisions: one per slot (spread) or one (contiguous).
+        while k < wcet:
+            accept = None
+            if lags or bans:
+                accept = _acceptor(
+                    jobs[position], log, k, hyperperiod, bans, len(cursors),
+                    final=not spread or k == wcet - 1,
+                )
+            if spread:
+                # Slot k probes (ideal + p) % window from probe ``cursor``.
+                ideal = int(k * (window / wcet))
+                taken = cursor
+                while taken < window:
+                    offset = ideal + taken
+                    if offset >= window:
+                        offset -= window
+                    slot = base + offset
+                    if slot >= hyperperiod:
+                        slot -= hyperperiod
+                    if not occupied[slot] and (accept is None or accept(offset)):
+                        break
+                    taken += 1
+                chosen = [slot] if taken < window else []
+            else:
+                taken, chosen = _contiguous_candidate(
+                    occupied, base, hyperperiod, window, wcet, cursor, accept
+                )
+            if budget is not None:
+                budget -= taken - cursor + 1
+                if budget < 0:
+                    chosen = []
+            if not chosen:
+                break
+            for slot in chosen:
+                occupied[slot] = 1
+            log.extend(chosen)
+            cursors.append(taken)
+            k += len(chosen)
+            cursor = 0
+        else:
+            position, k = position + 1, 0
+            continue
+        # Dead end at (position, k).
+        deepest = max(deepest, (position, k))
+        if budget is None:
+            budget = SEARCH_NODE_CAP
+        bans.pop(len(cursors), None)
+        if not cursors or budget < 0:
+            _raise_overflow(jobs[deepest[0]], hyperperiod, over_cap=budget < 0)
+        # Backtrack: release the previous decision, resume it after its
+        # candidate, and (spread) ban that offset from its job's later
+        # decisions.
+        cursor = cursors.pop() + 1
+        if k == 0:
+            position -= 1
+            k = jobs[position][0].wcet
+        width = 1 if spread else k
+        k -= width
+        released = log[len(log) - width :]
+        del log[len(log) - width :]
+        for slot in released:
+            occupied[slot] = 0
+        if spread:
+            offset = (released[0] - jobs[position][1]) % hyperperiod
+            bans.setdefault(len(cursors), []).append(offset)
+    return occupied, log
+
+
+def _acceptor(
+    job: _Job,
+    log: List[int],
+    k: int,
+    hyperperiod: int,
+    bans: Dict[int, List[int]],
+    level: int,
+    *,
+    final: bool,
+) -> Optional[Callable[[int], bool]]:
+    """Whether a candidate window offset keeps the job's lags and bans.
+
+    A candidate is the offset of a spread slot, or the first offset of
+    a contiguous job.  Every slot of a successor job lies at least
+    ``min_lag`` after its predecessors' last slots; the decision that
+    completes the job (``final``) also needs the job's first slot within
+    ``max_lag``.  The decision is at ``level`` of the path and ``k``
+    slots of the job are already at the end of the undo log; offsets
+    banned at the job's levels are refused.  ``None`` when nothing
+    constrains the decision.
+    """
+    _task, release, lags = job
+    banned = {offset for at in range(level - k, level + 1) for offset in bans.get(at, ())}
+    if not lags and not banned:
+        return None
+
+    def unwrapped(slot: int, job_release: int) -> int:
+        return job_release + (slot - job_release) % hyperperiod
+
+    low, high = 0, math.inf
+    for first_index, pred_release, pred_wcet, min_lag, max_lag in lags:
+        last = max(
+            unwrapped(slot, pred_release)
+            for slot in log[first_index : first_index + pred_wcet]
         )
-    occupied: List[int] = []
-    entries: Dict[int, IOTask] = {}
-    seen = set()
-    for table in tables:
-        repeats = hyperperiod // table.length
-        for base in table.occupied_indices():
-            for repeat in range(repeats):
-                slot = base + repeat * table.length
-                if slot in seen:
-                    raise ValueError(f"slot collision at {slot} while merging")
-                seen.add(slot)
-                occupied.append(slot)
-                task = table.entries.get(base)
-                if task is not None:
-                    entries[slot] = task
-    return TimeSlotTable(hyperperiod, occupied, entries)
+        low = max(low, last + 1 + min_lag - release)
+        if max_lag is not None:
+            high = min(high, last + 1 + max_lag - release)
+    first = min(
+        (unwrapped(slot, release) - release for slot in log[len(log) - k :]),
+        default=math.inf,
+    )
+
+    def accept(offset: int) -> bool:
+        return (
+            offset not in banned
+            and offset >= low
+            and (not final or min(first, offset) <= high)
+        )
+
+    return accept
+
+
+def _contiguous_candidate(
+    occupied: bytearray,
+    base: int,
+    hyperperiod: int,
+    window: int,
+    wcet: int,
+    cursor: int,
+    accept: Optional[Callable[[int], bool]],
+) -> Tuple[int, List[int]]:
+    """The slots of the job whose window starts at slot ``base``, at
+    candidate ``cursor`` onward: a free run by its start offset, then
+    (index ``window - C + 1``) the earliest free slots when they are
+    fragmented.  ``(window - C + 2, [])`` when none is left."""
+    last_start = window - wcet
+
+    def slots(offsets: Iterable[int]) -> List[int]:
+        return [
+            base + offset - (hyperperiod if base + offset >= hyperperiod else 0)
+            for offset in offsets
+        ]
+
+    run = 0
+    for offset in range(cursor, window):
+        slot = base + offset
+        if slot >= hyperperiod:
+            slot -= hyperperiod
+        if occupied[slot]:
+            run = 0
+            continue
+        run += 1
+        if run >= wcet:
+            start = offset - wcet + 1
+            if accept is None or accept(start):
+                return start, slots(range(start, offset + 1))
+    if cursor <= last_start + 1:
+        free: List[int] = []
+        for offset in range(window):
+            slot = base + offset
+            if slot >= hyperperiod:
+                slot -= hyperperiod
+            if not occupied[slot]:
+                free.append(offset)
+                if len(free) == wcet:
+                    break
+        # A contiguous set was already a run candidate.
+        if (
+            len(free) == wcet
+            and free[-1] - free[0] >= wcet
+            and (accept is None or accept(free[0]))
+        ):
+            return last_start + 1, slots(free)
+    return last_start + 2, []
+
+
+def _raise_overflow(job: _Job, hyperperiod: int, *, over_cap: bool) -> NoReturn:
+    task, release, _lags = job
+    why = (
+        f"the search stopped at its cap of {SEARCH_NODE_CAP} candidates"
+        if over_cap
+        else "no slot assignment fits"
+    )
+    raise TableOverflowError(
+        f"cannot place pre-defined task {task.name!r} (device "
+        f"{task.device!r}, release {release}) within its {task.deadline}-slot "
+        f"deadline window: {why}; P-channel overloaded",
+        device=task.device,
+        slot=release % hyperperiod,
+    )

@@ -1,24 +1,21 @@
-"""The deterministic search core shared by the synthesis passes.
+"""The deterministic search core of server synthesis.
 
-Two drivers, both exhaustively deterministic (no entropy, no ambient
-ordering -- candidate orders are explicit, bounds are exact
-:class:`fractions.Fraction` arithmetic, ties break lexicographically):
+:func:`best_first_assignment` is a best-first branch-and-bound over one
+choice per group (one server candidate per VM), enumerated in
+non-decreasing objective order so the first feasible assignment popped
+is objective-minimal over the candidate grid.  It is exhaustively
+deterministic: no entropy, no ambient ordering -- candidate orders are
+explicit, bounds are exact :class:`fractions.Fraction` arithmetic and
+ties break lexicographically.  Feasibility is checked by a
+caller-supplied *batched* oracle: whole frontiers of assignments are
+verified in one :func:`~repro.analysis.batched.gsched_schedulable_batch`
+numpy pass per round.
 
-* :func:`best_first_assignment` -- best-first branch-and-bound over one
-  choice per group (one server candidate per VM), enumerated in
-  non-decreasing objective order so the first feasible assignment popped
-  is objective-minimal over the candidate grid.  Feasibility is checked
-  by a caller-supplied *batched* oracle: whole frontiers of assignments
-  are verified in one :func:`~repro.analysis.batched.gsched_schedulable_batch`
-  numpy pass per round.
-* :func:`lexmin_backtrack` -- depth-first backtracking returning the
-  lexicographically minimal feasible assignment under a caller-supplied
-  choice order (the slot-table synthesis model).  Lex-minimality makes
-  "the" answer unique for a given canonical order.
-
-Both drivers account their work in :class:`SearchStats`, which the
+The search accounts its work in :class:`SearchStats`, which the
 :class:`~repro.synth.report.SynthesisReport` carries as provenance and
-the synthesis differential tests bound.
+the synthesis differential tests bound.  (The slot table sigma* has its
+own depth-first search,
+:func:`~repro.core.timeslot.build_pchannel_table`.)
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ class SearchStats:
     oracle_calls: int = 0
     rounds: int = 0
     incumbent_updates: int = 0
-    backtracks: int = 0
     bound_trajectory: List[Tuple[int, float]] = field(default_factory=list)
     budget: BudgetSearchStats = field(default_factory=BudgetSearchStats)
 
@@ -81,7 +77,6 @@ class SearchStats:
             "oracle_calls": self.oracle_calls,
             "rounds": self.rounds,
             "incumbent_updates": self.incumbent_updates,
-            "backtracks": self.backtracks,
             "bound_trajectory": [
                 [nodes, objective] for nodes, objective in self.bound_trajectory
             ],
@@ -95,6 +90,7 @@ def best_first_assignment(
     stats: Optional[SearchStats] = None,
     batch_width: int = 16,
     max_nodes: int = 20_000,
+    max_cost: Optional[Fraction] = None,
 ) -> Optional[Tuple[int, ...]]:
     """Objective-minimal feasible assignment over a candidate grid.
 
@@ -113,6 +109,12 @@ def best_first_assignment(
     in cost break on the index tuple itself, so the result is unique and
     byte-identical across processes.  Returns ``None`` when the grid is
     exhausted (or ``max_nodes`` is hit) without a feasible assignment.
+
+    ``max_cost`` is a cost above which the oracle rejects every
+    assignment (server synthesis passes ``F/H``: Theorem 2 fails any
+    servers whose total bandwidth exceeds it).  Nodes pop in
+    non-decreasing cost, so the search stops at the first node above it
+    without sending that node, or any later one, to the oracle.
     """
     if not objectives or any(not group for group in objectives):
         return None
@@ -130,8 +132,12 @@ def best_first_assignment(
             return None
         frontier: List[Tuple[int, ...]] = []
         while heap and len(frontier) < width:
+            if max_cost is not None and heap[0][0] > max_cost:
+                break
             _, node = heapq.heappop(heap)
             frontier.append(node)
+        if not frontier:
+            return None
         expanded += len(frontier)
         if stats is not None:
             stats.nodes_expanded += len(frontier)
@@ -166,52 +172,3 @@ def _neighbors(
     for position, index in enumerate(node):
         if index + 1 < len(objectives[position]):
             yield node[:position] + (index + 1,) + node[position + 1 :]
-
-
-def lexmin_backtrack(
-    depth: int,
-    choices: Callable[[Tuple[int, ...], int], Iterable[int]],
-    *,
-    stats: Optional[SearchStats] = None,
-    max_nodes: int = 200_000,
-) -> Optional[Tuple[int, ...]]:
-    """First complete assignment found by ordered depth-first search.
-
-    ``choices(prefix, level)`` yields the *consistent* values for
-    decision ``level`` given the committed ``prefix``, in preference
-    order; the DFS commits the first value, recurses, and backtracks on
-    dead ends.  Because every branch is explored in preference order,
-    the first complete assignment is the lexicographically minimal
-    feasible one w.r.t. that order -- the canonical solution.  Returns ``None`` when the model is
-    infeasible or the ``max_nodes`` cap trips (recorded distinctly via
-    ``stats.nodes_expanded`` hitting the cap).
-    """
-    if depth == 0:
-        return ()
-    assignment: List[int] = []
-    visited = 0
-    # Iterative DFS with explicit iterator stack: table models can have
-    # thousands of decisions, beyond Python's recursion limit.
-    stack = [iter(choices((), 0))]
-    while stack:
-        if visited > max_nodes:
-            return None
-        level_iter = stack[-1]
-        advanced = False
-        for value in level_iter:  # take the next untried value, if any
-            visited += 1
-            if stats is not None:
-                stats.nodes_expanded += 1
-            assignment.append(value)
-            if len(assignment) == depth:
-                return tuple(assignment)
-            stack.append(iter(choices(tuple(assignment), len(assignment))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if assignment:
-                assignment.pop()
-                if stats is not None:
-                    stats.backtracks += 1
-    return None

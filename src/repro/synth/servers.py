@@ -23,7 +23,9 @@ passing:
    (:func:`~repro.synth.search.best_first_assignment`): assignments are
    enumerated in non-decreasing total bandwidth with exact ``Fraction``
    bounds and verified against Theorem 2 in batched frontiers, so the
-   first accepted assignment is bandwidth-minimal over the grid.
+   first accepted assignment is bandwidth-minimal over the grid.  The
+   search stops at the first assignment over the table's free bandwidth
+   ``F/H``, which Theorem 2 rejects, as it does every later one.
 
 Everything is deterministic; ties break lexicographically.  The outcome
 carries the chosen servers, full verification results, and the search
@@ -234,6 +236,7 @@ def synthesize_servers(
         stats=stats,
         batch_width=ASSEMBLY_BATCH_WIDTH,
         max_nodes=ASSEMBLY_MAX_NODES,
+        max_cost=Fraction(table.free_slots, table.total_slots),
     )
 
     if chosen is not None:

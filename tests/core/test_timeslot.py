@@ -7,7 +7,6 @@ from repro.core.timeslot import (
     TimeSlotTable,
     as_slot_count,
     build_pchannel_table,
-    merge_tables,
     stagger_offsets,
 )
 from repro.tasks.task import IOTask, TaskKind
@@ -59,17 +58,6 @@ class TestTimeSlotTable:
         task = predefined("p", 10, 1)
         with pytest.raises(ValueError, match="no matching"):
             TimeSlotTable(10, [0], entries={3: task})
-
-    def test_next_free_slot(self, small_table):
-        assert small_table.next_free_slot(0) == 1
-        assert small_table.next_free_slot(4) == 5
-        assert small_table.next_free_slot(9) == 9
-        assert small_table.next_free_slot(10) == 11  # wraps into next rep
-
-    def test_next_free_slot_full_table(self):
-        table = TimeSlotTable.from_pattern([1, 1])
-        with pytest.raises(ValueError, match="no free"):
-            table.next_free_slot(0)
 
     def test_enum_bounds(self, small_table):
         with pytest.raises(ValueError):
@@ -142,10 +130,6 @@ class TestIntegerSlotTime:
     def test_is_occupied_fractional_slot_rejected(self, small_table):
         with pytest.raises(ValueError, match="whole number of slots"):
             small_table.is_occupied(0.25)
-
-    def test_next_free_slot_fractional_rejected(self, small_table):
-        with pytest.raises(ValueError, match="whole number of slots"):
-            small_table.next_free_slot(1.5)  # iolint: disable=IOL004 -- asserts fractional rejection
 
     def test_fractional_table_length_rejected(self):
         with pytest.raises(ValueError, match="whole number of slots"):
@@ -249,28 +233,3 @@ class TestStaggerOffsets:
         staggered = stagger_offsets(tasks)
         offsets = {task.offset for task in staggered}
         assert len(offsets) == 4
-
-
-class TestMergeTables:
-    def test_merge_disjoint(self):
-        a = TimeSlotTable(4, [0])
-        b = TimeSlotTable(4, [2])
-        merged = merge_tables([a, b])
-        assert merged.occupied_indices() == [0, 2]
-
-    def test_merge_different_lengths(self):
-        a = TimeSlotTable(6, [0])
-        b = TimeSlotTable(3, [1])  # repeats to slots 1 and 4 over H=6
-        merged = merge_tables([a, b])
-        assert merged.total_slots == 6
-        assert merged.occupied_indices() == [0, 1, 4]
-
-    def test_merge_collision_raises(self):
-        a = TimeSlotTable(4, [0])
-        b = TimeSlotTable(4, [0])
-        with pytest.raises(ValueError, match="collision"):
-            merge_tables([a, b])
-
-    def test_merge_empty(self):
-        merged = merge_tables([])
-        assert merged.total_slots == 1

@@ -1,10 +1,10 @@
-"""Deterministic search cores: best-first assignment and lex-min DFS."""
+"""The server-assembly search core: best-first assignment."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.synth.search import SearchStats, best_first_assignment, lexmin_backtrack
+from repro.synth.search import SearchStats, best_first_assignment
 
 
 def frac_groups(*groups):
@@ -35,6 +35,22 @@ class TestBestFirstAssignment:
             return [objectives[0][a] >= Fraction(2, 4) for (a,) in nodes]
 
         assert best_first_assignment(objectives, feasible) == (1,)
+
+    def test_max_cost_stops_before_the_oracle(self):
+        objectives = frac_groups([(1, 4), (2, 4), (3, 4)], [(1, 4), (2, 4)])
+        graded = []
+
+        def infeasible(nodes):
+            graded.extend(objectives[0][a] + objectives[1][b] for a, b in nodes)
+            return [False] * len(nodes)
+
+        stats = SearchStats()
+        chosen = best_first_assignment(
+            objectives, infeasible, stats=stats, batch_width=2, max_cost=Fraction(3, 4)
+        )
+        assert chosen is None
+        assert sorted(graded) == [Fraction(2, 4), Fraction(3, 4), Fraction(3, 4)]
+        assert stats.oracle_calls == 3
 
     def test_exhaustion_returns_none(self):
         objectives = frac_groups([(1, 4), (2, 4)])
@@ -88,44 +104,6 @@ class TestBestFirstAssignment:
         assert chosen == (1, 1)
         assert stats.oracle_calls > 0
         assert stats.rounds > 0
-
-
-class TestLexminBacktrack:
-    def test_depth_zero(self):
-        assert lexmin_backtrack(0, lambda prefix, level: [1, 2]) == ()
-
-    def test_lexicographically_minimal(self):
-        # All increasing digit strings over 0..3 of length 3.
-        def choices(prefix, level):
-            floor = prefix[-1] + 1 if prefix else 0
-            return range(floor, 4)
-
-        assert lexmin_backtrack(3, choices) == (0, 1, 2)
-
-    def test_backtracking_over_dead_ends(self):
-        # Level 1 only accepts values >= 2, and level 0 must not be 0.
-        def choices(prefix, level):
-            if level == 0:
-                return [0, 1]
-            if prefix[0] == 0:
-                return []
-            return [2]
-
-        stats = SearchStats()
-        assert lexmin_backtrack(2, choices, stats=stats) == (1, 2)
-        assert stats.backtracks >= 1
-
-    def test_infeasible_returns_none(self):
-        def choices(prefix, level):
-            return [] if level == 1 else [0]
-
-        assert lexmin_backtrack(2, choices) is None
-
-    def test_node_cap(self):
-        def choices(prefix, level):
-            return range(10) if level < 3 else []
-
-        assert lexmin_backtrack(4, choices, max_nodes=25) is None
 
 
 class TestSearchStats:

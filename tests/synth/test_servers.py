@@ -1,11 +1,14 @@
 """Bandwidth-minimal server synthesis: optimality, pins, fast path."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis.gsched_test import gsched_schedulable
 from repro.analysis.lsched_test import lsched_schedulable
 from repro.analysis.servers import harmonic_fast_budget, minimum_budget
 from repro.core.timeslot import TimeSlotTable
+from repro.synth import servers as synth_servers
 from repro.synth.servers import candidate_periods_for, synthesize_servers
 from repro.tasks.task import IOTask
 from repro.tasks.taskset import TaskSet
@@ -111,6 +114,44 @@ class TestSynthesizeServers:
         outcome = synthesize_servers(table, vms)
         pairs = [outcome.servers[vm] for vm in sorted(outcome.servers)]
         assert gsched_schedulable(table, pairs).schedulable
+
+
+class TestAssemblyStopsAtCapacity:
+    """Theorem 2 rejects any servers whose total bandwidth exceeds the
+    table's ``F/H``; the assembly search must stop there instead of
+    grading those assignments."""
+
+    @staticmethod
+    def graded_bandwidths(monkeypatch, table, vms):
+        graded = []
+        oracle = synth_servers.gsched_schedulable_batch
+
+        def counting(items, **kwargs):
+            for _table, pairs in items:
+                graded.append(sum((Fraction(theta, pi) for pi, theta in pairs), Fraction(0)))
+            return oracle(items, **kwargs)
+
+        monkeypatch.setattr(synth_servers, "gsched_schedulable_batch", counting)
+        outcome = synthesize_servers(table, vms)
+        return outcome, graded
+
+    def test_no_over_capacity_assignment_reaches_the_oracle(self, monkeypatch):
+        # F/H = 1/2, and the two VMs need about 0.3 each.
+        table = TimeSlotTable.from_pattern([1, 0] * 5)
+        vms = {
+            vm: TaskSet([IOTask(f"t{vm}", period=40, wcet=12)], name=f"vm{vm}")
+            for vm in (0, 1)
+        }
+        outcome, graded = self.graded_bandwidths(monkeypatch, table, vms)
+        assert not outcome.feasible
+        assert max(graded, default=0) <= Fraction(1, 2)
+
+    def test_feasible_design_unchanged(self, monkeypatch):
+        table, vms = admission_workload()
+        outcome, graded = self.graded_bandwidths(monkeypatch, table, vms)
+        assert outcome.feasible
+        assert max(graded) <= Fraction(table.free_slots, table.total_slots)
+        assert outcome.bandwidth == pytest.approx(0.4)
 
 
 class TestHarmonicFastBudget:
