@@ -155,6 +155,19 @@ class TestFeasibleSynthesis:
         assert [len(job) for job in job_slots(table, tasks["b"])] == [1] * 3
 
 
+    def test_each_slot_set_of_a_job_is_tried_once(self):
+        # "b" needs slot 0, which "a" takes first.  Moving "a" off slot 0
+        # means backtracking over the 5-subsets of a's later slots; in
+        # every order, that would be 5! times as many and over the cap.
+        tasks = predefined(
+            {"name": "a", "period": 16, "wcet": 6},
+            {"name": "b", "period": 16, "wcet": 1, "deadline": 1},
+        )
+        table = build_pchannel_table(tasks)
+        assert table.entries[0] is tasks["b"]
+        assert [len(job) for job in job_slots(table, tasks["a"])] == [6]
+
+
 class TestInfeasibleSynthesis:
     def test_blocked_job_names_device_and_slot(self):
         tasks = predefined(
