@@ -343,9 +343,9 @@ def stagger_offsets(predefined: TaskSet) -> TaskSet:
 PLACEMENTS = ("contiguous", "spread")
 
 #: Candidates the table search may examine after its first dead end.
-#: The first descent is the greedy packing and always runs to the end;
-#: backtracking past it gets this budget, so an over-constrained model
-#: fails in bounded time and memory.
+#: Up to that point it is the greedy descent and runs uncapped; the
+#: budget bounds the backtracking, so an over-constrained model fails
+#: in bounded time and memory.
 SEARCH_NODE_CAP = 100_000
 
 
