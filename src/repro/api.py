@@ -261,6 +261,10 @@ class System:
         synthesis: Optional[SynthesisReport] = None,
     ) -> None:
         self.config = config
+        #: The configured task set.  Change the run-time population
+        #: through :func:`admit`/:func:`withdraw`: until one of them
+        #: runs, :func:`analyze` may return synthesis's verdicts, which
+        #: were proved against this set as built.
         self.tasks = tasks
         #: Pre-defined tasks with their (possibly staggered) offsets, as
         #: packed into the table.
@@ -591,14 +595,61 @@ def synthesize(
     return report
 
 
+def _synthesis_verdicts(
+    system: System, engine: str
+) -> Optional[Tuple[GSchedResult, Dict[int, LSchedResult]]]:
+    """The Theorem-2/4 verdicts synthesis verified, if they still hold.
+
+    :func:`build_system` verified its synthesized servers against the
+    table and the configured population; analyzing that same design
+    under the same engine would recompute them bit for bit.  They are
+    reused while the system still holds the verified table (by
+    identity) and ``(vm_id, pi, theta)`` servers (by value), no
+    admission controller exists (so the population is the configured
+    one), ``engine`` is the one synthesis ran, and synthesis holds a
+    global result and a result for every server (a design that failed
+    before its final verification has none).  Otherwise ``None``: the
+    caller recomputes.  The returned dict is new, so a caller's edits
+    cannot reach the synthesis report.
+    """
+    synthesis = system.synthesis
+    if (
+        synthesis is None
+        or system._controller is not None
+        or synthesis.table is not system.table
+        or synthesis.engine != engine
+        or synthesis.global_result is None
+    ):
+        return None
+    verified = [(spec.vm_id, spec.pi, spec.theta) for spec in synthesis.servers]
+    current = [(spec.vm_id, spec.pi, spec.theta) for spec in system.servers]
+    if current != verified or any(
+        spec.vm_id not in synthesis.local_results for spec in system.servers
+    ):
+        return None
+    return synthesis.global_result, {
+        spec.vm_id: synthesis.local_results[spec.vm_id] for spec in system.servers
+    }
+
+
 def analyze(system: System, *, engine: Optional[str] = None) -> AnalysisReport:
     """Run the full Sec. IV analysis on the system's current population.
 
     Theorem 2 over the servers against the table, then Theorem 4 per VM
     over its run-time tasks (tasks admitted via :func:`admit` count).
     ``engine`` overrides the config's analysis engine for this call.
+
+    A freshly built system whose servers synthesis designed returns
+    synthesis's verified verdicts instead of proving both theorems
+    again: the reuse holds while the table and servers are the ones
+    synthesis verified, no task was admitted or withdrawn, and the
+    engine is the one synthesis ran (so ``engine="scalar"`` on a
+    vectorized design still runs the scalar engine).
     """
     engine = resolve_engine(engine if engine is not None else system.config.engine)
+    verdicts = _synthesis_verdicts(system, engine)
+    if verdicts is not None:
+        return _assemble_report(system, *verdicts)
     population = system.runtime_population()
     pairs = [(spec.pi, spec.theta) for spec in system.servers]
     global_result = (
@@ -657,16 +708,26 @@ def analyze_many(
     two batch calls (:mod:`repro.analysis.batched`) instead of one
     engine dispatch per pair; report ``i`` is bit-identical to
     ``analyze(systems[i])``.  ``"scalar"`` runs the per-system reference
-    loop.
+    loop.  A system whose synthesis verdicts :func:`analyze` would reuse
+    reuses them here too and sends no lanes to the batch.
     """
     systems = list(systems)
     if resolve_engine(engine) == "scalar":
         return [analyze(system, engine="scalar") for system in systems]
+    global_results: List[Optional[GSchedResult]] = [None] * len(systems)
+    local_results: List[Dict[int, LSchedResult]] = [{} for _ in systems]
     gsched_requests = []
     gsched_owners: List[int] = []
     lsched_requests = []
     lsched_owners: List[Tuple[int, int]] = []
     for index, system in enumerate(systems):
+        verdicts = _synthesis_verdicts(
+            system,
+            resolve_engine(engine if engine is not None else system.config.engine),
+        )
+        if verdicts is not None:
+            global_results[index], local_results[index] = verdicts
+            continue
         population = system.runtime_population()
         pairs = [(spec.pi, spec.theta) for spec in system.servers]
         if pairs:
@@ -676,12 +737,10 @@ def analyze_many(
             tasks = population.get(spec.vm_id, TaskSet(name=f"vm{spec.vm_id}"))
             lsched_requests.append((spec.pi, spec.theta, tasks))
             lsched_owners.append((index, spec.vm_id))
-    global_results: List[Optional[GSchedResult]] = [None] * len(systems)
     for owner, result in zip(
         gsched_owners, gsched_schedulable_batch(gsched_requests)
     ):
         global_results[owner] = result
-    local_results: List[Dict[int, LSchedResult]] = [{} for _ in systems]
     for (owner, vm_id), result in zip(
         lsched_owners, lsched_schedulable_batch(lsched_requests)
     ):

@@ -30,10 +30,17 @@ class SynthesisReport(ReportBase):
 
     ``schedulable`` means the synthesized design passed its final
     verification (every Theorem-4 lane and the Theorem-2 check, run
-    through the analysis oracle, not the search's internal bookkeeping).
-    ``servers``/``table`` are the witness; ``provenance`` the search
-    counters; ``seed_bandwidth`` the seed designer's incumbent for
-    the improvement claim.
+    through the analysis oracle, not the search's internal bookkeeping;
+    the Theorem-2 verdict is the assembly oracle's for the chosen
+    servers).  ``servers``/``table`` are the witness; ``provenance``
+    the search counters; ``seed_bandwidth`` the seed designer's
+    incumbent for the improvement claim.
+
+    :func:`repro.api.analyze` returns ``global_result`` and a copy of
+    ``local_results`` for a built system while it still holds this
+    table and these servers, no task was admitted or withdrawn, the
+    engine is ``engine`` and both results are present; otherwise it
+    recomputes.
     """
 
     schedulable: bool

@@ -5,11 +5,12 @@ choice per group (one server candidate per VM), enumerated in
 non-decreasing objective order so the first feasible assignment popped
 is objective-minimal over the candidate grid.  It is exhaustively
 deterministic: no entropy, no ambient ordering -- candidate orders are
-explicit, bounds are exact :class:`fractions.Fraction` arithmetic and
-ties break lexicographically.  Feasibility is checked by a
-caller-supplied *batched* oracle: whole frontiers of assignments are
-verified in one :func:`~repro.analysis.batched.gsched_schedulable_batch`
-numpy pass per round.
+explicit, bounds are exact (the :class:`fractions.Fraction` costs as
+integer numerators over one common denominator) and ties break
+lexicographically.  Feasibility is checked by a caller-supplied
+*batched* oracle: whole frontiers of assignments are verified in one
+:func:`~repro.analysis.batched.gsched_schedulable_batch` numpy pass per
+round.
 
 The search accounts its work in :class:`SearchStats`, which the
 :class:`~repro.synth.report.SynthesisReport` carries as provenance and
@@ -21,6 +22,7 @@ own depth-first search,
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
@@ -118,12 +120,23 @@ def best_first_assignment(
     """
     if not objectives or any(not group for group in objectives):
         return None
-    for group in objectives:
+    # Costs are kept as integer numerators over one common denominator:
+    # the same exact order as the Fractions, at int speed.
+    denominator = math.lcm(
+        *(value.denominator for group in objectives for value in group)
+    )
+    numerators = [
+        [value.numerator * (denominator // value.denominator) for value in group]
+        for group in objectives
+    ]
+    for group in numerators:
         for first, second in zip(group, group[1:]):
             if second < first:
                 raise ValueError("per-group objectives must be sorted")
+    # An integer cost exceeds max_cost * denominator iff it exceeds its floor.
+    cap = None if max_cost is None else math.floor(max_cost * denominator)
     start = tuple(0 for _ in objectives)
-    heap: List[Tuple[Fraction, Tuple[int, ...]]] = [(_cost(objectives, start), start)]
+    heap: List[Tuple[int, Tuple[int, ...]]] = [(_cost(numerators, start), start)]
     seen = {start}
     expanded = 0
     while heap:
@@ -132,7 +145,7 @@ def best_first_assignment(
             return None
         frontier: List[Tuple[int, ...]] = []
         while heap and len(frontier) < width:
-            if max_cost is not None and heap[0][0] > max_cost:
+            if cap is not None and heap[0][0] > cap:
                 break
             _, node = heapq.heappop(heap)
             frontier.append(node)
@@ -147,27 +160,24 @@ def best_first_assignment(
         for node, verdict in zip(frontier, verdicts):
             if verdict:
                 if stats is not None:
-                    stats.record_incumbent(float(_cost(objectives, node)))
+                    # Int true division is correctly rounded, so this
+                    # is float() of the exact Fraction cost.
+                    stats.record_incumbent(_cost(numerators, node) / denominator)
                 return node
         for node in frontier:
-            for neighbor in _neighbors(objectives, node):
+            for neighbor in _neighbors(numerators, node):
                 if neighbor not in seen:
                     seen.add(neighbor)
-                    heapq.heappush(heap, (_cost(objectives, neighbor), neighbor))
+                    heapq.heappush(heap, (_cost(numerators, neighbor), neighbor))
     return None
 
 
-def _cost(
-    objectives: Sequence[Sequence[Fraction]], node: Tuple[int, ...]
-) -> Fraction:
-    total = Fraction(0)
-    for group, index in zip(objectives, node):
-        total += group[index]
-    return total
+def _cost(numerators: Sequence[Sequence[int]], node: Tuple[int, ...]) -> int:
+    return sum(group[index] for group, index in zip(numerators, node))
 
 
 def _neighbors(
-    objectives: Sequence[Sequence[Fraction]], node: Tuple[int, ...]
+    objectives: Sequence[Sequence[int]], node: Tuple[int, ...]
 ) -> Iterable[Tuple[int, ...]]:
     for position, index in enumerate(node):
         if index + 1 < len(objectives[position]):

@@ -30,6 +30,9 @@ passing:
 Everything is deterministic; ties break lexicographically.  The outcome
 carries the chosen servers, full verification results, and the search
 provenance consumed by :class:`~repro.synth.report.SynthesisReport`.
+The final Theorem-4 lanes are re-run as one batch; the final Theorem-2
+verdict is the one the assembly oracle gave the chosen assignment, and
+only the seed fallback runs Theorem 2 again.
 """
 
 from __future__ import annotations
@@ -224,10 +227,17 @@ def synthesize_servers(
             for group, index in zip(groups, node)
         ]
 
+    # The Theorem-2 verdict of every node the oracle accepts: the chosen
+    # node's verdict is the final global verification, not run again.
+    accepted: Dict[Tuple[int, ...], GSchedResult] = {}
+
     def feasible_batch(nodes: Sequence[Tuple[int, ...]]) -> List[bool]:
         verdicts = gsched_schedulable_batch(
             [(table, pairs_of(node)) for node in nodes], engine=engine
         )
+        for node, verdict in zip(nodes, verdicts):
+            if verdict.schedulable:
+                accepted[node] = verdict
         return [bool(verdict.schedulable) for verdict in verdicts]
 
     chosen = best_first_assignment(
@@ -259,13 +269,18 @@ def synthesize_servers(
     lanes = [
         (pair[0], pair[1], vm_tasksets[vm]) for vm, pair in ordered
     ]
+    # The "+ 1" is the Theorem-2 lane: the assembly's verdict for the
+    # chosen node, reused, or the seed fallback's check below.
     stats.oracle_calls += len(lanes) + 1
     stats.rounds += 1
     local = lsched_schedulable_batch(lanes, engine=engine)
     outcome.local_results = {vm: result for (vm, _), result in zip(ordered, local)}
-    outcome.global_result = gsched_schedulable(
-        table, [pair for _vm, pair in ordered], engine=engine
-    )
+    if chosen is not None:
+        outcome.global_result = accepted[chosen]
+    else:
+        outcome.global_result = gsched_schedulable(
+            table, [pair for _vm, pair in ordered], engine=engine
+        )
     outcome.feasible = (
         all(result.schedulable for result in local)
         and outcome.global_result.schedulable

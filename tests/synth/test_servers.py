@@ -116,6 +116,39 @@ class TestSynthesizeServers:
         assert gsched_schedulable(table, pairs).schedulable
 
 
+class TestFinalGlobalVerdict:
+    """The final Theorem-2 verdict is the assembly oracle's for the chosen
+    servers, or a fresh check on the seed fallback; either way it equals
+    the per-pair test on the returned servers."""
+
+    def test_assembly_path_reuses_the_oracle_verdict(self, monkeypatch):
+        table, vms = admission_workload()
+        calls = []
+        oracle = synth_servers.gsched_schedulable
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(synth_servers, "gsched_schedulable", counting)
+        outcome = synthesize_servers(table, vms)
+        assert not outcome.failures
+        assert calls == []
+        assert outcome.global_result == gsched_schedulable(table, outcome.as_pairs())
+
+    def test_seed_fallback_checks_theorem_2(self):
+        # F/H = 1/2 and the two VMs need about 0.3 each: no assignment
+        # passes, so the seed design is verified on its own.
+        table = TimeSlotTable.from_pattern([1, 0] * 5)
+        vms = {
+            vm: TaskSet([IOTask(f"t{vm}", period=40, wcet=12)], name=f"vm{vm}")
+            for vm in (0, 1)
+        }
+        outcome = synthesize_servers(table, vms)
+        assert -1 in outcome.failures
+        assert outcome.global_result == gsched_schedulable(table, outcome.as_pairs())
+
+
 class TestAssemblyStopsAtCapacity:
     """Theorem 2 rejects any servers whose total bandwidth exceeds the
     table's ``F/H``; the assembly search must stop there instead of
