@@ -262,9 +262,9 @@ class System:
     ) -> None:
         self.config = config
         #: The configured task set.  Change the run-time population
-        #: through :func:`admit`/:func:`withdraw`: until one of them
-        #: runs, :func:`analyze` may return synthesis's verdicts, which
-        #: were proved against this set as built.
+        #: through :func:`admit`/:func:`withdraw`; :func:`analyze`
+        #: returns synthesis's verdicts, which were proved against this
+        #: set as built, only while its run-time tasks are unchanged.
         self.tasks = tasks
         #: Pre-defined tasks with their (possibly staggered) offsets, as
         #: packed into the table.
@@ -276,6 +276,10 @@ class System:
         #: The full synthesis report (witness + provenance), when the
         #: servers went through :mod:`repro.synth`.
         self.synthesis = synthesis
+        #: The run-time population synthesis verified its verdicts on.
+        self._verified_population = (
+            None if synthesis is None else _population_signature(tasks)
+        )
         self._controller: Optional[AdmissionController] = None
 
     @property
@@ -595,6 +599,16 @@ def synthesize(
     return report
 
 
+def _population_signature(tasks: TaskSet) -> Tuple[Tuple[int, str, int, int, int, int], ...]:
+    """The run-time tasks' ``(vm_id, name, period, wcet, deadline,
+    offset)``, in set order."""
+    return tuple(
+        (task.vm_id, task.name, task.period, task.wcet, task.deadline, task.offset)
+        for task in tasks
+        if task.kind == TaskKind.RUNTIME
+    )
+
+
 def _synthesis_verdicts(
     system: System, engine: str
 ) -> Optional[Tuple[GSchedResult, Dict[int, LSchedResult]]]:
@@ -605,12 +619,13 @@ def _synthesis_verdicts(
     under the same engine would recompute them bit for bit.  They are
     reused while the system still holds the verified table (by
     identity) and ``(vm_id, pi, theta)`` servers (by value), no
-    admission controller exists (so the population is the configured
-    one), ``engine`` is the one synthesis ran, and synthesis holds a
-    global result and a result for every server (a design that failed
-    before its final verification has none).  Otherwise ``None``: the
-    caller recomputes.  The returned dict is new, so a caller's edits
-    cannot reach the synthesis report.
+    admission controller exists and ``System.tasks`` holds the run-time
+    tasks as built (by :func:`_population_signature`, so an edit of the
+    set or of a task recomputes), ``engine`` is the one synthesis ran,
+    and synthesis holds a global result and a result for every server
+    (a design that failed before its final verification has none).
+    Otherwise ``None``: the caller recomputes.  The returned dict is
+    new, so a caller's edits cannot reach the synthesis report.
     """
     synthesis = system.synthesis
     if (
@@ -619,6 +634,7 @@ def _synthesis_verdicts(
         or synthesis.table is not system.table
         or synthesis.engine != engine
         or synthesis.global_result is None
+        or _population_signature(system.tasks) != system._verified_population
     ):
         return None
     verified = [(spec.vm_id, spec.pi, spec.theta) for spec in synthesis.servers]
@@ -642,9 +658,10 @@ def analyze(system: System, *, engine: Optional[str] = None) -> AnalysisReport:
     A freshly built system whose servers synthesis designed returns
     synthesis's verified verdicts instead of proving both theorems
     again: the reuse holds while the table and servers are the ones
-    synthesis verified, no task was admitted or withdrawn, and the
-    engine is the one synthesis ran (so ``engine="scalar"`` on a
-    vectorized design still runs the scalar engine).
+    synthesis verified, no task was admitted, withdrawn or edited in
+    ``System.tasks``, and the engine is the one synthesis ran (so
+    ``engine="scalar"`` on a vectorized design still runs the scalar
+    engine).
     """
     engine = resolve_engine(engine if engine is not None else system.config.engine)
     verdicts = _synthesis_verdicts(system, engine)

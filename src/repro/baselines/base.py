@@ -6,12 +6,15 @@ release times, per-job actual execution times, payload sizes -- so that
 (the paper's fairness requirement).  Systems only differ in how they
 schedule and what overheads they add.
 
-The instance keeps its releases as :class:`ReleasedJob` objects and, for
-the trial loops, as int64 :class:`JobColumns` indexed by task position,
-computed once and shared by every system.  The shared path-delay sampler
-takes per-job flit counts, gathered from a per-task table
-(:func:`task_flits`), and per-criticality accounting folds task-indexed
-arrays (:meth:`TrialResult.record_batch`).
+The instance stores its releases as int64 :class:`JobColumns` indexed by
+task position, drawn straight into columns from each task's raw random
+words and shared by every system; :class:`ReleasedJob` objects are a
+view built on demand for the scalar reference paths.  The shared
+path-delay sampler takes per-job flit counts, gathered from a per-task
+table (:func:`task_flits`), and per-criticality accounting folds
+task-indexed arrays (:meth:`TrialResult.record_batch`).  The trial loops
+take columns in and give columns out; a :class:`~repro.tasks.task.Job`
+is built only for a job the horizon leaves unfinished in a channel.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from repro.noc.latency import NocLatencyModel
 from repro.noc.packet import FLIT_BYTES
 from repro.sim.clock import DEFAULT_CYCLES_PER_SLOT, DEFAULT_FREQUENCY_HZ
-from repro.sim.rng import RandomSource
+from repro.sim.rng import RandomSource, scale_uniform, unit_floats
 from repro.tasks.task import Criticality, IOTask, Job
 from repro.tasks.taskset import TaskSet
 from repro.virt.stack import SoftwareStackModel, stack_for
@@ -80,25 +83,21 @@ class TrialConfig:
 
 @dataclass
 class ReleasedJob:
-    """One pre-drawn job instance of the workload."""
+    """One pre-drawn job instance of the workload, as an object: a row
+    of :class:`JobColumns` for the scalar reference paths."""
 
     task: IOTask
     index: int
     release_slot: int
     actual_slots: int
 
-    @property
-    def deadline_slot(self) -> int:
-        return self.release_slot + self.task.deadline
-
 
 class JobColumns(NamedTuple):
-    """The releases of a workload as int64 columns, in ``releases``
-    order: release ``i`` is job ``index[i]`` of task
-    ``taskset[task[i]]`` (a position in the task set), released at slot
-    ``release[i]`` with ``actual[i]`` slots of work.  ``by_slot`` is the
-    :meth:`WorkloadInstance.releases_by_slot` permutation:
-    ``releases_by_slot()[k] is releases[by_slot[k]]``."""
+    """The releases of a workload as int64 columns: release ``i`` is job
+    ``index[i]`` of task ``taskset[task[i]]`` (a position in the task
+    set), released at slot ``release[i]`` with ``actual[i]`` slots of
+    work.  ``by_slot`` orders the rows by ``(release, task name,
+    index)``: ``releases_by_slot()[k] is releases[by_slot[k]]``."""
 
     task: np.ndarray
     index: np.ndarray
@@ -106,32 +105,49 @@ class JobColumns(NamedTuple):
     actual: np.ndarray
     by_slot: np.ndarray
 
+    @classmethod
+    def build(
+        cls,
+        tasks: Sequence[IOTask],
+        task: np.ndarray,
+        index: np.ndarray,
+        release: np.ndarray,
+        actual: np.ndarray,
+    ) -> "JobColumns":
+        """Columns of the given rows, with their ``by_slot`` order."""
+        # Each task's rank by name, so the sort keys are those of
+        # ``(release_slot, task.name, index)``.
+        name_rank = np.argsort(sorted(range(len(tasks)), key=lambda p: tasks[p].name))
+        by_slot = np.lexsort((index, name_rank[task], release))
+        return cls(task, index, release, actual, by_slot)
+
 
 @dataclass
 class WorkloadInstance:
-    """All stochastic draws of one trial, shared across systems."""
+    """All stochastic draws of one trial, shared across systems.
+
+    :attr:`columns` is the storage, shared read-only by every system
+    that runs the workload; :attr:`releases` is an object view of it,
+    built on first use.
+    """
 
     taskset: TaskSet
     config: TrialConfig
-    releases: List[ReleasedJob]
+    columns: JobColumns
     target_utilization: float
 
-    @property
-    def job_count(self) -> int:
-        return len(self.releases)
-
-    @cached_property
-    def vm_count(self) -> int:
-        """Distinct VMs of the task set, at least 1; computed once."""
-        return max(1, len(self.taskset.vm_ids()))
-
-    @cached_property
-    def columns(self) -> JobColumns:
-        """The releases as columns; computed once, shared read-only by
-        every system that runs the workload."""
-        tasks = list(self.taskset)
+    @classmethod
+    def from_releases(
+        cls,
+        taskset: TaskSet,
+        config: TrialConfig,
+        releases: Sequence[ReleasedJob],
+        target_utilization: float,
+    ) -> "WorkloadInstance":
+        """A workload of the given releases, its rows in their order."""
+        tasks = list(taskset)
         position = {task.name: index for index, task in enumerate(tasks)}
-        releases, count = self.releases, len(self.releases)
+        count = len(releases)
         task, index, release, actual = (
             np.fromiter(values, dtype=np.int64, count=count)
             for values in (
@@ -141,15 +157,35 @@ class WorkloadInstance:
                 map(attrgetter("actual_slots"), releases),
             )
         )
-        # Each task's rank by name, so the sort keys are those of
-        # ``(release_slot, task.name, index)``.
-        name_rank = np.argsort(sorted(range(len(tasks)), key=lambda p: tasks[p].name))
-        by_slot = np.lexsort((index, name_rank[task], release))
-        return JobColumns(task, index, release, actual, by_slot)
+        columns = JobColumns.build(tasks, task, index, release, actual)
+        return cls(taskset, config, columns, target_utilization)
+
+    @property
+    def job_count(self) -> int:
+        return len(self.columns.task)
+
+    @cached_property
+    def vm_count(self) -> int:
+        """Distinct VMs of the task set, at least 1; computed once."""
+        return max(1, len(self.taskset.vm_ids()))
+
+    @cached_property
+    def releases(self) -> List[ReleasedJob]:
+        """The rows as :class:`ReleasedJob` objects, in column order."""
+        tasks = list(self.taskset)
+        columns = self.columns
+        return [
+            ReleasedJob(tasks[task], index, release, actual)
+            for task, index, release, actual in zip(
+                columns.task.tolist(),
+                columns.index.tolist(),
+                columns.release.tolist(),
+                columns.actual.tolist(),
+            )
+        ]
 
     def releases_by_slot(self) -> List[ReleasedJob]:
-        """Releases in (slot, task, index) order; computed once, shared
-        read-only by every system that runs the workload."""
+        """Releases in (slot, task, index) order; computed once."""
         return self._releases_by_slot
 
     @cached_property
@@ -163,48 +199,114 @@ def prepare_workload(
     rng: RandomSource,
     target_utilization: float = 0.0,
 ) -> WorkloadInstance:
-    """Draw releases and actual execution times for one trial."""
-    releases: List[ReleasedJob] = []
-    for task in taskset:
+    """Draw releases and actual execution times for one trial.
+
+    Task by task, in set order, from the task's own ``rel.<name>``
+    stream: a uniform initial phase (one ``randint``), then per job a
+    release jitter in ``[0, cap]`` (a ``randint``, skipped when the cap
+    is 0) and an execution fraction (a ``uniform``).  The per-job draws
+    are read from the stream's raw words in bulk (:func:`_job_draws`),
+    parsed as those calls would, so the columns equal the per-call
+    draws.
+    """
+    tasks = list(taskset)
+    horizon = config.horizon_slots
+    # Per task: its (task, index, release, actual) columns, after an
+    # empty row for a workload with no release.
+    parts: List[Tuple[np.ndarray, ...]] = [(np.zeros(0, dtype=np.int64),) * 4]
+    for position, task in enumerate(tasks):
         task_rng = rng.spawn(f"rel.{task.name}")
-        jitter_cap = int(task.period * config.release_jitter_fraction)
         phase = (
             task_rng.randint(0, task.period - 1)
             if config.randomize_phases and task.period > 1
             else 0
         )
-        index = 0
-        while True:
-            nominal = task.offset + phase + index * task.period
-            if nominal >= config.horizon_slots:
-                break
-            jitter = task_rng.randint(0, jitter_cap) if jitter_cap > 0 else 0
-            actual = max(
-                1,
-                int(
-                    round(
-                        task.wcet
-                        * task_rng.uniform(
-                            config.exec_fraction_min, config.exec_fraction_max
-                        )
-                    )
-                ),
+        first = task.offset + phase
+        count = max(0, -(-(horizon - first) // task.period))
+        if not count:
+            continue
+        jitter, fraction = _job_draws(
+            task_rng, int(task.period * config.release_jitter_fraction), count
+        )
+        index = np.arange(count, dtype=np.int64)
+        actual = np.rint(
+            task.wcet
+            * scale_uniform(config.exec_fraction_min, config.exec_fraction_max, fraction)
+        ).astype(np.int64)
+        parts.append(
+            (
+                np.full(count, position, dtype=np.int64),
+                index,
+                first + index * task.period + jitter,
+                np.clip(actual, 1, task.wcet),
             )
-            releases.append(
-                ReleasedJob(
-                    task=task,
-                    index=index,
-                    release_slot=nominal + jitter,
-                    actual_slots=min(actual, task.wcet),
-                )
-            )
-            index += 1
+        )
     return WorkloadInstance(
         taskset=taskset,
         config=config,
-        releases=releases,
+        columns=JobColumns.build(tasks, *map(np.concatenate, zip(*parts))),
         target_utilization=target_utilization,
     )
+
+
+def _job_draws(
+    rng: RandomSource, jitter_cap: int, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``count`` jobs' draws from ``rng``: per job ``randint(0,
+    jitter_cap)`` (none when ``jitter_cap`` is 0), then ``random()``.
+
+    Returns the jitters (int64) and the ``random()`` values (float64).
+    The stream is read as raw words (:meth:`RandomSource.words`) and
+    parsed as CPython's ``_randbelow_with_getrandbits`` and ``random``
+    consume it: a ``randint`` over ``n = jitter_cap + 1`` values takes
+    ``k = n.bit_length()`` bits per attempt -- the top ``k`` bits of one
+    word, or for ``k > 32`` whole words from least significant up, the
+    last one's top ``k % 32`` bits -- and rejects an attempt ``>= n``;
+    ``random()`` is ``(a >> 5, b >> 6)`` of two words as a 53-bit
+    fraction.  The stream may be read past the last job.
+    """
+    if not jitter_cap:
+        words = rng.words(2 * count)
+        return np.zeros(count, dtype=np.int64), unit_floats(words[0::2], words[1::2])
+    span = jitter_cap + 1
+    bits = span.bit_length()
+    if bits > 63:
+        raise ValueError(f"jitter cap {jitter_cap} does not fit int64 columns")
+    width = (bits - 1) // 32 + 1
+    step = width + 2
+    # Expected attempts per job are 2**bits / span < 2; some slack
+    # makes a refill rare.
+    words = rng.words(int(count * (2 + width * (1 << bits) / span) * 1.1) + 4 * step)
+    while True:
+        attempts = len(words) - width + 1
+        if width == 1:
+            values = (words >> (32 - bits)).astype(np.int64)
+        else:
+            values = words[:attempts].astype(np.int64) | (
+                (words[1:].astype(np.int64) >> (64 - bits)) << 32
+            )
+        # next_ok[i]: the first accepted attempt at i, i + width, ...;
+        # ``attempts`` (one past the last) when there is none.
+        candidates = np.where(values < span, np.arange(attempts), attempts)
+        next_ok = np.empty(attempts, dtype=np.int64)
+        for lane in range(width):
+            next_ok[lane::width] = np.minimum.accumulate(candidates[lane::width][::-1])[::-1]
+        chase = next_ok.tolist()
+        starts: List[int] = []
+        append = starts.append
+        start = 0
+        try:
+            for _ in range(count):
+                start = chase[start]
+                append(start)
+                start += step
+        except IndexError:
+            start = len(words) + 1
+        if start <= len(words):
+            break
+        words = np.concatenate((words, rng.words(count * step + 4 * step)))
+    at = np.array(starts, dtype=np.int64)
+    return values[at], unit_floats(words[at + width], words[at + width + 1])
 
 
 @dataclass

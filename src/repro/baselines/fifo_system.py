@@ -10,13 +10,13 @@ Because FIFO service admits a closed recurrence
 (``start = max(server_free, arrival)``), baseline trials run in
 O(jobs log jobs) instead of slot-stepping, which keeps the 1000-trial
 sweeps of Fig. 7 tractable.  A trial works on the workload's
-task-indexed columns (:attr:`WorkloadInstance.columns`) and draws its
-path delays in two array passes of the shared sampler
-(:meth:`IOVirtSystem.request_delays`, fed per-job flit counts from a
-per-task table): every request in release order, then every response in
-service order -- the draws, and so the results, of one scalar draw per
-job in that order.  Only the recurrence itself stays a per-job Python
-loop, over floats.
+task-indexed columns (:attr:`WorkloadInstance.columns`), builds no
+per-job object, and draws its path delays in two array passes of the
+shared sampler (:meth:`IOVirtSystem.request_delays`, fed per-job flit
+counts from a per-task table): every request in release order, then
+every response in service order -- the draws, and so the results, of
+one scalar draw per job in that order.  Only the recurrence itself
+stays a per-job Python loop, over floats.
 Subclasses supply the per-system hooks: issue times (the budget gate of
 RT-Xen), path parameters (stack model, hop counts, NoC load factor) and
 per-operation service inflation.
@@ -121,13 +121,16 @@ class FifoSystemModel(IOVirtSystem):
         # The FIFO recurrence stays a scalar loop: a cumulative numpy
         # form would round differently.
         completions = []
+        append = completions.append
         server_free = 0.0
         for service, arrival in zip(
             (columns.actual[served] * inflation + overhead).tolist(),
             arrivals[order].tolist(),
         ):
-            server_free = max(server_free, arrival) + service
-            completions.append(server_free)
+            if arrival > server_free:
+                server_free = arrival
+            server_free += service
+            append(server_free)
         completion = np.array(completions, dtype=np.float64)
         finish = completion + responses
 

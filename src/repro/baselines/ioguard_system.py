@@ -15,20 +15,24 @@ shared workload instance:
   arbiters/routers") and are scheduled by the two-layer scheduler.
 
 The trial does Python work once per run-time job or per scheduling
-run, not per slot, and runs no per-slot code path.  It reads the
+run, not per slot, and runs no per-slot code path.  Jobs travel as
+columns from the workload draw to the verdict: the trial reads the
 workload as task-indexed columns (:attr:`WorkloadInstance.columns`), and
-only run-time arrivals become :class:`~repro.tasks.task.Job` objects.
-The P-channel returns its completions as columns
-(:meth:`PChannel.run_until`): a task's table slots, tiled over the
-horizon, cut into ``wcet``-slot jobs.  The R-channel runs in its batch
-executor (:meth:`RChannel.run_until`), given every arrival up front: one
-pass per scheduling run over per-VM EDF heaps, where a G-Sched decision
-holds until the granted job completes, its budget runs out, a job
-arrives or a server period ends, and a stretch with no staged work is
-skipped.  The two completion streams are merged by a stable argsort on
-slot, the path delays are drawn in two array passes from per-task flit
-counts (requests in release order, responses in completion order), and
-the counted jobs are folded into the result in one
+both channels take and return columns.  The P-channel's completions
+(:meth:`PChannel.run_until`) are a task's table slots, tiled over the
+horizon, cut into ``wcet``-slot jobs.  The R-channel's batch executor
+(:meth:`RChannel.run_until`) takes every arrival up front as
+:class:`~repro.core.rchannel.RChannelArrivals` columns (arrival slot,
+VM, absolute deadline, work) and makes one pass per scheduling run over
+per-VM EDF heaps of rows, where a G-Sched decision holds until the
+granted job completes, its budget runs out, a job arrives or a server
+period ends, and a stretch with no staged work is skipped.  A
+:class:`~repro.tasks.task.Job` is built only for a job the horizon cuts
+off: one in flight on the P-channel, or one still queued in an I/O pool.
+The two completion streams are merged by a stable argsort on slot, the
+path delays are drawn in two array passes from per-task flit counts
+(requests in release order, responses in completion order), and the
+counted jobs are folded into the result in one
 :meth:`TrialResult.record_batch`, so every result, counter and random
 draw equals stepping each slot in turn.
 
@@ -54,7 +58,7 @@ from repro.baselines.base import (
 )
 from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
-from repro.core.rchannel import RChannel
+from repro.core.rchannel import RChannel, RChannelArrivals
 from repro.core.timeslot import (
     TableOverflowError,
     TimeSlotTable,
@@ -212,46 +216,78 @@ class IOGuardSystem(IOVirtSystem):
         flits = task_flits(tasks)
         is_runtime = np.zeros(len(tasks), dtype=bool)
         is_runtime[[position[task.name] for task in runtime]] = True
-        rows = np.flatnonzero(is_runtime[workload.columns.task])
+        columns = workload.columns
+        rows = np.flatnonzero(is_runtime[columns.task])
 
+        # Run-time arrivals: release + driver/NoC delay, drawn in release
+        # order, then sorted by arrival slot; those at the horizon or
+        # later never reach a pool.
         horizon = config.horizon_slots
-        arrivals = self._arrivals(workload, rows, flits, load, rng)
+        arrival_slots = np.ceil(
+            columns.release[rows]
+            + self.request_delays(flits[columns.task[rows]], load, rng, config)
+        ).astype(np.int64)
+        order = np.argsort(arrival_slots, kind="stable")
+        order = order[: np.searchsorted(arrival_slots[order], horizon)]
+        arriving = rows[order]
+        arriving_tasks = columns.task[arriving]
+        deadlines = np.array([task.deadline for task in tasks], dtype=np.int64)
+
+        def make_job(row: int) -> Job:
+            source = int(arriving[row])
+            return tasks[int(columns.task[source])].job(
+                release=int(columns.release[source]),
+                index=int(columns.index[source]),
+            )
+
         pcompleted = pchannel.run_until(horizon)
-        rcompleted = rchannel.run_until(horizon, arrivals, table)
+        rcompleted = rchannel.run_until(
+            horizon,
+            RChannelArrivals(
+                arrival_slots[order],
+                np.array([task.vm_id for task in tasks], dtype=np.int64)[arriving_tasks],
+                columns.release[arriving] + deadlines[arriving_tasks],
+                columns.actual[arriving],
+            ),
+            table,
+            make_job,
+        )
         # Completions as (task position, release, slot) columns.  A slot
         # belongs to one channel and completes at most one job, so
         # sorting by slot merges the two channels' completions.
         pchannel_tasks = np.array(
             [position[task.name] for task in predefined], dtype=np.int64
         )
+        rcompleted_rows = arriving[rcompleted.row]
         completed = np.concatenate(
             (
                 np.stack(
                     (pchannel_tasks[pcompleted.task], pcompleted.release, pcompleted.slot)
                 ),
-                np.array(
-                    [(position[job.task.name], job.release, slot) for job, slot in rcompleted],
-                    dtype=np.int64,
-                ).reshape(len(rcompleted), 3).T,
+                np.stack(
+                    (
+                        columns.task[rcompleted_rows],
+                        columns.release[rcompleted_rows],
+                        rcompleted.slot,
+                    )
+                ),
             ),
             axis=1,
         )
         task_index, releases, slots = completed[:, np.argsort(completed[2], kind="stable")]
-        deadlines = releases + np.array(
-            [task.deadline for task in tasks], dtype=np.int64
-        )[task_index]
+        due = releases + deadlines[task_index]
         # Jobs whose deadline lies beyond the horizon are censored (the
         # window ends before their verdict), matching the baseline
         # accounting.  The response-path delays of the others, drawn in
         # completion order, are added before the deadline comparison.
-        counted = deadlines <= horizon
+        counted = due <= horizon
         finish = (slots[counted] + 1) + self.response_delays(
             flits[task_index[counted]], load, rng, config
         )
         result.record_batch(
             tasks,
             task_index[counted],
-            finish > deadlines[counted],
+            finish > due[counted],
             finish - releases[counted],
             collect=config.collect_responses,
         )
@@ -264,38 +300,3 @@ class IOGuardSystem(IOVirtSystem):
                     result.record(job.task.criticality, True)
                     result.unfinished += 1
         return result
-
-    def _arrivals(
-        self,
-        workload: WorkloadInstance,
-        rows: np.ndarray,
-        flits: np.ndarray,
-        load: float,
-        rng: RandomSource,
-    ) -> List[Tuple[int, Job]]:
-        """``(arrival slot, job)`` of the released jobs ``rows`` (in
-        ``workload.releases`` order) that arrive before the horizon, in
-        arrival order: release + driver/NoC delay, drawn in release
-        order.  Only these jobs become :class:`Job` objects."""
-        config = workload.config
-        columns = workload.columns
-        arrival_slots = np.ceil(
-            columns.release[rows]
-            + self.request_delays(flits[columns.task[rows]], load, rng, config)
-        ).astype(np.int64)
-        order = np.argsort(arrival_slots, kind="stable")
-        order = order[: np.searchsorted(arrival_slots[order], config.horizon_slots)]
-        arriving = rows[order]
-        tasks = list(workload.taskset)
-        arrivals: List[Tuple[int, Job]] = []
-        for slot, task, release, index, actual in zip(
-            arrival_slots[order].tolist(),
-            columns.task[arriving].tolist(),
-            columns.release[arriving].tolist(),
-            columns.index[arriving].tolist(),
-            columns.actual[arriving].tolist(),
-        ):
-            job = tasks[task].job(release=release, index=index)
-            job.remaining = actual
-            arrivals.append((slot, job))
-        return arrivals

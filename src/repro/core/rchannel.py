@@ -9,12 +9,16 @@ scheduler ... and an executor."  The executor comes in two styles:
   priority queue.  The manager, the hypervisor, the isolation
   experiments, schedule traces, containment guards and tracing all drive
   the channel this way.
-* :meth:`RChannel.run_until` is the batch executor, the counterpart of
+* :meth:`RChannel.run_until` is the batch executor used by the Fig. 7
+  trial, the counterpart of
   :meth:`~repro.core.pchannel.PChannel.run_until`: given the table and
-  every arrival up front it runs all free slots below a horizon with one
-  pass per scheduling run, over per-VM EDF heaps and the G-Sched's own
-  server states, and leaves the channel where stepping
-  :meth:`~RChannel.execute_slot` on each free slot would.
+  every arrival up front as :class:`RChannelArrivals` columns, it runs
+  all free slots below a horizon with one pass per scheduling run, over
+  per-VM EDF heaps of rows and the G-Sched's own server states, and
+  returns :class:`RChannelCompletions` columns.  Only the jobs still
+  buffered at the horizon become :class:`~repro.tasks.task.Job` objects;
+  the channel ends where stepping :meth:`~RChannel.execute_slot` on each
+  free slot would.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,6 +36,28 @@ from repro.core.lsched import SelectionPolicy, edf_policy
 from repro.core.timeslot import TimeSlotTable
 from repro.sim.trace import TraceRecorder
 from repro.tasks.task import Job
+
+
+class RChannelArrivals(NamedTuple):
+    """Run-time jobs as int64 columns, in arrival order: row ``i``
+    arrives at slot ``slot[i]`` for the pool of VM ``vm[i]``, due at
+    absolute deadline ``deadline[i]`` with ``work[i]`` slots to run."""
+
+    slot: np.ndarray
+    vm: np.ndarray
+    deadline: np.ndarray
+    work: np.ndarray
+
+
+class RChannelCompletions(NamedTuple):
+    """Completed run-time jobs as int64 columns, in slot order: arrival
+    row ``row[i]`` first ran in slot ``first[i]``, completed in slot
+    ``slot[i]`` and was preempted ``preemptions[i]`` times."""
+
+    row: np.ndarray
+    slot: np.ndarray
+    first: np.ndarray
+    preemptions: np.ndarray
 
 
 class RChannel:
@@ -166,17 +192,22 @@ class RChannel:
     def run_until(
         self,
         horizon: int,
-        arrivals: Sequence[Tuple[int, Job]],
+        arrivals: RChannelArrivals,
         table: TimeSlotTable,
-    ) -> List[Tuple[Job, int]]:
+        make_job: Callable[[int], Job],
+    ) -> RChannelCompletions:
         """Execute every free slot of ``table`` below ``horizon``; the
-        ``(job, slot)`` completions in slot order.
+        completions as columns, in slot order.
 
-        ``arrivals`` are ``(arrival slot, job)`` pairs in time order.  A
-        job is submitted before the first free slot at or after its
-        arrival slot runs; one arriving after the last free slot below
+        ``arrivals`` are the jobs as columns, in time order.  A job is
+        submitted before the first free slot at or after its arrival
+        slot runs; one arriving after the last free slot below
         ``horizon`` is still submitted, one arriving at ``horizon`` or
-        later is not.
+        later is not.  A completed job is a row of the returned
+        :class:`RChannelCompletions`, not a :class:`Job`: it is not
+        appended to :attr:`completed_jobs`.  Only a job still buffered
+        at the horizon becomes a :class:`Job`, ``make_job(row)``, with
+        its remaining work, start stamp and preemption count set.
 
         The loop makes one pass per scheduling run.  A run holds one
         G-Sched decision -- budgeted EDF on ``(server deadline, staged
@@ -184,25 +215,28 @@ class RChannel:
         vm_id)`` -- until the granted job completes, its budget runs
         out, a job arrives or a server period ends.  A stretch with no
         staged work is skipped without a decision.  Each VM's pool is a
-        heap of ``(absolute deadline, insertion seq, job)``, so ties
-        break in insertion order as in :class:`PriorityQueue`; budgets
-        are the G-Sched's own server states, replenished through
-        :meth:`GlobalScheduler.tick`.
+        heap of ``(absolute deadline, row)``: rows are inserted in row
+        order, so ties break in insertion order as in
+        :class:`PriorityQueue`; budgets are the G-Sched's own server
+        states, replenished through :meth:`GlobalScheduler.tick`.
 
         The channel ends exactly where calling :meth:`tick` and
         :meth:`execute_slot` on each free slot in turn would: G-Sched
         budgets, deadlines and counters, channel and pool counters,
         L-Sched and job preemption counts, job start and completion
-        stamps, and unfinished jobs buffered in their pool queues with
+        slots, and unfinished jobs buffered in their pool queues with
         the shadow registers refreshed.  ``LocalScheduler.selection_count``
         is the exception: it counts one selection per leftover job.
-        Needs a fresh channel, no trace recorder (per-slot events come
-        from :meth:`execute_slot` only), no quarantined VM and the EDF
+        Needs a fresh channel, no trace recorder and no ``on_complete``
+        hook (per-slot events and per-job callbacks come from
+        :meth:`execute_slot` only), no quarantined VM and the EDF
         L-Sched policy.
         """
         gsched = self.gsched
         if self.trace is not None:
             raise ValueError("run_until records no trace events; step execute_slot")
+        if self.on_complete is not None:
+            raise ValueError("run_until calls no on_complete hook; step execute_slot")
         if self.quarantined_vms:
             raise ValueError(
                 f"run_until needs no quarantined VM; quarantined: "
@@ -234,29 +268,35 @@ class RChannel:
         # Each arrival's submission point: the ordinal of the first free
         # slot at or after it; past ``end`` for arrivals at the horizon
         # or later, which are never submitted.
-        arrival_slots = np.fromiter(
-            (slot for slot, _job in arrivals), dtype=np.int64, count=len(arrivals)
-        )
+        arrival_slots = np.asarray(arrivals.slot, dtype=np.int64)
         cycles, offsets = np.divmod(arrival_slots, length)
         submit_at = cycles * count + np.searchsorted(
             np.asarray(free, dtype=np.int64), offsets
         )
         submit_at[arrival_slots >= horizon] = end + 1
         ordinals: List[int] = submit_at.tolist()
+        vms: List[int] = arrivals.vm.tolist()
+        deadlines: List[int] = arrivals.deadline.tolist()
+        # Per row: work left, first slot run (-1 before it runs) and
+        # preemption count.
+        remaining: List[int] = arrivals.work.tolist()
+        total = len(remaining)
+        started = [-1] * total
+        preempted = [0] * total
 
-        # Per VM: [vm_id, EDF heap of (absolute deadline, insertion seq,
-        # job), server state, pool, peak occupancy].
+        # Per VM: [vm_id, EDF heap of (absolute deadline, row), server
+        # state, pool, peak occupancy].
         lanes: List[List[Any]] = []
         lane_of: Dict[int, List[Any]] = {}
         for vm_id, pool in self.pools.items():
             lane_of[vm_id] = [vm_id, [], gsched._states[vm_id], pool, 0]
             lanes.append(lane_of[vm_id])
 
-        completed: List[Tuple[Job, int]] = []
+        done_rows: List[int] = []
+        done_slots: List[int] = []
         heappush, heappop = heapq.heappush, heapq.heappop
-        seq = pending = ordinal = cursor = 0
+        pending = ordinal = cursor = 0
         idle = budgeted = background = 0
-        total = len(arrivals)
         no_arrival = end + 1
         next_arrival = ordinals[0] if total else no_arrival
         # Ordinal of the first free slot at or after the next server
@@ -271,12 +311,12 @@ class RChannel:
         while True:
             if ordinal >= next_arrival:
                 while cursor < total and ordinals[cursor] <= ordinal:
-                    job = arrivals[cursor][1]
+                    row = cursor
                     cursor += 1
-                    target = lane_of.get(job.task.vm_id)
+                    target = lane_of.get(vms[row])
                     if target is None:
                         raise KeyError(
-                            f"no I/O pool for VM {job.task.vm_id}; configured "
+                            f"no I/O pool for VM {vms[row]}; configured "
                             f"VMs: {sorted(self.pools)}"
                         )
                     heap, pool = target[1], target[3]
@@ -288,16 +328,15 @@ class RChannel:
                         continue
                     pool.submitted += 1
                     pool.reject_streak = 0
-                    deadline = job.absolute_deadline
+                    deadline = deadlines[row]
                     if heap and deadline < heap[0][0]:
                         # The arrival becomes the new head over a
                         # buffered job: the L-Sched preempts it.
-                        head = heap[0][2]
-                        if head.remaining > 0:
+                        head = heap[0][1]
+                        if remaining[head] > 0:
                             pool.lsched.preemption_count += 1
-                            head.preemption_count += 1
-                    heappush(heap, (deadline, seq, job))
-                    seq += 1
+                            preempted[head] += 1
+                    heappush(heap, (deadline, row))
                     pending += 1
                     if len(heap) > target[4]:
                         target[4] = len(heap)
@@ -335,10 +374,10 @@ class RChannel:
             last_vm, heap, state, pool, _peak = (
                 chosen if best is not None else chosen_fallback
             )
-            job = heap[0][2]
+            row = heap[0][1]
             # A job with nothing left still takes one slot, as in
             # execute_slot.
-            left = job.remaining if job.remaining > 0 else 1
+            left = remaining[row] if remaining[row] > 0 else 1
             run = span if span < left else left
             last_budgeted = best is not None
             if last_budgeted:
@@ -349,21 +388,20 @@ class RChannel:
                 budgeted += run
             else:
                 background += run
-            if job.started_at is None:
+            if started[row] < 0:
                 cycle, index = divmod(ordinal, count)
-                job.started_at = float(cycle * length + free[index])
+                started[row] = cycle * length + free[index]
             ordinal += run
             if run < left:
-                job.remaining = left - run
+                remaining[row] = left - run
                 continue
-            job.remaining = 0
+            remaining[row] = 0
             heappop(heap)
             pending -= 1
             pool.completed += 1
             cycle, index = divmod(ordinal - 1, count)
-            slot = cycle * length + free[index]
-            job.completed_at = float(slot + 1)
-            completed.append((job, slot))
+            done_rows.append(row)
+            done_slots.append(cycle * length + free[index])
 
         if end:
             # Stepping ticks every free slot, the last one included.
@@ -376,20 +414,27 @@ class RChannel:
         gsched.budgeted_grants += budgeted
         gsched.background_grants += background
         self.slots_executed += budgeted + background
-        self.jobs_completed += len(completed)
+        self.jobs_completed += len(done_rows)
         for _vm_id, heap, _state, pool, peak in lanes:
             queue = pool.queue
             queue.total_inserted += pool.submitted - len(heap)
             queue.total_removed += pool.completed
-            for _deadline, _seq, job in sorted(heap):
+            for _deadline, row in sorted(heap):
+                job = make_job(row)
+                job.remaining = remaining[row]
+                if started[row] >= 0:
+                    job.started_at = float(started[row])
+                job.preemption_count = preempted[row]
                 queue.insert(job)
             queue.peak_occupancy = max(queue.peak_occupancy, peak)
             pool.refresh()
-        for job, slot in completed:
-            self.completed_jobs.append(job)
-            if self.on_complete is not None:
-                self.on_complete(job, slot)
-        return completed
+        rows = np.array(done_rows, dtype=np.int64)
+        return RChannelCompletions(
+            rows,
+            np.array(done_slots, dtype=np.int64),
+            np.array(started, dtype=np.int64)[rows],
+            np.array(preempted, dtype=np.int64)[rows],
+        )
 
     @property
     def pending_jobs(self) -> int:

@@ -275,10 +275,10 @@ class TimeSlotTable:
         return self.entries.get(slot % self.length)
 
     def occupied_indices(self) -> List[int]:
-        return [int(i) for i in np.flatnonzero(self._occupied)]
+        return np.flatnonzero(self._occupied).tolist()
 
     def free_indices(self) -> List[int]:
-        return [int(i) for i in np.flatnonzero(~self._occupied)]
+        return np.flatnonzero(~self._occupied).tolist()
 
     def occupancy_pattern(self) -> List[int]:
         """The 0/1 pattern of sigma* (1 = occupied)."""

@@ -59,6 +59,22 @@ class RandomSource(random.Random):
         # lies in [0, 1).  fromiter stops after ``count`` draws.
         return np.fromiter(iter(self.random, -1.0), dtype=np.float64, count=n)
 
+    def words(self, m: int) -> np.ndarray:
+        """The next ``m`` raw 32-bit outputs of the generator, in draw
+        order, as a uint32 array.
+
+        One ``getrandbits(32 * m)``: CPython fills that integer from its
+        least significant word up, one generator output per word, so the
+        array equals ``m`` calls of ``getrandbits(32)`` and leaves the
+        generator where they would.
+        """
+        if m < 0:
+            raise ValueError(f"cannot draw a negative count: {m}")
+        if not m:
+            return np.zeros(0, dtype=np.uint32)
+        raw = self.getrandbits(32 * m).to_bytes(4 * m, "little")
+        return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
+
     def log_uniform(self, low: float, high: float) -> float:
         """Sample log-uniformly from ``[low, high]`` (period generation)."""
         if low <= 0 or high < low:
@@ -98,6 +114,14 @@ def scale_uniform(low, high, u):
     so scalars and numpy arrays of draws give bit-identical samples.
     """
     return low + (high - low) * u
+
+
+def unit_floats(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``random()`` of two raw words each (:meth:`RandomSource.words`):
+    CPython's ``(a >> 5, b >> 6)`` as a 53-bit fraction, bit for bit."""
+    high = (first >> 5).astype(np.float64)
+    low = (second >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
 
 
 def derive_seed(base_seed: int, name: str) -> int:

@@ -5,7 +5,8 @@ Theorem-2/Theorem-4 results the synthesis verified.  ``analyze`` (and
 ``analyze_many``) reuse them instead of proving both theorems again,
 so the reused report must equal a recomputed one field by field, and
 any change that could move a verdict -- an admission, a withdrawal,
-new servers, another engine -- must recompute.
+an edit of the task set or of a task in it, new servers, another
+engine -- must recompute.
 """
 
 import pytest
@@ -208,6 +209,22 @@ class TestWhenAnalysisRecomputes:
         ]
         analyze(system)
         assert lsched_calls == []
+
+    def test_after_a_task_is_added_to_the_set(self, lsched_calls):
+        system = build_system(demo_config())
+        system.tasks.add(IOTask(name="hog", period=10, wcet=9, vm_id=0))
+        report = analyze(system)
+        assert len(lsched_calls) == len(system.servers)
+        assert not report.schedulable
+        assert_same_report(report, analyze(system, engine="scalar"))
+
+    def test_after_a_task_is_edited_in_place(self, lsched_calls):
+        system = build_system(demo_config())
+        system.tasks["park"].wcet = 180
+        report = analyze(system)
+        assert len(lsched_calls) == len(system.servers)
+        assert not report.schedulable
+        assert_same_report(report, analyze(system, engine="scalar"))
 
     def test_under_another_engine(self, lsched_calls):
         system = build_system(demo_config())

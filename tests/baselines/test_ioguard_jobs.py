@@ -1,10 +1,11 @@
-"""The I/O-GUARD trial builds a ``Job`` only for a run-time arrival.
+"""The I/O-GUARD trial builds a ``Job`` only for a job the horizon cuts
+off.
 
-P-channel completions come back from ``PChannel.run_until`` as columns
-and the trial accounts every completion by task position, so
-``IOTask.job`` runs once per run-time job that reaches the R-channel
-and, on the P-channel side, only for a job the horizon cuts off in
-flight (channel state, never a completion).
+Both channels take and return jobs as columns (``PChannel.run_until``,
+``RChannel.run_until``) and the trial accounts every completion by task
+position, so ``IOTask.job`` runs once per run-time job still queued in
+an R-channel pool at the horizon and once per P-channel job the horizon
+cuts off in flight -- channel state, never a completion.
 """
 
 from unittest import mock
@@ -73,7 +74,8 @@ def test_jobs_only_for_runtime_arrivals(preload, placement, horizon):
     in_flight = list(pchannel._in_flight.values())
     assert len(pchannel_jobs) == len(in_flight) <= len(predefined)
     assert all(any(job is flying for flying in in_flight) for job in pchannel_jobs)
-    # One run-time job per arrival handed to the R-channel's pools.
-    assert len(runtime_jobs) == sum(
-        pool.submitted + pool.rejected for pool in rchannel.pools.values()
-    )
+    # One run-time job per job left queued at the horizon, and it is
+    # the queued one.
+    queued = [job for pool in rchannel.pools.values() for job in pool.queue.jobs()]
+    assert len(runtime_jobs) == len(queued)
+    assert all(any(job is left for left in queued) for job in runtime_jobs)

@@ -4,17 +4,19 @@ slot.
 The batch executor must complete the same jobs at the same slots and
 leave the channel where the slot-stepped reference leaves it: G-Sched
 budgets, deadlines and counters, channel, pool, queue and L-Sched
-counters, job stamps and preemption counts, and the unfinished jobs
-buffered in queue order.
+counters, job stamps and preemption counts (read from the returned
+columns for a completed job), and the unfinished jobs buffered in queue
+order -- the only jobs the executor builds.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gsched import Allocation, ServerSpec
 from repro.core.lsched import fifo_policy
-from repro.core.rchannel import RChannel
+from repro.core.rchannel import RChannel, RChannelArrivals
 from repro.core.timeslot import TimeSlotTable
 from repro.sim.trace import TraceRecorder
 from repro.tasks.task import IOTask
@@ -34,6 +36,61 @@ def make_arrivals(specs):
         arrivals.append((slot, job))
     arrivals.sort(key=lambda pair: pair[0])
     return arrivals
+
+
+def arrival_columns(arrivals):
+    """``(arrival slot, job)`` pairs as :class:`RChannelArrivals`."""
+    return RChannelArrivals(
+        *(
+            np.array(values, dtype=np.int64).reshape(len(arrivals))
+            for values in (
+                [slot for slot, _job in arrivals],
+                [job.task.vm_id for _slot, job in arrivals],
+                [job.absolute_deadline for _slot, job in arrivals],
+                [job.remaining for _slot, job in arrivals],
+            )
+        )
+    )
+
+
+def job_states(jobs):
+    return [
+        (job.name, job.remaining, job.started_at, job.completed_at, job.preemption_count)
+        for job in jobs
+    ]
+
+
+def run_columns(channel, horizon, arrivals, table):
+    """``run_until`` over ``arrivals`` (left untouched); returns the
+    ``(name, slot)`` completions and every arrival's job state, a
+    completed job's read from the columns and a leftover's from the job
+    the executor built for it."""
+    built = {}
+
+    def make_job(row):
+        _slot, job = arrivals[row]
+        fresh = job.task.job(release=job.release, index=job.index)
+        built[row] = fresh
+        return fresh
+
+    done = channel.run_until(horizon, arrival_columns(arrivals), table, make_job)
+    for column in done:
+        assert column.dtype == np.int64
+    states = job_states(job for _slot, job in arrivals)
+    for row, slot, first, preemptions in zip(*(column.tolist() for column in done)):
+        assert row not in built
+        states[row] = (
+            arrivals[row][1].name, 0, float(first), float(slot + 1), preemptions
+        )
+    queued = [job for pool in channel.pools.values() for job in pool.queue.jobs()]
+    assert sorted(map(id, built.values())) == sorted(map(id, queued))
+    for row, job in built.items():
+        states[row] = job_states([job])[0]
+    completions = [
+        (arrivals[row][1].name, slot)
+        for row, slot in zip(done.row.tolist(), done.slot.tolist())
+    ]
+    return completions, states
 
 
 def stepped(channel, horizon, arrivals, table):
@@ -59,8 +116,9 @@ def stepped(channel, horizon, arrivals, table):
     return completed
 
 
-def channel_state(channel, arrivals):
-    """Everything ``run_until`` promises to leave as stepping does."""
+def channel_state(channel):
+    """Everything ``run_until`` promises to leave as stepping does,
+    jobs apart."""
     gsched = channel.gsched
     return {
         "servers": [
@@ -74,7 +132,6 @@ def channel_state(channel, arrivals):
         "channel": (
             channel.slots_executed,
             channel.jobs_completed,
-            [job.name for job in channel.completed_jobs],
             channel.last_allocation,
         ),
         "pools": [
@@ -94,38 +151,31 @@ def channel_state(channel, arrivals):
             )
             for vm_id, pool in channel.pools.items()
         ],
-        "jobs": [
-            (
-                job.name, job.remaining, job.started_at, job.completed_at,
-                job.preemption_count,
-            )
-            for _slot, job in arrivals
-        ],
     }
 
 
 def assert_matches_stepping(servers, capacity, pattern, horizon, specs):
     table = TimeSlotTable.from_pattern(pattern)
-    calls = {"stepped": [], "run": []}
+    calls = []
     reference = RChannel(
         servers, pool_capacity=capacity,
-        on_complete=lambda job, slot: calls["stepped"].append((job.name, slot)),
+        on_complete=lambda job, slot: calls.append((job.name, slot)),
     )
-    channel = RChannel(
-        servers, pool_capacity=capacity,
-        on_complete=lambda job, slot: calls["run"].append((job.name, slot)),
-    )
+    channel = RChannel(servers, pool_capacity=capacity)
     ref_arrivals, arrivals = make_arrivals(specs), make_arrivals(specs)
     expected = [
         (job.name, slot)
         for job, slot in stepped(reference, horizon, ref_arrivals, table)
     ]
-    actual = [
-        (job.name, slot) for job, slot in channel.run_until(horizon, arrivals, table)
-    ]
+    actual, states = run_columns(channel, horizon, arrivals, table)
     assert actual == expected
-    assert calls["run"] == calls["stepped"] == expected
-    assert channel_state(channel, arrivals) == channel_state(reference, ref_arrivals)
+    assert calls == expected
+    assert [job.name for job in reference.completed_jobs] == [
+        name for name, _slot in expected
+    ]
+    assert channel.completed_jobs == []
+    assert channel_state(channel) == channel_state(reference)
+    assert states == job_states(job for _slot, job in ref_arrivals)
     return channel
 
 
@@ -221,7 +271,7 @@ class TestPreconditions:
     def test_trace_recorder_refused(self):
         channel = self.make(trace=TraceRecorder())
         with pytest.raises(ValueError, match="trace"):
-            channel.run_until(10, [], TimeSlotTable.empty(5))
+            run_columns(channel, 10, [], TimeSlotTable.empty(5))
 
     @pytest.mark.parametrize("use", ["tick", "execute", "submit"])
     def test_used_channel_refused(self, use):
@@ -234,15 +284,22 @@ class TestPreconditions:
             (_slot, job), = make_arrivals([(0, 0, 1, 10, 1)])
             channel.submit(job)
         with pytest.raises(ValueError, match="run no slot"):
-            channel.run_until(10, [], TimeSlotTable.empty(5))
+            run_columns(channel, 10, [], TimeSlotTable.empty(5))
 
     def test_quarantined_vm_refused(self):
         channel = self.make()
         channel.quarantine_vm(1)
         with pytest.raises(ValueError, match="quarantined"):
-            channel.run_until(10, [], TimeSlotTable.empty(5))
+            run_columns(channel, 10, [], TimeSlotTable.empty(5))
+
+    def test_completion_hook_refused(self):
+        channel = RChannel(
+            [ServerSpec(0, 10, 4)], on_complete=lambda job, slot: None
+        )
+        with pytest.raises(ValueError, match="on_complete"):
+            run_columns(channel, 10, [], TimeSlotTable.empty(5))
 
     def test_non_edf_policy_refused(self):
         channel = RChannel([ServerSpec(0, 10, 4)], policy=fifo_policy)
         with pytest.raises(ValueError, match="EDF"):
-            channel.run_until(10, [], TimeSlotTable.empty(5))
+            run_columns(channel, 10, [], TimeSlotTable.empty(5))

@@ -3,7 +3,8 @@
 Every column must equal the matching ``ReleasedJob`` field row by row,
 and ``by_slot`` must be the permutation of a plain sort by
 ``(release_slot, task.name, index)`` -- the order ``releases_by_slot()``
-promises.
+promises -- both for a drawn workload and for one built from a release
+list in any order (``WorkloadInstance.from_releases``).
 """
 
 import numpy as np
@@ -90,12 +91,9 @@ def test_columns_of_releases_in_any_order(tasks, seed, data):
     ``prepare_workload`` happens to draw them in."""
     config = TrialConfig(horizon_slots=300, release_jitter_fraction=0.5)
     drawn = prepare_workload(tasks, config, RandomSource(seed, "wl"), 0.5)
-    shuffled = WorkloadInstance(
-        taskset=tasks,
-        config=config,
-        releases=data.draw(st.permutations(drawn.releases)),
-        target_utilization=0.5,
-    )
+    releases = data.draw(st.permutations(drawn.releases))
+    shuffled = WorkloadInstance.from_releases(tasks, config, releases, 0.5)
+    assert shuffled.releases == releases
     assert_columns_match(shuffled)
 
 
