@@ -266,8 +266,7 @@ def _job_draws(
     fraction.  The stream may be read past the last job.
     """
     if not jitter_cap:
-        words = rng.words(2 * count)
-        return np.zeros(count, dtype=np.int64), unit_floats(words[0::2], words[1::2])
+        return np.zeros(count, dtype=np.int64), rng.random_array(count)
     span = jitter_cap + 1
     bits = span.bit_length()
     if bits > 63:
@@ -372,17 +371,24 @@ class TrialResult:
         """
         if not len(task_index):
             return
-        completed = np.bincount(task_index, minlength=len(tasks)).tolist()
-        misses = np.bincount(task_index[missed], minlength=len(tasks)).tolist()
-        present, first = np.unique(task_index, return_index=True)
-        folded: Dict[str, List[int]] = {}
-        for index in present[np.argsort(first)].tolist():
-            counts = folded.setdefault(tasks[index].criticality.value, [0, 0])
-            counts[0] += completed[index]
-            counts[1] += misses[index]
-        for value, (done, late) in folded.items():
+        codes: Dict[str, int] = {}
+        classes = np.array(
+            [codes.setdefault(task.criticality.value, len(codes)) for task in tasks],
+            dtype=np.int64,
+        )[task_index]
+        completed = np.bincount(classes, minlength=len(codes)).tolist()
+        misses = np.bincount(classes[missed], minlength=len(codes)).tolist()
+        # Criticalities in order of their first job.
+        for _first, value, code in sorted(
+            (int(np.argmax(classes == code)), value, code)
+            for value, code in codes.items()
+            if completed[code]
+        ):
             old_done, old_late = self.per_criticality.get(value, (0, 0))
-            self.per_criticality[value] = (old_done + done, old_late + late)
+            self.per_criticality[value] = (
+                old_done + completed[code],
+                old_late + misses[code],
+            )
         self.total_completed += len(task_index)
         self.total_missed += int(np.count_nonzero(missed))
         moved = task_index if transferred is None else task_index[transferred]

@@ -23,10 +23,11 @@ both channels take and return columns.  The P-channel's completions
 horizon, cut into ``wcet``-slot jobs.  The R-channel's batch executor
 (:meth:`RChannel.run_until`) takes every arrival up front as
 :class:`~repro.core.rchannel.RChannelArrivals` columns (arrival slot,
-VM, absolute deadline, work) and makes one pass per scheduling run over
-per-VM EDF heaps of rows, where a G-Sched decision holds until the
-granted job completes, its budget runs out, a job arrives or a server
-period ends, and a stretch with no staged work is skipped.  A
+VM, release, absolute deadline, work) and makes one pass per scheduling
+run over per-VM heaps of rows in L-Sched order, where a G-Sched
+decision holds until the granted job completes, its budget runs out, a
+job arrives or a server period ends, and a stretch with no staged work
+is skipped.  A
 :class:`~repro.tasks.task.Job` is built only for a job the horizon cuts
 off: one in flight on the P-channel, or one still queued in an I/O pool.
 The two completion streams are merged by a stable argsort on slot, the
@@ -49,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.cache import register_cache
 from repro.analysis.servers import design_servers
 from repro.baselines.base import (
     IOVirtSystem,
@@ -60,6 +62,7 @@ from repro.core.gsched import ServerSpec
 from repro.core.pchannel import PChannel
 from repro.core.rchannel import RChannel, RChannelArrivals
 from repro.core.timeslot import (
+    TableMemo,
     TableOverflowError,
     TimeSlotTable,
     build_pchannel_table,
@@ -76,6 +79,11 @@ PROPORTIONAL_PERIOD = 100
 
 #: Budget head-room multiplier over the VM's raw utilization.
 PROPORTIONAL_MARGIN = 1.25
+
+#: sigma* layouts of recent pre-defined sets.  A Fig. 7 round hands the
+#: builder each set twice, in the 4-VM and the 8-VM cell of one
+#: utilization, six builds apart; a value is ~100 KB.
+TABLE_MEMO = register_cache("core.timeslot.table_memo", TableMemo(maxsize=8))
 
 
 class IOGuardSystem(IOVirtSystem):
@@ -126,14 +134,16 @@ class IOGuardSystem(IOVirtSystem):
         pre-load utilization, when its search finds no table within its
         node cap; demoting the largest-period pre-defined task back to
         the R-channel and retrying converges because each demotion
-        strictly reduces P-channel demand.
+        strictly reduces P-channel demand.  Tables come through
+        :data:`TABLE_MEMO`, so a pre-defined set built before in this
+        process is not searched again.
         """
         split = taskset.split_predefined(self.preload_fraction)
         while True:
             predefined = stagger_offsets(split.predefined())
             try:
-                table = build_pchannel_table(
-                    predefined, placement=self.placement
+                table = TABLE_MEMO.build(
+                    predefined, self.placement, build_pchannel_table
                 )
             except TableOverflowError:
                 candidates = sorted(
@@ -246,6 +256,7 @@ class IOGuardSystem(IOVirtSystem):
             RChannelArrivals(
                 arrival_slots[order],
                 np.array([task.vm_id for task in tasks], dtype=np.int64)[arriving_tasks],
+                columns.release[arriving],
                 columns.release[arriving] + deadlines[arriving_tasks],
                 columns.actual[arriving],
             ),

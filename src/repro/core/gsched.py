@@ -134,27 +134,35 @@ class GlobalScheduler:
 
         Call it every slot, or after any jump of the clock: a server
         replenishes exactly when :meth:`_ServerState.replenish_if_due`
-        says so, and slots before the earliest pending period boundary
-        return at once.
+        says so (inlined here), and slots before the earliest pending
+        period boundary return at once.
         """
         if slot < self._next_boundary:
             return
+        trace = self.trace
+        # Every server has replenished by the end of the loop, at its
+        # last boundary ``deadline - pi``; its next one is its deadline.
+        earliest: float = math.inf
         for state in self._states.values():
-            if state.replenish_if_due(slot) and self.trace is not None:
-                self.trace.record(
-                    slot,
-                    "gsched.replenish",
-                    self.name,
-                    vm=state.spec.vm_id,
-                    budget=state.budget,
-                    server_deadline=state.deadline,
-                )
-        # Every server has replenished by now, at its last boundary
-        # ``deadline - pi``; its next one is its deadline.
-        self._next_boundary = min(
-            (state.deadline for state in self._states.values()),
-            default=math.inf,
-        )
+            spec = state.spec
+            boundary = slot - slot % spec.pi
+            last = state._last_boundary
+            if last is None or boundary > last:
+                state.budget = spec.theta
+                state.deadline = boundary + spec.pi
+                state._last_boundary = boundary
+                if trace is not None:
+                    trace.record(
+                        slot,
+                        "gsched.replenish",
+                        self.name,
+                        vm=spec.vm_id,
+                        budget=state.budget,
+                        server_deadline=state.deadline,
+                    )
+            if state.deadline < earliest:
+                earliest = state.deadline
+        self._next_boundary = earliest
 
     def allocate(
         self,

@@ -146,9 +146,17 @@ class PChannel:
         if self._job_counts:
             raise ValueError("run_until needs a channel that has run no job yet")
         position = {task.name: index for index, task in enumerate(self.tasks)}
-        offsets_of: Dict[str, List[int]] = {}
-        for offset in sorted(self.table.entries):
-            offsets_of.setdefault(self.table.entries[offset].name, []).append(offset)
+        tasks, table_slots, positions = self.table.owner_columns()
+        # Group the table's slots by task name (same-named tasks share
+        # one in-flight job, as in stepping): one sort orders them by
+        # (name code, slot).
+        codes: Dict[str, int] = {}
+        code_of = np.array(
+            [codes.setdefault(task.name, len(codes)) for task in tasks], dtype=np.int64
+        )[positions]
+        order = np.lexsort((table_slots, code_of))
+        bounds = np.searchsorted(code_of[order], np.arange(len(codes) + 1)).tolist()
+        grouped, owner_at = table_slots[order], positions[order]
         cycles = np.arange(0, max(horizon, 0), self.table.length)
         # Per task: the (task, index, release, first, slot) columns of its
         # completed jobs, after an empty row for a channel with none.
@@ -158,14 +166,17 @@ class PChannel:
         # job) per task, to insert the dict keys in stepping order.
         firsts: List[Tuple[int, str, int]] = []
         in_flight: List[Tuple[int, str, Job]] = []
-        for name, offsets in offsets_of.items():
-            task = self.table.entries[offsets[0]]
+        for name, code in codes.items():
+            first, stop = bounds[code], bounds[code + 1]
+            # The task at the group's first slot stands for the name.
+            task = tasks[owner_at[first]]
+            offsets = grouped[first:stop]
             # Idle until the first release at or after both the task
             # offset and the activation slot.
             start = task.offset
             if self.activation_slot > start:
                 start += -(-(self.activation_slot - start) // task.period) * task.period
-            slots = (cycles[:, np.newaxis] + np.asarray(offsets)[np.newaxis, :]).ravel()
+            slots = (cycles[:, np.newaxis] + offsets[np.newaxis, :]).ravel()
             slots = slots[(slots >= start) & (slots < horizon)]
             if not len(slots):
                 continue

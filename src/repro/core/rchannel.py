@@ -14,11 +14,11 @@ scheduler ... and an executor."  The executor comes in two styles:
   :meth:`~repro.core.pchannel.PChannel.run_until`: given the table and
   every arrival up front as :class:`RChannelArrivals` columns, it runs
   all free slots below a horizon with one pass per scheduling run, over
-  per-VM EDF heaps of rows and the G-Sched's own server states, and
-  returns :class:`RChannelCompletions` columns.  Only the jobs still
-  buffered at the horizon become :class:`~repro.tasks.task.Job` objects;
-  the channel ends where stepping :meth:`~RChannel.execute_slot` on each
-  free slot would.
+  per-VM heaps of rows in L-Sched order (EDF or FIFO) and the G-Sched's
+  own server states, and returns :class:`RChannelCompletions` columns.
+  Only the jobs still buffered at the horizon become
+  :class:`~repro.tasks.task.Job` objects; the channel ends where
+  stepping :meth:`~RChannel.execute_slot` on each free slot would.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.gsched import Allocation, GlobalScheduler, ServerSpec
 from repro.core.iopool import IOPool
-from repro.core.lsched import SelectionPolicy, edf_policy
+from repro.core.lsched import SelectionPolicy, edf_policy, fifo_policy
 from repro.core.timeslot import TimeSlotTable
 from repro.sim.trace import TraceRecorder
 from repro.tasks.task import Job
@@ -40,11 +40,13 @@ from repro.tasks.task import Job
 
 class RChannelArrivals(NamedTuple):
     """Run-time jobs as int64 columns, in arrival order: row ``i``
-    arrives at slot ``slot[i]`` for the pool of VM ``vm[i]``, due at
-    absolute deadline ``deadline[i]`` with ``work[i]`` slots to run."""
+    arrives at slot ``slot[i]`` for the pool of VM ``vm[i]``, released
+    at ``release[i]`` and due at absolute deadline ``deadline[i]``, with
+    ``work[i]`` slots to run."""
 
     slot: np.ndarray
     vm: np.ndarray
+    release: np.ndarray
     deadline: np.ndarray
     work: np.ndarray
 
@@ -215,10 +217,13 @@ class RChannel:
         vm_id)`` -- until the granted job completes, its budget runs
         out, a job arrives or a server period ends.  A stretch with no
         staged work is skipped without a decision.  Each VM's pool is a
-        heap of ``(absolute deadline, row)``: rows are inserted in row
-        order, so ties break in insertion order as in
-        :class:`PriorityQueue`; budgets are the G-Sched's own server
-        states, replenished through :meth:`GlobalScheduler.tick`.
+        heap of rows in its L-Sched policy's order: ``(absolute
+        deadline, row)`` under :func:`edf_policy`, ``(release, absolute
+        deadline, row)`` under :func:`fifo_policy`.  Rows are inserted
+        in row order, so ties break in insertion order as in
+        :class:`PriorityQueue`, and the G-Sched sees the head row's
+        absolute deadline either way; budgets are the G-Sched's own
+        server states, replenished through :meth:`GlobalScheduler.tick`.
 
         The channel ends exactly where calling :meth:`tick` and
         :meth:`execute_slot` on each free slot in turn would: G-Sched
@@ -229,8 +234,8 @@ class RChannel:
         is the exception: it counts one selection per leftover job.
         Needs a fresh channel, no trace recorder and no ``on_complete``
         hook (per-slot events and per-job callbacks come from
-        :meth:`execute_slot` only), no quarantined VM and the EDF
-        L-Sched policy.
+        :meth:`execute_slot` only), no quarantined VM, and the EDF or
+        FIFO L-Sched policy in every pool.
         """
         gsched = self.gsched
         if self.trace is not None:
@@ -242,8 +247,13 @@ class RChannel:
                 f"run_until needs no quarantined VM; quarantined: "
                 f"{sorted(self.quarantined_vms)}"
             )
-        if any(pool.lsched.policy is not edf_policy for pool in self.pools.values()):
-            raise ValueError("run_until schedules pools by EDF; step execute_slot")
+        if any(
+            pool.lsched.policy is not edf_policy and pool.lsched.policy is not fifo_policy
+            for pool in self.pools.values()
+        ):
+            raise ValueError(
+                "run_until schedules pools by EDF or FIFO; step execute_slot"
+            )
         if (
             self.quarantine_rejects
             or gsched.next_boundary != -math.inf
@@ -276,24 +286,29 @@ class RChannel:
         submit_at[arrival_slots >= horizon] = end + 1
         ordinals: List[int] = submit_at.tolist()
         vms: List[int] = arrivals.vm.tolist()
+        releases: List[int] = arrivals.release.tolist()
         deadlines: List[int] = arrivals.deadline.tolist()
-        # Per row: work left, first slot run (-1 before it runs) and
-        # preemption count.
+        # Per row: work left, ordinal of the first free slot it ran in
+        # (-1 before it runs) and preemption count.  Ordinals become
+        # slots in one array pass at the end.
         remaining: List[int] = arrivals.work.tolist()
         total = len(remaining)
         started = [-1] * total
         preempted = [0] * total
 
-        # Per VM: [vm_id, EDF heap of (absolute deadline, row), server
-        # state, pool, peak occupancy].
+        # Per VM: [vm_id, heap of rows whose entries end in (absolute
+        # deadline, row), server state, pool, peak occupancy, EDF?].
         lanes: List[List[Any]] = []
         lane_of: Dict[int, List[Any]] = {}
         for vm_id, pool in self.pools.items():
-            lane_of[vm_id] = [vm_id, [], gsched._states[vm_id], pool, 0]
+            lane_of[vm_id] = [
+                vm_id, [], gsched._states[vm_id], pool, 0,
+                pool.lsched.policy is edf_policy,
+            ]
             lanes.append(lane_of[vm_id])
 
         done_rows: List[int] = []
-        done_slots: List[int] = []
+        done_ordinals: List[int] = []
         heappush, heappop = heapq.heappush, heapq.heappop
         pending = ordinal = cursor = 0
         idle = budgeted = background = 0
@@ -328,15 +343,19 @@ class RChannel:
                         continue
                     pool.submitted += 1
                     pool.reject_streak = 0
-                    deadline = deadlines[row]
-                    if heap and deadline < heap[0][0]:
+                    entry = (
+                        (deadlines[row], row)
+                        if target[5]
+                        else (releases[row], deadlines[row], row)
+                    )
+                    if heap and entry < heap[0]:
                         # The arrival becomes the new head over a
                         # buffered job: the L-Sched preempts it.
-                        head = heap[0][1]
+                        head = heap[0][-1]
                         if remaining[head] > 0:
                             pool.lsched.preemption_count += 1
                             preempted[head] += 1
-                    heappush(heap, (deadline, row))
+                    heappush(heap, entry)
                     pending += 1
                     if len(heap) > target[4]:
                         target[4] = len(heap)
@@ -362,19 +381,19 @@ class RChannel:
                     continue
                 state = lane[2]
                 if state.budget > 0:
-                    key = (state.deadline, heap[0][0], lane[0])
+                    key = (state.deadline, heap[0][-2], lane[0])
                     if best is None or key < best:
                         best, chosen = key, lane
                 elif best is None:
-                    background_key = (heap[0][0], lane[0])
+                    background_key = (heap[0][-2], lane[0])
                     if fallback is None or background_key < fallback:
                         fallback, chosen_fallback = background_key, lane
             stop = next_arrival if next_arrival < boundary else boundary
             span = (stop if stop < end else end) - ordinal
-            last_vm, heap, state, pool, _peak = (
+            last_vm, heap, state, pool, _peak, _edf = (
                 chosen if best is not None else chosen_fallback
             )
-            row = heap[0][1]
+            row = heap[0][-1]
             # A job with nothing left still takes one slot, as in
             # execute_slot.
             left = remaining[row] if remaining[row] > 0 else 1
@@ -389,8 +408,7 @@ class RChannel:
             else:
                 background += run
             if started[row] < 0:
-                cycle, index = divmod(ordinal, count)
-                started[row] = cycle * length + free[index]
+                started[row] = ordinal
             ordinal += run
             if run < left:
                 remaining[row] = left - run
@@ -399,9 +417,8 @@ class RChannel:
             heappop(heap)
             pending -= 1
             pool.completed += 1
-            cycle, index = divmod(ordinal - 1, count)
             done_rows.append(row)
-            done_slots.append(cycle * length + free[index])
+            done_ordinals.append(ordinal - 1)
 
         if end:
             # Stepping ticks every free slot, the last one included.
@@ -415,15 +432,25 @@ class RChannel:
         gsched.background_grants += background
         self.slots_executed += budgeted + background
         self.jobs_completed += len(done_rows)
-        for _vm_id, heap, _state, pool, peak in lanes:
+        free_offsets = np.asarray(free, dtype=np.int64)
+
+        def slots_of(ordinals: np.ndarray) -> np.ndarray:
+            cycles, indices = np.divmod(ordinals, count)
+            return cycles * length + free_offsets[indices]
+
+        started_slots = np.array(started, dtype=np.int64)
+        ran = started_slots >= 0
+        started_slots[ran] = slots_of(started_slots[ran])
+        for _vm_id, heap, _state, pool, peak, _edf in lanes:
             queue = pool.queue
             queue.total_inserted += pool.submitted - len(heap)
             queue.total_removed += pool.completed
-            for _deadline, row in sorted(heap):
+            # Re-inserted in arrival order, as stepping inserted them.
+            for row in sorted(entry[-1] for entry in heap):
                 job = make_job(row)
                 job.remaining = remaining[row]
                 if started[row] >= 0:
-                    job.started_at = float(started[row])
+                    job.started_at = float(started_slots[row])
                 job.preemption_count = preempted[row]
                 queue.insert(job)
             queue.peak_occupancy = max(queue.peak_occupancy, peak)
@@ -431,8 +458,8 @@ class RChannel:
         rows = np.array(done_rows, dtype=np.int64)
         return RChannelCompletions(
             rows,
-            np.array(done_slots, dtype=np.int64),
-            np.array(started, dtype=np.int64)[rows],
+            slots_of(np.array(done_ordinals, dtype=np.int64)),
+            started_slots[rows],
             np.array(preempted, dtype=np.int64)[rows],
         )
 

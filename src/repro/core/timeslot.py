@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from typing import (
@@ -20,6 +21,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     NoReturn,
     Optional,
     Sequence,
@@ -181,6 +183,16 @@ class SbfCache:
         )
 
 
+class OwnerColumns(NamedTuple):
+    """A table's entries as columns: entry ``i`` puts
+    ``tasks[positions[i]]`` at slot ``slots[i]``.  Every task owns at
+    least one entry."""
+
+    tasks: Sequence[IOTask]
+    slots: np.ndarray
+    positions: np.ndarray
+
+
 class TimeSlotTable:
     """Occupancy of one hyper-period of the static P-channel schedule.
 
@@ -193,7 +205,8 @@ class TimeSlotTable:
     entries:
         Optional mapping from slot index to the pre-defined task
         scheduled there (used by the run-time executor; the analysis
-        only needs the occupancy bitmap).
+        only needs the occupancy bitmap).  The table builders set the
+        same mapping as columns instead (:meth:`owner_columns`).
     """
 
     def __init__(
@@ -219,13 +232,51 @@ class TimeSlotTable:
             if self._occupied[slot]:
                 raise ValueError(f"slot {slot} is doubly occupied")
             self._occupied[slot] = True
-        self.entries: Dict[int, IOTask] = dict(entries or {})
-        for slot in self.entries:
+        self._entries: Optional[Dict[int, IOTask]] = dict(entries or {})
+        for slot in self._entries:
             if not self._occupied[slot]:
                 raise ValueError(
                     f"entry at slot {slot} has no matching occupied slot"
                 )
+        #: The entries as columns, while :attr:`entries` is unbuilt.
+        self._owners: Optional[OwnerColumns] = None
         self.sbf_cache = SbfCache(self)
+
+    # -- entries ---------------------------------------------------------------
+
+    @property
+    def entries(self) -> Dict[int, IOTask]:
+        """Slot index -> the pre-defined task scheduled there.
+
+        A built table holds its entries as columns
+        (:meth:`owner_columns`); the mapping is made on first read.
+        """
+        if self._entries is None:
+            tasks, slots, positions = self._owners
+            self._entries = dict(
+                zip(slots.tolist(), map(tasks.__getitem__, positions.tolist()))
+            )
+        return self._entries
+
+    def owner_columns(self) -> OwnerColumns:
+        """The entries as columns ``(tasks, slots, positions)``: entry
+        ``i`` puts ``tasks[positions[i]]`` at slot ``slots[i]``, in
+        :attr:`entries` order."""
+        if self._entries is None:
+            return self._owners
+        # Read from the mapping, which a caller may have edited.
+        tasks: List[IOTask] = []
+        positions = np.array(_positions(self._entries.values(), tasks), dtype=np.int64)
+        slots = np.fromiter(self._entries, dtype=np.int64, count=len(positions))
+        return OwnerColumns(tasks, slots, positions)
+
+    def set_owner_columns(
+        self, tasks: Sequence[IOTask], slots: np.ndarray, positions: np.ndarray
+    ) -> None:
+        """Set the entries from columns (see :meth:`owner_columns`)
+        without building the mapping."""
+        self._owners = OwnerColumns(tasks, slots, positions)
+        self._entries = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -457,10 +508,121 @@ def build_pchannel_table(
     occupied, slots = _search(jobs, hyperperiod, placement == "spread")
     table = TimeSlotTable(hyperperiod)
     table._occupied = np.frombuffer(occupied, dtype=np.bool_)
-    owners = (task for task, _release, _lags in jobs for _ in range(task.wcet))
-    table.entries = dict(zip(slots, owners))
+    # The undo log holds each job's C slots, job by job.
+    table.set_owner_columns(
+        tasks,
+        np.array(slots, dtype=np.int64),
+        np.repeat(
+            np.array(_positions((job[0] for job in jobs), tasks), dtype=np.int64),
+            [job[0].wcet for job in jobs],
+        ),
+    )
     table.sbf_cache.clear()  # occupancy replaced wholesale
     return table
+
+
+class TableMemoInfo(NamedTuple):
+    """:meth:`TableMemo.cache_info`, in ``functools.lru_cache`` order."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class TableMemo:
+    """Bounded, content-keyed memo in front of :func:`build_pchannel_table`.
+
+    The key is the placement and each pre-defined task's ``(name,
+    period, wcet, deadline, offset)`` in decision order -- all that the
+    builder reads when no constraint is given.  The value is compact and
+    holds no task object: ``H``, the occupancy bytes, the occupied slots
+    in entry order and their owners' positions in decision order.  A hit
+    returns a fresh :class:`TimeSlotTable` whose entries are the
+    caller's own tasks, so no table, task or :class:`SbfCache` is shared
+    between callers; owners are remapped because two calls may differ
+    in what the key leaves out (a task's ``vm_id``, say).  A build that
+    raises is not stored.  Least recently used values are evicted past
+    ``maxsize``.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        if maxsize < 1:
+            raise ValueError(f"memo size must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        #: key -> (H, occupancy bytes, slots, owner positions)
+        self._values: OrderedDict[tuple, Tuple[int, bytes, np.ndarray, np.ndarray]] = (
+            OrderedDict()
+        )
+        self.hits = 0
+        self.misses = 0
+
+    def build(
+        self,
+        predefined: Iterable[IOTask],
+        placement: str,
+        builder: Callable[..., TimeSlotTable] = build_pchannel_table,
+    ) -> TimeSlotTable:
+        """The table ``builder(predefined, placement=placement)`` returns,
+        built once per distinct key."""
+        tasks = sorted(predefined, key=lambda task: (task.period, task.name))
+        key = (placement,) + tuple(
+            (task.name, task.period, task.wcet, task.deadline, task.offset)
+            for task in tasks
+        )
+        value = self._values.get(key)
+        if value is None:
+            self.misses += 1
+            table = builder(tasks, placement=placement)
+            owners, slots, positions = table.owner_columns()
+            remap = np.array(_positions(owners, tasks), dtype=np.int32)
+            self._values[key] = (
+                table.length,
+                table._occupied.tobytes(),
+                slots.astype(np.int32),
+                remap[positions],
+            )
+            if len(self._values) > self.maxsize:
+                self._values.popitem(last=False)
+            return table
+        self.hits += 1
+        self._values.move_to_end(key)
+        length, occupied, slots, positions = value
+        table = TimeSlotTable(length)
+        table._occupied = np.frombuffer(bytearray(occupied), dtype=np.bool_)
+        table.set_owner_columns(
+            tasks, slots.astype(np.int64), positions.astype(np.int64)
+        )
+        table.sbf_cache.clear()  # occupancy replaced wholesale
+        return table
+
+    def cache_clear(self) -> None:
+        self._values.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def cache_info(self) -> TableMemoInfo:
+        return TableMemoInfo(self.hits, self.misses, self.maxsize, len(self._values))
+
+
+def _positions(owners: Iterable[IOTask], tasks: List[IOTask]) -> List[int]:
+    """Each owner's position in ``tasks``, found by identity; an owner
+    not in ``tasks`` is appended to it.  A run of one owner is looked up
+    once."""
+    found: List[int] = []
+    last: Optional[IOTask] = None
+    at = -1
+    for owner in owners:
+        if owner is not last:
+            last = owner
+            at = next(
+                (index for index, task in enumerate(tasks) if task is owner),
+                len(tasks),
+            )
+            if at == len(tasks):
+                tasks.append(owner)
+        found.append(at)
+    return found
 
 
 def _decision_groups(

@@ -17,6 +17,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 
+#: Draw count from which :meth:`RandomSource.random_array` parses raw
+#: words instead of calling ``random()`` per draw: below it the fixed
+#: cost of the word path outweighs its per-draw saving.
+WORDS_MIN_DRAWS = 200
+
+
 class RandomSource(random.Random):
     """A named, seeded ``random.Random`` with domain-specific helpers."""
 
@@ -55,6 +61,11 @@ class RandomSource(random.Random):
         """
         if n < 0:
             raise ValueError(f"cannot draw a negative count: {n}")
+        if n >= WORDS_MIN_DRAWS:
+            # random() consumes two raw words; unit_floats parses them
+            # bit for bit.
+            raw = self.words(2 * n)
+            return unit_floats(raw[0::2], raw[1::2])
         # iter(callable, sentinel) never meets its sentinel: random()
         # lies in [0, 1).  fromiter stops after ``count`` draws.
         return np.fromiter(iter(self.random, -1.0), dtype=np.float64, count=n)
@@ -119,9 +130,12 @@ def scale_uniform(low, high, u):
 def unit_floats(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """``random()`` of two raw words each (:meth:`RandomSource.words`):
     CPython's ``(a >> 5, b >> 6)`` as a 53-bit fraction, bit for bit."""
-    high = (first >> 5).astype(np.float64)
-    low = (second >> 6).astype(np.float64)
-    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+    fraction = (first >> 5).astype(np.float64)
+    # In place, in CPython's order: (a * 2**26 + b) * 2**-53.
+    fraction *= 67108864.0
+    fraction += second >> 6
+    fraction *= 1.0 / 9007199254740992.0
+    return fraction
 
 
 def derive_seed(base_seed: int, name: str) -> int:

@@ -1,5 +1,5 @@
 """``RChannel.run_until`` against stepping ``execute_slot`` on every free
-slot.
+slot, with EDF pools and with FIFO pools.
 
 The batch executor must complete the same jobs at the same slots and
 leave the channel where the slot-stepped reference leaves it: G-Sched
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.gsched import Allocation, ServerSpec
-from repro.core.lsched import fifo_policy
+from repro.core.lsched import edf_policy, fifo_policy
 from repro.core.rchannel import RChannel, RChannelArrivals
 from repro.core.timeslot import TimeSlotTable
 from repro.sim.trace import TraceRecorder
@@ -24,14 +24,15 @@ from repro.tasks.task import IOTask
 
 def make_arrivals(specs):
     """Fresh ``(arrival slot, job)`` pairs from ``(slot, vm, wcet,
-    deadline, remaining)`` specs, in time order."""
+    deadline, remaining[, lag])`` specs, in time order; a job is
+    released ``lag`` slots (default 2) before it arrives, not before 0."""
     arrivals = []
-    for index, (slot, vm_id, wcet, deadline, remaining) in enumerate(specs):
+    for index, (slot, vm_id, wcet, deadline, remaining, *lag) in enumerate(specs):
         task = IOTask(
             name=f"t{index}", period=deadline, wcet=wcet, deadline=deadline,
             vm_id=vm_id,
         )
-        job = task.job(release=max(0, slot - 2), index=0)
+        job = task.job(release=max(0, slot - (lag[0] if lag else 2)), index=0)
         job.remaining = remaining
         arrivals.append((slot, job))
     arrivals.sort(key=lambda pair: pair[0])
@@ -46,6 +47,7 @@ def arrival_columns(arrivals):
             for values in (
                 [slot for slot, _job in arrivals],
                 [job.task.vm_id for _slot, job in arrivals],
+                [job.release for _slot, job in arrivals],
                 [job.absolute_deadline for _slot, job in arrivals],
                 [job.remaining for _slot, job in arrivals],
             )
@@ -154,14 +156,16 @@ def channel_state(channel):
     }
 
 
-def assert_matches_stepping(servers, capacity, pattern, horizon, specs):
+def assert_matches_stepping(
+    servers, capacity, pattern, horizon, specs, policy=edf_policy
+):
     table = TimeSlotTable.from_pattern(pattern)
     calls = []
     reference = RChannel(
-        servers, pool_capacity=capacity,
+        servers, pool_capacity=capacity, policy=policy,
         on_complete=lambda job, slot: calls.append((job.name, slot)),
     )
-    channel = RChannel(servers, pool_capacity=capacity)
+    channel = RChannel(servers, pool_capacity=capacity, policy=policy)
     ref_arrivals, arrivals = make_arrivals(specs), make_arrivals(specs)
     expected = [
         (job.name, slot)
@@ -180,7 +184,8 @@ def assert_matches_stepping(servers, capacity, pattern, horizon, specs):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, lags=st.just(())):
+    """``lags`` draws the optional release-lag suffix of each spec."""
     vm_count = draw(st.integers(min_value=1, max_value=3))
     servers = []
     for vm_id in range(vm_count):
@@ -201,7 +206,7 @@ def scenarios(draw):
                 st.integers(1, 6),
                 st.integers(6, 40),
                 st.integers(1, 6),
-            ),
+            ).flatmap(lambda spec: lags.map(lambda lag: spec + lag)),
             max_size=30,
         )
     )
@@ -238,6 +243,55 @@ def scenarios(draw):
 )
 def test_run_until_matches_stepping(scenario):
     assert_matches_stepping(*scenario)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=scenarios(lags=st.tuples(st.integers(0, 12))))
+# A late arrival released first preempts the head; equal releases
+# order by deadline, then by arrival.
+@example(
+    scenario=(
+        [ServerSpec(0, 10, 10)], 64, [0], 30,
+        [(0, 0, 6, 30, 6, 0), (2, 0, 2, 8, 2, 9), (3, 0, 2, 40, 2, 3),
+         (4, 0, 1, 20, 1, 4), (4, 0, 1, 20, 1, 4)],
+    )
+)
+# Budgeted and background ties across VMs under FIFO heads.
+@example(
+    scenario=(
+        [ServerSpec(0, 4, 1), ServerSpec(1, 4, 1)], 2, [0, 1], 40,
+        [(0, 1, 3, 20, 3, 0), (0, 0, 3, 20, 3, 0), (5, 0, 2, 6, 2, 5),
+         (6, 1, 4, 30, 4, 1), (7, 1, 1, 7, 1, 7)],
+    )
+)
+def test_fifo_run_until_matches_stepping(scenario):
+    assert_matches_stepping(*scenario, policy=fifo_policy)
+
+
+def test_fifo_serves_by_release_then_deadline():
+    # The second job (due at 6) arrives behind the first (released at 0,
+    # due at 30) but was released later: FIFO keeps the first staged,
+    # where EDF would preempt it.  The third, released with the first
+    # and due earlier (at 20), preempts it.
+    channel = assert_matches_stepping(
+        [ServerSpec(0, 10, 10)], 64, [0], 20,
+        [(0, 0, 6, 30, 6, 0), (2, 0, 2, 4, 2, 0), (3, 0, 1, 20, 1, 5)],
+        policy=fifo_policy,
+    )
+    assert channel.pools[0].lsched.preemption_count == 1
+
+
+def test_fifo_leftovers_stay_in_arrival_order():
+    # No free slot: both jobs are left queued, due at 20; the second
+    # arrived later but was released first, so it heads the FIFO pool
+    # while the queue keeps them in arrival order.
+    channel = assert_matches_stepping(
+        [ServerSpec(0, 10, 4)], 64, [1], 10,
+        [(5, 0, 2, 15, 2, 0), (6, 0, 2, 20, 2, 6)],
+        policy=fifo_policy,
+    )
+    assert channel.pools[0].shadow.task.name == "t1"
+    assert channel.pools[0].lsched.preemption_count == 1
 
 
 def test_preemption_by_an_earlier_deadline():
@@ -300,6 +354,8 @@ class TestPreconditions:
             run_columns(channel, 10, [], TimeSlotTable.empty(5))
 
     def test_non_edf_policy_refused(self):
-        channel = RChannel([ServerSpec(0, 10, 4)], policy=fifo_policy)
-        with pytest.raises(ValueError, match="EDF"):
+        channel = RChannel(
+            [ServerSpec(0, 10, 4)], policy=lambda queue: queue.peek()
+        )
+        with pytest.raises(ValueError, match="EDF or FIFO"):
             run_columns(channel, 10, [], TimeSlotTable.empty(5))

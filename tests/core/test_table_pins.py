@@ -69,6 +69,8 @@ def pchannel_inputs():
                     )
                     for preload in PRELOADS:
                         recorded.clear()
+                        # An empty memo sends every split to the builder.
+                        ioguard_system.TABLE_MEMO.cache_clear()
                         IOGuardSystem(preload)._split_with_fallback(padded)
                         predefined = recorded[-1]
                         key = tuple(

@@ -10,7 +10,7 @@ same floats, bit for bit, and leave the generator in the same state.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import (
@@ -24,7 +24,7 @@ from repro.baselines import (
 from repro.baselines.base import task_flits
 from repro.noc.latency import MAX_MODEL_LOAD, NocLatencyModel
 from repro.noc.packet import FLIT_BYTES
-from repro.sim.rng import RandomSource
+from repro.sim.rng import WORDS_MIN_DRAWS, RandomSource
 from repro.tasks.task import IOTask
 from repro.tasks.taskset import TaskSet
 from repro.virt.stack import STACK_MODELS
@@ -68,8 +68,19 @@ def reference_delay_slots(system, job, base, hops, load, rng, config):
     return (software + noc) / config.cycles_per_slot
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32), n=st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    # Either side of the switch from per-draw calls to raw words, and
+    # the sizes of a Fig. 7 trial's delay draws.
+    n=st.one_of(
+        st.integers(0, 2 * WORDS_MIN_DRAWS),
+        st.integers(2 * WORDS_MIN_DRAWS, 50_000),
+    ),
+)
+@example(seed=1, n=WORDS_MIN_DRAWS - 1)
+@example(seed=1, n=WORDS_MIN_DRAWS)
+@example(seed=2**32, n=50_000)
 def test_random_array_equals_n_random_calls(seed, n):
     bulk, scalar = RandomSource(seed), RandomSource(seed)
     draws = bulk.random_array(n)
