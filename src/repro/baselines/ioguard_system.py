@@ -82,7 +82,7 @@ PROPORTIONAL_MARGIN = 1.25
 
 #: sigma* layouts of recent pre-defined sets.  A Fig. 7 round hands the
 #: builder each set twice, in the 4-VM and the 8-VM cell of one
-#: utilization, six builds apart; a value is ~100 KB.
+#: utilization, six builds apart; a value is at most ~130 KB.
 TABLE_MEMO = register_cache("core.timeslot.table_memo", TableMemo(maxsize=8))
 
 

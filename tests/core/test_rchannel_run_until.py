@@ -247,8 +247,8 @@ def test_run_until_matches_stepping(scenario):
 
 @settings(max_examples=300, deadline=None)
 @given(scenario=scenarios(lags=st.tuples(st.integers(0, 12))))
-# A late arrival released first preempts the head; equal releases
-# order by deadline, then by arrival.
+# Late arrivals released with the head: one due earlier preempts it,
+# one due later does not, and equal (release, deadline) go by arrival.
 @example(
     scenario=(
         [ServerSpec(0, 10, 10)], 64, [0], 30,
