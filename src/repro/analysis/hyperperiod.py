@@ -32,6 +32,12 @@ def lcm_all(values: Iterable[int]) -> int:
     return _lcm_cached(tuple(values))
 
 
+#: What :func:`_lcm_capped_cached` memoizes for a tuple whose LCM
+#: exceeds the cap.  A sentinel, not a raise: ``lru_cache`` stores no
+#: exception, so a raising reduction would be redone on every call.
+_OVER_CAP = -1
+
+
 @lru_cache(maxsize=1 << 16)
 def _lcm_capped_cached(values: Tuple[int, ...], cap: int) -> int:
     result = 1
@@ -43,14 +49,8 @@ def _lcm_capped_cached(values: Tuple[int, ...], cap: int) -> int:
             # The running LCM only ever grows, so bail before folding in
             # the remaining values: with adversarial co-prime inputs the
             # full product is astronomically large and computing it would
-            # defeat the guard this function exists to provide.  The
-            # raise also keeps the failing tuple out of the memo
-            # (lru_cache never caches exceptions), so OverflowError is
-            # re-raised -- cheaply -- on every invocation.
-            raise OverflowError(
-                f"hyper-period exceeds cap {cap}; "
-                "use the pseudo-polynomial test"
-            )
+            # defeat the guard this function exists to provide.
+            return _OVER_CAP
     return result
 
 
@@ -65,5 +65,12 @@ def lcm_capped(values: Iterable[int], cap: int) -> int:
     pseudo-polynomial tests when it is exceeded.  The cap is enforced
     *inside* the reduction loop: the guard bails out as soon as the
     running LCM crosses it instead of materializing the full LCM first.
+    Over-cap verdicts are memoized like any other, so a rerun of the
+    same failing tuple raises ``OverflowError`` without reducing again.
     """
-    return _lcm_capped_cached(tuple(values), cap)
+    result = _lcm_capped_cached(tuple(values), cap)
+    if result == _OVER_CAP:
+        raise OverflowError(
+            f"hyper-period exceeds cap {cap}; use the pseudo-polynomial test"
+        )
+    return result

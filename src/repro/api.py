@@ -36,7 +36,7 @@ from repro.analysis.batched import (
     lsched_schedulable_batch,
 )
 from repro.analysis.demand import dbf_server, dbf_sporadic, dbf_taskset
-from repro.analysis.engine import resolve_engine
+from repro.analysis.engine import INT64_SAFE_HORIZON, resolve_engine
 from repro.analysis.gsched_test import (
     GSchedResult,
     gsched_schedulable,
@@ -517,6 +517,30 @@ def _synthesize_servers_for(
     return report, outcome
 
 
+def _check_server_fields(servers: Sequence[ServerConfig]) -> None:
+    """Reject server parameters the analysis cannot take, by name.
+
+    The analysis does exact integer arithmetic on ``pi``/``theta`` and
+    fills int64 arrays with their multiples, so a float fails it with a
+    bare ``TypeError`` and a value past the int64-safe horizon with an
+    untyped ``OverflowError``.
+    """
+    for entry in servers:
+        for name, value in (("pi", entry.pi), ("theta", entry.theta)):
+            if name == "theta" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"server of VM {entry.vm_id}: {name} must be an int, "
+                    f"got {value!r}"
+                )
+            if value > INT64_SAFE_HORIZON:
+                raise ConfigurationError(
+                    f"server of VM {entry.vm_id}: {name}={value} exceeds "
+                    f"the int64-safe horizon {INT64_SAFE_HORIZON}"
+                )
+
+
 def build_system(config: SystemConfig) -> System:
     """Instantiate a system from its configuration.
 
@@ -534,7 +558,11 @@ def build_system(config: SystemConfig) -> System:
     or when every server is pinned and a VM with
     run-time tasks has none (naming the VM) -- :func:`analyze` runs
     Theorem 4 only for VMs with a server, so such a VM would escape it.
+    A server's ``pi`` or pinned ``theta`` that is not an ``int`` (or is
+    a ``bool``), or exceeds :data:`~repro.analysis.engine.INT64_SAFE_HORIZON`,
+    is a :class:`ConfigurationError` naming the VM and the field.
     """
+    _check_server_fields(config.servers or ())
     taskset = TaskSet(list(config.tasks), name=config.name)
     predefined = taskset.predefined()
     if config.stagger and not config.table_constraints:

@@ -125,14 +125,20 @@ class SweepCell:
     """One independent unit of the Fig. 7 sweep: a (vm group,
     utilization) point with all its trials, run by every system.
 
-    Each trial draws one workload, keyed by ``(seed + trial, vm group,
-    utilization)``, and runs every system over it -- identical data
-    input across systems, as in the paper.  System draws are keyed by
-    ``(seed + trial, system name, vm group, utilization)``, so cells
-    share no random state: they can run in any process, in any order,
-    and reproduce the serial results bit for bit.  Cells are frozen
-    dataclasses of primitives plus the system objects, which keeps them
-    picklable for the parallel runner.
+    Each trial draws one workload and runs every system over it --
+    identical data input across systems, as in the paper.  Every draw
+    is keyed by ``seed + trial`` alone: the stream names that
+    :func:`run_sweep_cell` passes (``wl.<group>.<U>``,
+    ``sys.<name>.<group>.<U>``) label the generators but do not seed
+    them (:class:`~repro.sim.rng.RandomSource` seeds with ``seed``, and
+    ``spawn`` hashes only the seed and the child name).  So every cell
+    of one trial pads and draws its workload from the same two streams,
+    and every system in every cell starts from the same
+    ``Random(seed + trial)`` sequence.  Each cell builds its own
+    generators, though, so cells share no generator *state*: they can
+    run in any process, in any order, and reproduce the serial results
+    bit for bit.  Cells are frozen dataclasses of primitives plus the
+    system objects, which keeps them picklable for the parallel runner.
     """
 
     seed: int
@@ -160,7 +166,9 @@ def run_sweep_cell(cell: SweepCell) -> List[SweepPoint]:
 
     Module-level (not a closure) so the parallel runner can pickle it to
     worker processes; the serial path calls the very same function.
-    Only one trial's workload is alive at a time.
+    Only one trial's workload is alive at a time.  Trial ``k`` seeds
+    every generator with ``cell.seed + k`` (see :class:`SweepCell`: the
+    names do not enter the seed), so other cells replay the same draws.
     """
     base = _cached_base_taskset(cell.vm_count)
     trial_config = TrialConfig(horizon_slots=cell.horizon_slots)

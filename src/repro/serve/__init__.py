@@ -4,8 +4,9 @@
 into a long-running service: an asyncio front-end (newline-JSON and
 HTTP/1.1 framings over one message vocabulary) routes per-VM admission
 traffic to sharded controllers called on its event-loop thread (no
-worker process, no thread hop on the write path), batches analyze
-requests per scheduling epoch through :func:`repro.api.analyze_many`,
+worker process and no thread hop on any path), batches analyze
+requests per fixed-length scheduling epoch through
+:func:`repro.api.analyze_many` on that same thread,
 and sheds load through the :class:`~repro.core.manager.DegradationPolicy`
 when a shard saturates.
 

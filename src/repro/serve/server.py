@@ -12,13 +12,14 @@ Request flow
   and ``rebalance`` also run on the loop thread, so no shard state is
   ever touched from another thread.
 * ``analyze`` requests are parsed on arrival and join the *current
-  scheduling epoch*; the epoch is flushed as one batch: the epoch loop
-  copies the admitted population on the loop thread, then, in a
-  worker thread, materializes one :class:`repro.api.System` per
-  request and submits the whole column through
-  :func:`repro.api.analyze_many`, which packs the column into the
-  batched analysis kernels -- one numpy pass for the batch instead of
-  one engine dispatch per request.
+  scheduling epoch*.  Epochs have a fixed length: epoch ``k`` is
+  flushed at ``start + k * epoch_interval``, whatever its flush cost
+  (:func:`next_due`).  A flush runs on the loop thread as one batch: it
+  copies the admitted population, materializes one
+  :class:`repro.api.System` per request and submits the whole column
+  through :func:`repro.api.analyze_many`, which packs the column into
+  the batched analysis kernels -- one numpy pass for the batch instead
+  of one engine dispatch per request.  The server starts no thread.
 * Overload sheds load instead of queueing without bound: when a
   shard's in-flight count (requests parked at their yield) reaches
   ``queue_limit`` the request is rejected with a ``shedding`` error
@@ -79,7 +80,9 @@ class ServeConfig:
     #: Per-shard decision-ring bound (see AdmissionController).
     max_decisions: Optional[int] = 4096
     #: Scheduling-epoch length in seconds: analyze requests arriving
-    #: within one epoch are answered from one consistent batch.
+    #: within one epoch are answered from one consistent batch, flushed
+    #: when the epoch ends.  Epoch ends lie on a fixed grid of this
+    #: spacing; a flush's own run time does not stretch the next epoch.
     epoch_interval: float = 0.01
     #: Per-shard in-flight bound; beyond it requests are shed.
     queue_limit: int = 64
@@ -193,7 +196,7 @@ class AdmissionServer:
             except asyncio.CancelledError:
                 pass
             self._epoch_task = None
-        await self._flush_epoch()  # answer any straggling analyze futures
+        self._flush_epoch()  # answer any straggling analyze futures
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -492,25 +495,24 @@ class AdmissionServer:
     # -- epoch batching -----------------------------------------------------
 
     async def _epoch_loop(self) -> None:
+        assert self._loop is not None
+        interval = self.config.epoch_interval
+        due = self._loop.time() + interval
         while True:
-            await asyncio.sleep(self.config.epoch_interval)
-            await self._flush_epoch()
+            await asyncio.sleep(due - self._loop.time())
+            self._flush_epoch()
+            due = next_due(due, self._loop.time(), interval)
 
-    async def _flush_epoch(self) -> None:
+    def _flush_epoch(self) -> None:
         """Advance the epoch; answer its analyze batch in one submission."""
         pending, self._pending = self._pending, []
         self.epoch += 1
         if not pending:
             return
         self.counters["analyze_batches"] += 1
-        assert self._loop is not None
-        population = self.pool.population()
         try:
-            results = await self._loop.run_in_executor(
-                None,
-                self._run_analyze_batch,
-                population,
-                [entry.tasks for entry in pending],
+            results = self._run_analyze_batch(
+                self.pool.population(), [entry.tasks for entry in pending]
             )
         except Exception as exc:  # surface, never wedge the futures
             for entry in pending:
@@ -611,6 +613,19 @@ class AdmissionServer:
         interleaving, which is what the CI smoke job byte-compares.
         """
         return [text for _seq, text in sorted(self.log)]
+
+
+def next_due(due: float, now: float, interval: float) -> float:
+    """When the epoch after the one due at ``due`` is due.
+
+    Epochs keep a fixed cadence: the next one is due one ``interval``
+    after this one was, so neither the flush's run time nor a late
+    wake-up stretches it.  A flush that ends a whole interval or more
+    after ``due`` skips the missed ends instead of flushing them back to
+    back: the next epoch starts at ``now``.
+    """
+    following = due + interval
+    return following if following > now else now + interval
 
 
 def load_system_file(path: str) -> Dict[str, Any]:

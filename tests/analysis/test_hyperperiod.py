@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.cache import cache_stats, clear_caches
 from repro.analysis.hyperperiod import lcm_all, lcm_capped
+from repro.exp.acceptance import run_acceptance
 
 
 class TestLcmAll:
@@ -44,7 +46,7 @@ class TestLcmCapped:
         # cap at value k leaves at most cap * values[k] in hand.
         primes = _first_primes(2_000)
         cap = 10**6
-        for _attempt in range(3):  # OverflowError is never memoized
+        for _attempt in range(3):  # the memoized verdict raises too
             with pytest.raises(OverflowError, match="pseudo-polynomial"):
                 lcm_capped(primes, cap)
 
@@ -53,6 +55,17 @@ class TestLcmCapped:
         assert lcm_capped([2, 3, 5, 7], cap=210) == 210
         with pytest.raises(OverflowError):
             lcm_capped([2, 3, 5, 7], cap=209)
+
+    def test_over_cap_verdict_is_memoized(self):
+        # Regression: the over-cap raise used to skip lru_cache, so an
+        # identical acceptance sweep redid every failing reduction.
+        clear_caches()
+        first = run_acceptance(samples=30, task_count=5, seed=2021, jobs=1)
+        misses = cache_stats()["hyperperiod.lcm_capped"]["misses"]
+        assert misses > 0
+        second = run_acceptance(samples=30, task_count=5, seed=2021, jobs=1)
+        assert cache_stats()["hyperperiod.lcm_capped"]["misses"] == misses
+        assert second == first
 
 
 def _first_primes(count):

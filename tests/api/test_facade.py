@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import (
     AnalysisReport,
+    ConfigurationError,
     IOTask,
     SchedulabilityResult,
     ServerConfig,
@@ -67,6 +68,48 @@ class TestBuildSystem:
         assert (spec.pi, spec.theta) == (10, 5)
         with pytest.raises(KeyError):
             system.server_for(7)
+
+    @pytest.mark.parametrize(
+        "pi, theta, field",
+        [
+            # The two repros: analyze used to fail with a bare TypeError
+            # (exact slack over a float) and an untyped OverflowError
+            # (int64 array fill).
+            (5.5, 1, "pi"),
+            (2**70, 2**69, "pi"),
+            (20, 2**61, "theta"),
+            (2**61, None, "pi"),
+            (10, 2.0, "theta"),
+            (True, 1, "pi"),
+            (10, True, "theta"),
+            ("10", 2, "pi"),
+        ],
+        ids=[
+            "float-pi",
+            "pi-past-int64",
+            "theta-past-horizon",
+            "open-theta-pi-past-horizon",
+            "float-theta",
+            "bool-pi",
+            "bool-theta",
+            "str-pi",
+        ],
+    )
+    def test_untyped_server_fields_are_configuration_errors(
+        self, pi, theta, field
+    ):
+        config = SystemConfig(
+            tasks=[
+                IOTask(name="p", period=10, wcet=1, device="spi0"),
+                IOTask(
+                    name="r", period=50, wcet=3, vm_id=1,
+                    kind=TaskKind.RUNTIME, device="spi0",
+                ),
+            ],
+            servers=[ServerConfig(1, pi=pi, theta=theta)],
+        )
+        with pytest.raises(ConfigurationError, match=f"VM 1: {field}"):
+            build_system(config)
 
 
 class TestAnalyze:

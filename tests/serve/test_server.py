@@ -10,12 +10,13 @@ fairness, rebalance with parked requests) stay deterministic.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.core.admission import ConfigurationError
 from repro.serve.protocol import decode_message, encode_message
-from repro.serve.server import AdmissionServer, ServeConfig
+from repro.serve.server import AdmissionServer, ServeConfig, next_due
 from repro.serve.shard import AdmissionShard, ShardConfig, ShardPool
 from repro.tasks.serialization import canonical_json
 
@@ -341,6 +342,44 @@ class TestEpochBatching:
         run_with_server(body)
 
 
+def flush_times(interval, costs):
+    """Start times of an epoch loop's flushes on a simulated clock.
+
+    Mirrors ``AdmissionServer._epoch_loop``: sleep until the epoch is
+    due (or not at all if it already is), flush for ``costs[k]``, then
+    ask :func:`next_due` for the next end.
+    """
+    now, due, times = 0.0, interval, []
+    for cost in costs:
+        now = max(now, due)
+        times.append(now)
+        now += cost
+        due = next_due(due, now, interval)
+    return times
+
+
+class TestEpochCadence:
+    def test_on_time_flushes_keep_the_grid(self):
+        assert next_due(10, 11, 10) == 20
+        assert flush_times(10, [1, 1, 1, 1]) == [10, 20, 30, 40]
+
+    def test_a_late_flush_does_not_stretch_the_next_epoch(self):
+        # Woke 3 late, or flushed for 9: either way the next end is 20.
+        assert next_due(10, 13, 10) == 20
+        assert next_due(10, 19, 10) == 20
+        assert flush_times(10, [9, 1, 1]) == [10, 20, 30]
+
+    def test_an_overrun_is_followed_by_one_flush_not_a_burst(self):
+        # A flush ending 25 after its due time skipped the ends at 20
+        # and 30: the next epoch starts at 35 and ends one interval on.
+        assert next_due(10, 35, 10) == 45
+        assert next_due(10, 20, 10) == 30
+        times = flush_times(10, [25, 1, 1])
+        assert times == [10, 45, 55]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        assert min(gaps) >= 10
+
+
 class TestOverload:
     def test_shedding_then_quarantine(self):
         async def body(server, request):
@@ -434,6 +473,7 @@ class TestConcurrency:
 
     def test_writes_use_no_thread(self):
         async def body(server, request):
+            threads = threading.active_count()
             loop = asyncio.get_running_loop()
             run_in_executor = loop.run_in_executor
             calls = []
@@ -450,10 +490,12 @@ class TestConcurrency:
                 {"op": "stats", "seq": 4},
                 {"op": "rebalance", "seq": 5, "shards": 3},
                 admit(6, 1, "b"),
+                {"op": "analyze", "seq": 7, "tasks": [ANALYZE_PROBE]},
             ]
             for message in messages:
                 assert (await request(message))["ok"]
             assert calls == []
+            assert threading.active_count() == threads
 
         run_with_server(body)
 
