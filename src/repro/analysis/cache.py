@@ -27,7 +27,7 @@ values.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 #: Registered cached callables (anything exposing ``cache_clear`` and
 #: ``cache_info`` in the ``functools.lru_cache`` style, or an object
@@ -49,11 +49,6 @@ def register_cache(name: str, cached_callable: Callable) -> Callable:
         )
     _CACHES[name] = cached_callable
     return cached_callable
-
-
-def registered_caches() -> List[str]:
-    """Names of every registered cache, sorted."""
-    return sorted(_CACHES)
 
 
 def clear_caches() -> None:

@@ -29,7 +29,7 @@ scripts need exactly one import.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.batched import (
     gsched_schedulable_batch,
@@ -523,9 +523,17 @@ def _check_server_fields(servers: Sequence[ServerConfig]) -> None:
     The analysis does exact integer arithmetic on ``pi``/``theta`` and
     fills int64 arrays with their multiples, so a float fails it with a
     bare ``TypeError`` and a value past the int64-safe horizon with an
-    untyped ``OverflowError``.
+    untyped ``OverflowError``.  ``pi < 1`` or a pinned ``theta`` outside
+    ``1..pi`` is no server at all, and two entries for one VM leave its
+    server ambiguous.
     """
+    seen: Set[int] = set()
     for entry in servers:
+        if entry.vm_id in seen:
+            raise ConfigurationError(
+                f"server of VM {entry.vm_id}: vm_id is configured twice"
+            )
+        seen.add(entry.vm_id)
         for name, value in (("pi", entry.pi), ("theta", entry.theta)):
             if name == "theta" and value is None:
                 continue
@@ -539,6 +547,15 @@ def _check_server_fields(servers: Sequence[ServerConfig]) -> None:
                     f"server of VM {entry.vm_id}: {name}={value} exceeds "
                     f"the int64-safe horizon {INT64_SAFE_HORIZON}"
                 )
+        if entry.pi < 1:
+            raise ConfigurationError(
+                f"server of VM {entry.vm_id}: pi={entry.pi} must be >= 1"
+            )
+        if entry.theta is not None and not 1 <= entry.theta <= entry.pi:
+            raise ConfigurationError(
+                f"server of VM {entry.vm_id}: theta={entry.theta} must lie "
+                f"in 1..pi={entry.pi}"
+            )
 
 
 def build_system(config: SystemConfig) -> System:
@@ -559,8 +576,10 @@ def build_system(config: SystemConfig) -> System:
     run-time tasks has none (naming the VM) -- :func:`analyze` runs
     Theorem 4 only for VMs with a server, so such a VM would escape it.
     A server's ``pi`` or pinned ``theta`` that is not an ``int`` (or is
-    a ``bool``), or exceeds :data:`~repro.analysis.engine.INT64_SAFE_HORIZON`,
-    is a :class:`ConfigurationError` naming the VM and the field.
+    a ``bool``), exceeds :data:`~repro.analysis.engine.INT64_SAFE_HORIZON`,
+    or lies outside ``pi >= 1``, ``1 <= theta <= pi``, and a ``vm_id``
+    with two servers, are a :class:`ConfigurationError` naming the VM
+    and the field.
     """
     _check_server_fields(config.servers or ())
     taskset = TaskSet(list(config.tasks), name=config.name)

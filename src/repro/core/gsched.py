@@ -113,10 +113,6 @@ class GlobalScheduler:
         self._next_boundary: float = -math.inf
 
     @property
-    def server_specs(self) -> List[ServerSpec]:
-        return [state.spec for state in self._states.values()]
-
-    @property
     def total_bandwidth(self) -> float:
         return sum(state.spec.bandwidth for state in self._states.values())
 

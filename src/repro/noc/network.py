@@ -103,10 +103,6 @@ class NocNetwork:
     def link_failed(self, link: Tuple[Coordinate, Coordinate]) -> bool:
         return link in self._failed_links
 
-    @property
-    def failed_links(self) -> List[Tuple[Coordinate, Coordinate]]:
-        return sorted(self._failed_links)
-
     def _drop(
         self,
         packet: Packet,

@@ -4,9 +4,9 @@
 into a long-running service: an asyncio front-end (newline-JSON and
 HTTP/1.1 framings over one message vocabulary) routes per-VM admission
 traffic to sharded controllers called on its event-loop thread (no
-worker process and no thread hop on any path), batches analyze
-requests per fixed-length scheduling epoch through
-:func:`repro.api.analyze_many` on that same thread,
+worker process and no thread hop on any path), answers the analyze
+requests parked in one loop turn as one batch through
+:func:`repro.api.analyze_many` on that same thread (no timer),
 and sheds load through the :class:`~repro.core.manager.DegradationPolicy`
 when a shard saturates.
 

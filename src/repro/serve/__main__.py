@@ -32,7 +32,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         shards=args.shards,
-        epoch_interval=args.epoch_interval,
         queue_limit=args.queue_limit,
     )
 
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
     serve.add_argument("--shards", type=int, default=2)
-    serve.add_argument("--epoch-interval", type=float, default=0.01)
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.set_defaults(func=_cmd_serve)
 

@@ -11,22 +11,29 @@ Request flow
   decision log as one canonical-JSON line.  ``snapshot``, ``stats``
   and ``rebalance`` also run on the loop thread, so no shard state is
   ever touched from another thread.
-* ``analyze`` requests are parsed on arrival and join the *current
-  scheduling epoch*.  Epochs have a fixed length: epoch ``k`` is
-  flushed at ``start + k * epoch_interval``, whatever its flush cost
-  (:func:`next_due`).  A flush runs on the loop thread as one batch: it
+* ``analyze`` requests are parsed on arrival and join the pending
+  batch.  The first request to join an empty batch schedules its flush
+  for the next loop turn (``loop.call_soon``), so the batch holds every
+  analyze parked before the loop turns and none waits for a timer;
+  requests parked while a flush runs join the next batch, so batches
+  still grow under load.  A flush runs on the loop thread: it
   copies the admitted population, materializes one
   :class:`repro.api.System` per request and submits the whole column
   through :func:`repro.api.analyze_many`, which packs the column into
   the batched analysis kernels -- one numpy pass for the batch instead
-  of one engine dispatch per request.  The server starts no thread.
+  of one engine dispatch per request.  ``epoch`` counts the flushed
+  batches.  The server starts no thread and runs no timer task.
 * Overload sheds load instead of queueing without bound: when a
   shard's in-flight count (requests parked at their yield) reaches
   ``queue_limit`` the request is rejected with a ``shedding`` error
   and the rejection feeds the per-VM :class:`~repro.core.manager.DegradationPolicy` streak
-  (``slot`` = epoch index); a VM that keeps flooding is quarantined
+  (``slot`` = the shed request's ``seq``, so the quarantine log, like
+  the decision log, is a pure function of the request stream); a VM
+  that keeps flooding is quarantined
   (GearV-style: LO-priority churn is dropped so admitted HI
   guarantees keep holding) and rejected immediately thereafter.
+* A request whose handling raises unexpectedly is answered with an
+  ``internal`` error and its connection keeps serving.
 
 Construction validates the *full* server set against Theorem 2 once,
 raising the typed
@@ -79,11 +86,6 @@ class ServeConfig:
     incremental: bool = True
     #: Per-shard decision-ring bound (see AdmissionController).
     max_decisions: Optional[int] = 4096
-    #: Scheduling-epoch length in seconds: analyze requests arriving
-    #: within one epoch are answered from one consistent batch, flushed
-    #: when the epoch ends.  Epoch ends lie on a fixed grid of this
-    #: spacing; a flush's own run time does not stretch the next epoch.
-    epoch_interval: float = 0.01
     #: Per-shard in-flight bound; beyond it requests are shed.
     queue_limit: int = 64
     #: Consecutive sheds before a VM is quarantined (DegradationPolicy).
@@ -149,7 +151,7 @@ class AdmissionServer:
         self.policy = DegradationPolicy(
             stall_limit=config.stall_limit, reject_limit=config.reject_limit
         )
-        #: Scheduling epoch counter; the DegradationPolicy's time base.
+        #: Index of the last flushed analyze batch.
         self.epoch = 0
         self.log: Deque[Tuple[int, str]] = deque()
         self.dropped_log_entries = 0
@@ -164,11 +166,11 @@ class AdmissionServer:
             "shed": 0,
             "quarantined_rejects": 0,
             "protocol_errors": 0,
+            "internal_errors": 0,
         }
         self.port: Optional[int] = None
         self._pending: List[_PendingAnalyze] = []
         self._server: Optional[asyncio.AbstractServer] = None
-        self._epoch_task: Optional["asyncio.Task[None]"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown_event: Optional[asyncio.Event] = None
 
@@ -181,7 +183,6 @@ class AdmissionServer:
             self._on_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self._epoch_task = asyncio.create_task(self._epoch_loop())
 
     async def serve_until_shutdown(self) -> None:
         assert self._shutdown_event is not None, "start() first"
@@ -189,13 +190,6 @@ class AdmissionServer:
         await self.stop()
 
     async def stop(self) -> None:
-        if self._epoch_task is not None:
-            self._epoch_task.cancel()
-            try:
-                await self._epoch_task
-            except asyncio.CancelledError:
-                pass
-            self._epoch_task = None
         self._flush_epoch()  # answer any straggling analyze futures
         if self._server is not None:
             self._server.close()
@@ -294,24 +288,31 @@ class AdmissionServer:
         op = message["op"]
         seq = message["seq"]
         self.counters["requests"] += 1
-        if op == "admit":
-            return await self._admit(seq, message), False
-        if op == "withdraw":
-            return await self._withdraw(seq, message), False
-        if op == "analyze":
-            return await self._analyze(seq, message), False
-        if op == "snapshot":
-            return await self._snapshot(seq), False
-        if op == "rebalance":
-            return await self._rebalance(seq, message), False
-        if op == "stats":
-            return await self._stats(seq), False
-        if op == "log":
-            return ok_response(seq, log=self.decision_log_lines()), False
-        if op == "ping":
-            return ok_response(seq, epoch=self.epoch), False
-        # validate_request() restricts op to OPS, so this is shutdown.
-        return ok_response(seq, shutting_down=True), True
+        try:
+            if op == "admit":
+                return await self._admit(seq, message), False
+            if op == "withdraw":
+                return await self._withdraw(seq, message), False
+            if op == "analyze":
+                return await self._analyze(seq, message), False
+            if op == "snapshot":
+                return await self._snapshot(seq), False
+            if op == "rebalance":
+                return await self._rebalance(seq, message), False
+            if op == "stats":
+                return await self._stats(seq), False
+            if op == "log":
+                return ok_response(seq, log=self.decision_log_lines()), False
+            if op == "ping":
+                return ok_response(seq, epoch=self.epoch), False
+            # validate_request() restricts op to OPS, so this is shutdown.
+            return ok_response(seq, shutting_down=True), True
+        except Exception as exc:  # answer, never drop the connection
+            self.counters["internal_errors"] += 1
+            return (
+                error_response(seq, "internal", f"{type(exc).__name__}: {exc}"),
+                False,
+            )
 
     async def _admit(self, seq: int, message: Dict[str, Any]) -> Dict[str, Any]:
         self.counters["admits"] += 1
@@ -335,12 +336,12 @@ class AdmissionServer:
             )
         if shard.inflight >= self.config.queue_limit:
             self.counters["shed"] += 1
-            tripped = self.policy.note_rejection(vm_id, self.epoch)
+            tripped = self.policy.note_rejection(vm_id, seq)
             return error_response(
                 seq,
                 "shedding",
                 f"shard {shard.index} is saturated "
-                f"({shard.inflight} in flight); retry next epoch",
+                f"({shard.inflight} in flight); retry later",
                 vm_id=vm_id,
                 quarantined=tripped,
             )
@@ -416,6 +417,8 @@ class AdmissionServer:
         assert self._loop is not None
         entry = _PendingAnalyze(seq=seq, tasks=tasks)
         entry.future = self._loop.create_future()
+        if not self._pending:
+            self._loop.call_soon(self._flush_epoch)
         self._pending.append(entry)
         return await entry.future
 
@@ -460,7 +463,7 @@ class AdmissionServer:
                 "quarantined_vms": quarantined,
                 "quarantine_log": [
                     {
-                        "slot": event.slot,
+                        "seq": event.slot,
                         "category": event.category,
                         "target": event.target,
                         "reason": event.reason,
@@ -492,23 +495,14 @@ class AdmissionServer:
         assert current is not None  # the VM set never changes
         return current.call(message)
 
-    # -- epoch batching -----------------------------------------------------
-
-    async def _epoch_loop(self) -> None:
-        assert self._loop is not None
-        interval = self.config.epoch_interval
-        due = self._loop.time() + interval
-        while True:
-            await asyncio.sleep(due - self._loop.time())
-            self._flush_epoch()
-            due = next_due(due, self._loop.time(), interval)
+    # -- analyze batching -----------------------------------------------------
 
     def _flush_epoch(self) -> None:
-        """Advance the epoch; answer its analyze batch in one submission."""
+        """Answer the pending analyze batch in one submission."""
         pending, self._pending = self._pending, []
-        self.epoch += 1
         if not pending:
             return
+        self.epoch += 1
         self.counters["analyze_batches"] += 1
         try:
             results = self._run_analyze_batch(
@@ -535,7 +529,7 @@ class AdmissionServer:
         population: Dict[int, List[Dict[str, Any]]],
         extras: List[List[IOTask]],
     ) -> List[Union[Dict[str, Any], str]]:
-        """One epoch's analyze column through ``repro.api.analyze_many``.
+        """One batch's analyze column through ``repro.api.analyze_many``.
 
         Returns one report dict per request, or the message of the
         ``ValueError`` its system raised when built (a what-if task whose
@@ -613,19 +607,6 @@ class AdmissionServer:
         interleaving, which is what the CI smoke job byte-compares.
         """
         return [text for _seq, text in sorted(self.log)]
-
-
-def next_due(due: float, now: float, interval: float) -> float:
-    """When the epoch after the one due at ``due`` is due.
-
-    Epochs keep a fixed cadence: the next one is due one ``interval``
-    after this one was, so neither the flush's run time nor a late
-    wake-up stretches it.  A flush that ends a whole interval or more
-    after ``due`` skips the missed ends instead of flushing them back to
-    back: the next epoch starts at ``now``.
-    """
-    following = due + interval
-    return following if following > now else now + interval
 
 
 def load_system_file(path: str) -> Dict[str, Any]:

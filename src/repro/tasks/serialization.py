@@ -82,19 +82,41 @@ def task_from_dict(data: dict) -> IOTask:
             f"unknown criticality {data.get('criticality')!r}; expected "
             f"{[c.value for c in Criticality]}"
         ) from None
+    deadline = data.get("deadline")
     return IOTask(
         name=data["name"],
-        period=int(data["period"]),
-        wcet=int(data["wcet"]),
-        deadline=int(data["deadline"]) if "deadline" in data and data["deadline"] is not None else None,
-        vm_id=int(data.get("vm_id", 0)),
+        period=_int_field(data, "period"),
+        wcet=_int_field(data, "wcet"),
+        deadline=None if deadline is None else _int_field(data, "deadline"),
+        vm_id=_int_field(data, "vm_id", 0),
         kind=kind,
         criticality=criticality,
         device=data.get("device", "io0"),
-        payload_bytes=int(data.get("payload_bytes", 64)),
-        offset=int(data.get("offset", 0)),
-        jitter=int(data.get("jitter", 0)),
+        payload_bytes=_int_field(data, "payload_bytes", 64),
+        offset=_int_field(data, "offset", 0),
+        jitter=_int_field(data, "jitter", 0),
     )
+
+
+def _int_field(data: dict, field: str, default: int = 0) -> int:
+    """``data[field]`` as an exact int the analysis can take.
+
+    Bools, floats and strings are refused rather than coerced (``50.5``
+    must not become 50), and so is a value past the int64-safe horizon:
+    the analysis fills int64 arrays with multiples of these fields.
+    """
+    # Imported here: repro.analysis imports this package.
+    from repro.analysis.engine import INT64_SAFE_HORIZON
+
+    value = data.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"task field {field!r} must be an integer, got {value!r}")
+    if value > INT64_SAFE_HORIZON:
+        raise ValueError(
+            f"task field {field!r}={value} exceeds the int64-safe horizon "
+            f"{INT64_SAFE_HORIZON}"
+        )
+    return value
 
 
 def taskset_to_json(taskset: TaskSet, indent: int = 2) -> str:

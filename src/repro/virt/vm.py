@@ -54,12 +54,6 @@ class VirtualMachine:
     def record_rejection(self) -> None:
         self.jobs_rejected += 1
 
-    def record_quarantine(self, slot: int, dropped_jobs: int = 0) -> None:
-        """The hypervisor quarantined this VM at ``slot``."""
-        if self.quarantined_at is None:
-            self.quarantined_at = slot
-        self.jobs_dropped += dropped_jobs
-
     @property
     def is_quarantined(self) -> bool:
         return self.quarantined_at is not None

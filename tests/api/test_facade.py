@@ -111,6 +111,66 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError, match=f"VM 1: {field}"):
             build_system(config)
 
+    @staticmethod
+    def _served_config(servers):
+        return SystemConfig(
+            tasks=[
+                IOTask(name="p", period=10, wcet=1, device="spi0"),
+                IOTask(
+                    name="r", period=50, wcet=3, vm_id=1,
+                    kind=TaskKind.RUNTIME, device="spi0",
+                ),
+            ],
+            servers=servers,
+        )
+
+    @pytest.mark.parametrize(
+        "pi, theta, field",
+        [
+            (0, 1, "pi"),
+            (-4, None, "pi"),
+            (0, None, "pi"),
+            (10, 0, "theta"),
+            (10, -1, "theta"),
+            (10, 11, "theta"),
+        ],
+        ids=[
+            "zero-pi",
+            "negative-open-pi",
+            "zero-open-pi",
+            "zero-theta",
+            "negative-theta",
+            "theta-over-pi",
+        ],
+    )
+    def test_out_of_range_server_fields_are_configuration_errors(
+        self, pi, theta, field
+    ):
+        config = self._served_config([ServerConfig(1, pi=pi, theta=theta)])
+        with pytest.raises(ConfigurationError, match=f"VM 1: {field}="):
+            build_system(config)
+
+    @pytest.mark.parametrize("second_theta", [3, None], ids=["pinned", "open"])
+    def test_duplicate_server_vm_is_a_configuration_error(self, second_theta):
+        # Both entries used to build, and analyze reported schedulable.
+        config = self._served_config(
+            [
+                ServerConfig(1, pi=10, theta=2),
+                ServerConfig(1, pi=20, theta=second_theta),
+            ]
+        )
+        with pytest.raises(ConfigurationError, match="VM 1: vm_id"):
+            build_system(config)
+
+    def test_theta_equal_to_pi_is_accepted(self):
+        system = build_system(
+            self._served_config(
+                [ServerConfig(0, pi=10, theta=1), ServerConfig(1, pi=10, theta=10)]
+            )
+        )
+        spec = system.server_for(1)
+        assert (spec.pi, spec.theta) == (10, 10)
+
 
 class TestAnalyze:
     def test_schedulable_system(self):

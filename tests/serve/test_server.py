@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.admission import ConfigurationError
 from repro.serve.protocol import decode_message, encode_message
-from repro.serve.server import AdmissionServer, ServeConfig, next_due
+from repro.serve.server import AdmissionServer, ServeConfig
 from repro.serve.shard import AdmissionShard, ShardConfig, ShardPool
 from repro.tasks.serialization import canonical_json
 
@@ -29,7 +29,6 @@ def make_config(**overrides):
         table_pattern=PATTERN,
         servers=SERVERS,
         shards=2,
-        epoch_interval=0.005,
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -194,6 +193,63 @@ class TestMalformedFields:
         run_with_server(body)
 
 
+class TestTaskFieldRepros:
+    """Task fields the analysis cannot take are refused at parse time."""
+
+    def test_oversize_period_admit_does_not_wedge_its_vm(self):
+        async def body(server, request):
+            huge = await request(admit(1, 0, "huge", period=2**70))
+            assert huge["error"]["kind"] == "protocol"
+            assert "'period'" in huge["error"]["message"]
+            # Before the fix the first admit was accepted and this one
+            # overflowed in the incremental window and dropped the line.
+            for seq in (2, 3):
+                response = await asyncio.wait_for(
+                    request(admit(seq, 0, f"t{seq}")), timeout=10
+                )
+                assert response["ok"] and response["decision"]["schedulable"]
+            population = server.pool.population()
+            assert [t["name"] for t in population[0]] == ["t2", "t3"]
+
+        run_with_server(body)
+
+    def test_fractional_period_is_not_truncated(self):
+        async def body(server, request):
+            response = await request(admit(1, 0, "a", period=50.5))
+            assert response["error"]["kind"] == "protocol"
+            assert server.pool.population()[0] == []
+
+        run_with_server(body)
+
+    def test_oversize_period_analyze_is_a_protocol_error(self):
+        async def body(server, request):
+            probe = dict(ANALYZE_PROBE, period=2**70)
+            response = await request(
+                {"op": "analyze", "seq": 1, "tasks": [probe]}
+            )
+            assert response["error"]["kind"] == "protocol"
+
+        run_with_server(body)
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_is_answered_and_the_line_kept(self):
+        async def body(server, request):
+            async def broken(seq):
+                raise RuntimeError("boom")
+
+            server._snapshot = broken
+            response = await request({"op": "snapshot", "seq": 3})
+            assert response["seq"] == 3 and not response["ok"]
+            assert response["error"]["kind"] == "internal"
+            assert "boom" in response["error"]["message"]
+            assert server.counters["internal_errors"] == 1
+            # The same connection keeps serving.
+            assert (await request(admit(4, 0, "a")))["ok"]
+
+        run_with_server(body)
+
+
 class TestDecisionLog:
     def test_log_is_canonical_and_seq_sorted(self):
         async def body(server, request):
@@ -228,35 +284,23 @@ ANALYZE_PROBE = {"name": "w", "vm_id": 0, "period": 50, "wcet": 1}
 
 class TestEpochBatching:
     def test_concurrent_analyzes_share_a_batch(self):
-        async def _main():
-            server = AdmissionServer(make_config(epoch_interval=0.05))
-            await server.start()
-
-            async def one_analyze(seq):
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
+        async def body(server, request):
+            connections = await open_connections(server, 3)
+            for seq, (_reader, writer) in enumerate(connections):
                 writer.write(
                     encode_message({"op": "analyze", "seq": seq, "tasks": []})
                 )
-                await writer.drain()
-                response = decode_message(await reader.readline())
-                writer.close()
-                return response
+            lines = await asyncio.gather(
+                *[reader.readline() for reader, _writer in connections]
+            )
+            await close_connections(connections)
+            return [decode_message(line) for line in lines]
 
-            try:
-                responses = await asyncio.gather(
-                    *[one_analyze(seq) for seq in range(3)]
-                )
-            finally:
-                await server.stop()
-            assert all(r["ok"] for r in responses)
-            assert all(r["report"]["schedulable"] for r in responses)
-            # All three arrived within one epoch interval -> one batch.
-            assert server.counters["analyze_batches"] == 1
-            assert server.counters["analyzes"] == 3
-
-        asyncio.run(_main())
+        responses = run_with_server(body)
+        assert all(r["ok"] for r in responses)
+        assert all(r["report"]["schedulable"] for r in responses)
+        # All three were parked before the loop turned -> one batch.
+        assert [r["epoch"] for r in responses] == [1, 1, 1]
 
     @pytest.mark.parametrize(
         "bad_tasks",
@@ -265,7 +309,7 @@ class TestEpochBatching:
     )
     def test_malformed_analyze_fails_alone(self, bad_tasks):
         async def _main():
-            server = AdmissionServer(make_config(epoch_interval=0.05))
+            server = AdmissionServer(make_config())
             await server.start()
             try:
                 connections = await open_connections(server, 2)
@@ -292,7 +336,7 @@ class TestEpochBatching:
 
     def test_analyze_in_unknown_vm_is_typed_and_fails_alone(self):
         async def _main():
-            server = AdmissionServer(make_config(epoch_interval=0.05))
+            server = AdmissionServer(make_config())
             await server.start()
             try:
                 connections = await open_connections(server, 2)
@@ -342,42 +386,82 @@ class TestEpochBatching:
         run_with_server(body)
 
 
-def flush_times(interval, costs):
-    """Start times of an epoch loop's flushes on a simulated clock.
+class TestBatchRule:
+    """A batch is flushed on the loop turn after its first request parks."""
 
-    Mirrors ``AdmissionServer._epoch_loop``: sleep until the epoch is
-    due (or not at all if it already is), flush for ``costs[k]``, then
-    ask :func:`next_due` for the next end.
-    """
-    now, due, times = 0.0, interval, []
-    for cost in costs:
-        now = max(now, due)
-        times.append(now)
-        now += cost
-        due = next_due(due, now, interval)
-    return times
+    def test_one_flush_is_scheduled_per_batch(self):
+        scheduled = []
 
+        async def body(server, request):
+            loop = asyncio.get_running_loop()
+            call_soon = loop.call_soon
 
-class TestEpochCadence:
-    def test_on_time_flushes_keep_the_grid(self):
-        assert next_due(10, 11, 10) == 20
-        assert flush_times(10, [1, 1, 1, 1]) == [10, 20, 30, 40]
+            def recording(callback, *args, **kwargs):
+                if callback == server._flush_epoch:
+                    scheduled.append(server.counters["analyzes"])
+                return call_soon(callback, *args, **kwargs)
 
-    def test_a_late_flush_does_not_stretch_the_next_epoch(self):
-        # Woke 3 late, or flushed for 9: either way the next end is 20.
-        assert next_due(10, 13, 10) == 20
-        assert next_due(10, 19, 10) == 20
-        assert flush_times(10, [9, 1, 1]) == [10, 20, 30]
+            loop.call_soon = recording
+            try:
+                connections = await open_connections(server, 3)
+                for seq, (_reader, writer) in enumerate(connections):
+                    writer.write(
+                        encode_message(
+                            {"op": "analyze", "seq": seq, "tasks": []}
+                        )
+                    )
+                await asyncio.gather(
+                    *[reader.readline() for reader, _writer in connections]
+                )
+                await close_connections(connections)
+                assert (await request({"op": "analyze", "seq": 9}))["ok"]
+            finally:
+                loop.call_soon = call_soon
 
-    def test_an_overrun_is_followed_by_one_flush_not_a_burst(self):
-        # A flush ending 25 after its due time skipped the ends at 20
-        # and 30: the next epoch starts at 35 and ends one interval on.
-        assert next_due(10, 35, 10) == 45
-        assert next_due(10, 20, 10) == 30
-        times = flush_times(10, [25, 1, 1])
-        assert times == [10, 45, 55]
-        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
-        assert min(gaps) >= 10
+        run_with_server(body)
+        # Scheduled by the first request of each batch, not by the others.
+        assert scheduled == [1, 4]
+
+    def test_epoch_counts_non_empty_batches(self):
+        async def body(server, request):
+            assert (await request({"op": "ping", "seq": 1}))["epoch"] == 0
+            server._flush_epoch()  # nothing pending: no batch, no epoch
+            assert (await request({"op": "ping", "seq": 2}))["epoch"] == 0
+            epochs = [
+                (await request({"op": "analyze", "seq": seq}))["epoch"]
+                for seq in (3, 4, 5)
+            ]
+            assert epochs == [1, 2, 3]
+            server._flush_epoch()
+            stats = (await request({"op": "stats", "seq": 6}))["stats"]
+            assert stats["epoch"] == 3
+            assert stats["counters"]["analyze_batches"] == 3
+            assert (await request({"op": "ping", "seq": 7}))["epoch"] == 3
+
+        run_with_server(body)
+
+    def test_write_answered_while_an_analyze_is_parked(self):
+        async def body(server, request):
+            held = []
+            # Hold the batch: the flush the analyze schedules only records.
+            server._flush_epoch = lambda: held.append(server.epoch)
+            [(reader, writer)] = await open_connections(server, 1)
+            writer.write(
+                encode_message({"op": "analyze", "seq": 1, "tasks": []})
+            )
+            await writer.drain()
+            response = await asyncio.wait_for(
+                request(admit(2, 1, "w")), timeout=10
+            )
+            assert response["ok"] and response["decision"]["schedulable"]
+            assert held == [0] and len(server._pending) == 1
+            del server._flush_epoch
+            server._flush_epoch()
+            reply = decode_message(await reader.readline())
+            assert reply["ok"] and reply["epoch"] == 1
+            await close_connections([(reader, writer)])
+
+        run_with_server(body)
 
 
 class TestOverload:
@@ -397,7 +481,15 @@ class TestOverload:
             assert stats["counters"]["shed"] == 2
             assert stats["counters"]["quarantined_rejects"] == 1
             assert stats["quarantined_vms"] == [0]
-            assert stats["quarantine_log"][0]["category"] == "vm"
+            assert stats["quarantine_log"] == [
+                {
+                    "category": "vm",
+                    # The shed request that tripped it, not a clock reading.
+                    "seq": 2,
+                    "target": "0",
+                    "reason": "2 consecutive rejections",
+                }
+            ]
             # Other VMs are unaffected: isolation holds under overload.
             ok = await request(admit(5, 1, "d"))
             assert ok["error"]["kind"] == "shedding"  # still shed, not quarantined

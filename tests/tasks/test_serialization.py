@@ -95,3 +95,23 @@ class TestSchemaValidation:
             {"name": "x", "period": 10, "wcet": 2, "deadline": None}
         )
         assert task.deadline == 10
+
+    @pytest.mark.parametrize(
+        "field",
+        ["period", "wcet", "deadline", "offset", "jitter", "payload_bytes", "vm_id"],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [True, 50.5, 10.0, "10", 2**70, (1 << 60) + 1],
+        ids=["bool", "fraction", "integral-float", "str", "2**70", "horizon+1"],
+    )
+    def test_int_fields_refuse_what_the_analysis_cannot_take(self, field, value):
+        data = {"name": "x", "period": 10, "wcet": 2, field: value}
+        with pytest.raises(ValueError, match=f"task field '{field}'"):
+            task_from_dict(data)
+
+    def test_int_fields_accept_the_horizon_itself(self):
+        task = task_from_dict(
+            {"name": "x", "period": 1 << 60, "wcet": 2, "offset": 1 << 60}
+        )
+        assert task.period == 1 << 60 and task.offset == 1 << 60
