@@ -10,7 +10,8 @@ from the ``repro.api`` facade:
 * the L-Sched test (Theorems 3 + 4) and minimum-budget server design,
 * an acceptance-ratio experiment: the fraction of random task systems
   each test admits as utilization grows (the classic schedulability
-  plot), run on both analysis engines to show they agree.
+  plot), run on the production test and on its scalar reference to
+  show they agree.
 """
 
 import time
@@ -23,6 +24,7 @@ from repro.api import (
     gsched_schedulable,
     gsched_schedulable_exact,
     lsched_schedulable,
+    lsched_schedulable_reference,
     minimum_budget,
     sbf_server,
     sbf_sigma,
@@ -88,16 +90,19 @@ def lsched_demo() -> None:
 
 
 def acceptance_ratio_experiment() -> None:
-    """The classic acceptance plot, run once per analysis engine.
+    """The classic acceptance plot, run on production and reference.
 
-    The vectorized engine (QPA descent + numpy step-point sweeps) must
-    agree with the scalar reference on every single verdict; it earns
-    its keep on the larger near-boundary systems.
+    The production test (QPA descent + numpy step-point sweeps on large
+    windows) must agree with the scalar reference on every single
+    verdict; it earns its keep on the larger near-boundary systems.
     """
     print("\n=== Acceptance ratio vs utilization (Theorem 4) ===")
     pi, theta = 20, 14  # a 70%-bandwidth server
     samples = 40
-    for engine_name in ("scalar", "vectorized"):
+    for label, test in (
+        ("reference", lsched_schedulable_reference),
+        ("production", lsched_schedulable),
+    ):
         started = time.perf_counter()
         rows = []
         for utilization in (0.3, 0.4, 0.5, 0.6, 0.7):
@@ -109,12 +114,11 @@ def acceptance_ratio_experiment() -> None:
                     total_utilization=utilization,
                     name=f"u{utilization}s{seed}",
                 )
-                verdict = lsched_schedulable(pi, theta, tasks, engine=engine_name)
-                if verdict.schedulable:
+                if test(pi, theta, tasks).schedulable:
                     accepted += 1
             rows.append((utilization, accepted))
         elapsed = time.perf_counter() - started
-        print(f"  engine={engine_name} ({elapsed * 1000:.1f} ms):")
+        print(f"  {label} ({elapsed * 1000:.1f} ms):")
         for utilization, accepted in rows:
             print(
                 f"    U={utilization:.1f}: accepted {accepted}/{samples} "

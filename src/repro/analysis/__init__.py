@@ -17,13 +17,18 @@
   (``clear_caches``, ``cache_stats``); the cached and uncached paths are
   value-identical by construction and cross-checked by the property
   tests.
-* :mod:`repro.analysis.engine` -- selects the step-point sweep
-  implementation: the "scalar" reference loop or the default
-  "vectorized" numpy + QPA engine.  Single pairs run the per-pair
-  kernels in :mod:`repro.analysis.vectorized`; the batch entry points in
+* One analysis, three sweeps.  The Theorem-2/4 tests run numpy + QPA
+  kernels (:mod:`repro.analysis.vectorized`) on windows of at least
+  :data:`~repro.analysis.engine.VECTORIZE_MIN_POINTS` step points and a
+  plain loop below; the batch entry points in
   :mod:`repro.analysis.batched` pack many requests into one pass (shared
-  hyper-period-tiled grids, lock-step QPA).  Every path is
-  bit-identical, enforced by the property suite.
+  hyper-period-tiled grids, lock-step QPA).  The ``*_reference``
+  functions (``gsched_schedulable_reference``,
+  ``lsched_schedulable_reference``, ``response_time_bound_reference``,
+  and the Theorem-3 and linear-supply variants in their modules) run
+  the plain loop at every size; every path is bit-identical to them,
+  enforced by the property suite.  :mod:`repro.analysis.engine`
+  holds the size cutoff and the int64 cap the kernels share.
 * :mod:`repro.analysis.result` -- the :class:`SchedulabilityResult`
   protocol every verdict class satisfies.
 """
@@ -32,7 +37,6 @@ from repro.analysis.cache import (
     cache_stats,
     clear_caches,
 )
-from repro.analysis.engine import resolve_engine
 from repro.analysis.result import SchedulabilityResult
 from repro.analysis.supply import (
     sbf_server,
@@ -50,12 +54,14 @@ from repro.analysis.gsched_test import (
     GSchedResult,
     gsched_schedulable,
     gsched_schedulable_exact,
+    gsched_schedulable_reference,
     theorem2_bound,
 )
 from repro.analysis.lsched_test import (
     LSchedResult,
     lsched_schedulable,
     lsched_schedulable_exact,
+    lsched_schedulable_reference,
     theorem4_bound,
 )
 from repro.analysis.servers import (
@@ -71,6 +77,7 @@ from repro.analysis.linear_test import lsched_schedulable_linear
 from repro.analysis.response_time import (
     ResponseTimeBound,
     response_time_bound,
+    response_time_bound_reference,
     response_time_bounds,
 )
 from repro.analysis.sensitivity import (
@@ -85,6 +92,7 @@ __all__ = [
     "critical_wcet_scale",
     "max_preload_fraction",
     "response_time_bound",
+    "response_time_bound_reference",
     "response_time_bounds",
     "GSchedResult",
     "LSchedResult",
@@ -92,17 +100,18 @@ __all__ = [
     "SystemSchedulabilityResult",
     "analyze_system",
     "dbf_server",
-    "resolve_engine",
     "dbf_sporadic",
     "dbf_taskset",
     "dbf_taskset_uncached",
     "design_servers",
     "gsched_schedulable",
     "gsched_schedulable_exact",
+    "gsched_schedulable_reference",
     "lcm_all",
     "lsched_schedulable",
     "lsched_schedulable_linear",
     "lsched_schedulable_exact",
+    "lsched_schedulable_reference",
     "minimum_budget",
     "sbf_server",
     "sbf_server_inverse",

@@ -1,14 +1,14 @@
 """Batched analysis: many (taskset, server) pairs per numpy pass.
 
-The vectorized engine (:mod:`repro.analysis.vectorized`) decides one
+The per-pair kernels (:mod:`repro.analysis.vectorized`) decide one
 (taskset, server) pair at a time; every pair pays the Python-level cost
-of engine dispatch, QPA probes and a handful of small numpy calls.
+of the preamble, QPA probes and a handful of small numpy calls.
 Production sweeps -- synthesis search, admission columns, acceptance
 grids -- ask *millions* of such questions, and at that scale the
 per-pair overhead dominates the arithmetic.  This module is the packed
-path of the default engine: it packs N demand signatures and server
-parameters into padded 2-D int64 arrays and evaluates the Theorem-1/2/4
-inequalities for the whole batch per numpy pass.
+path: it packs N demand signatures and server parameters into padded
+2-D int64 arrays and evaluates the Theorem-1/2/4 inequalities for the
+whole batch per numpy pass.
 
 Strategy, per batch entry point (:func:`lsched_schedulable_batch` for
 Theorems 3/4, :func:`gsched_schedulable_batch` for Theorems 1/2):
@@ -16,14 +16,14 @@ Theorems 3/4, :func:`gsched_schedulable_batch` for Theorems 1/2):
 * the scalar preamble (server validation, exact-rational slack, horizon
   bounds, overload witnesses, zero-slack exact-test fallback) runs per
   lane, unchanged -- these paths are cheap and their results must stay
-  bit-identical to the per-pair engines;
-* the **QPA descent** of the vectorized engine is reused per batch lane
+  bit-identical to the per-pair tests;
+* the **QPA descent** of the per-pair kernels is reused per batch lane
   to shrink each lane's scan window: lanes the descent fully decides
   never enter the batch, lanes where it finds a failing probe only need
   the prefix below that probe, and stalled lanes scan their proven
   prefix (identical thresholds -- :data:`~repro.analysis.vectorized.QPA_MIN_GRID`,
   :data:`~repro.analysis.vectorized.QPA_PROBE_LIMIT` -- so the windows
-  match the per-pair engine exactly);
+  match the per-pair tests exactly);
 * the surviving lanes' step-point grids are **compressed**: lanes
   sharing a ``(grid pairs, window)`` key reuse one grid array, and grids
   whose periods admit a small hyper-period are generated by *tiling* one
@@ -31,8 +31,8 @@ Theorems 3/4, :func:`gsched_schedulable_batch` for Theorems 1/2):
   that makes prime-factorization period sampling
   (:class:`repro.tasks.generators.HyperperiodBasis`) pay off;
 * **ragged outliers** -- lanes whose grid dwarfs the batch median, which
-  would blow up the padded matrix -- fall back to the per-pair
-  vectorized engine (bit-identical by the engine contract);
+  would blow up the padded matrix -- fall back to the per-pair test
+  (bit-identical by construction);
 * each surviving lane's demand curve is computed by the **event
   cumsum** trick (:func:`_taskset_grid_demand`): a dbf only jumps at
   its own grid points, so sorting the jump events and prefix-summing
@@ -43,14 +43,16 @@ Theorems 3/4, :func:`gsched_schedulable_batch` for Theorems 1/2):
 * everything left is padded into ``[lanes, points]`` point and demand
   arrays and swept in column-chunks of one fused numpy pass each
   (closed-form sbf against the precomputed curve); the first failing
-  column per lane is the same first-failing witness the scalar loop
-  reports.
+  column per lane is the same first-failing witness the reference
+  loop reports.
 
 Padding is inert by construction: pad grid cells sit at ``t = 0`` with
 zero demand and zero supply, so they can never produce a failure.
 
-Every decision and witness is bit-identical to the scalar and vectorized
-engines; ``tests/properties/test_batched_engine.py`` enforces this over
+Every decision and witness is bit-identical to the per-pair tests and
+their scalar references (``gsched_schedulable_reference``,
+``lsched_schedulable_reference``);
+``tests/properties/test_batched_engine.py`` enforces this over
 randomized batches including ragged, shared-hyperperiod and
 ``theta == pi`` lanes.
 """
@@ -69,7 +71,7 @@ from repro.analysis.demand import (
     dbf_signature_demand,
     demand_signature,
 )
-from repro.analysis.engine import INT64_SAFE_HORIZON, resolve_engine
+from repro.analysis.engine import INT64_SAFE_HORIZON
 from repro.analysis.gsched_test import (
     GSchedResult,
     gsched_schedulable,
@@ -104,13 +106,13 @@ BATCH_CELL_BUDGET = 1 << 21
 
 #: Lanes whose grid exceeds this multiple of the batch median (or the
 #: absolute point cap below) are ragged outliers: they fall back to the
-#: per-pair vectorized engine instead of bloating the padded matrix.
+#: per-pair test instead of bloating the padded matrix.
 RAGGED_FACTOR = 8
 
 #: Absolute per-lane grid cap for the padded sweep.
 RAGGED_POINTS_CAP = 1 << 20
 
-#: QPA descent rounds per batch.  The per-pair engine spends up to
+#: QPA descent rounds per batch.  The per-pair test spends up to
 #: :data:`~repro.analysis.vectorized.QPA_PROBE_LIMIT` Python-level
 #: probes because a decided lane skips its sweep entirely; in a batch
 #: the sweep is one shared numpy pass, so a stalled descent is pure
@@ -494,7 +496,7 @@ def _server_grid_demand(
     return enumerated(horizon)
 
 
-# -- QPA window shrinking (identical control flow to the per-pair engine) ----
+# -- QPA window shrinking (identical control flow to the per-pair test) ------
 
 
 #: Pad deadline for lanes with fewer tasks than the widest lane: far
@@ -508,7 +510,7 @@ def _qpa_taskset_windows(
 ) -> List[Tuple[str, int]]:
     """Shrink every Theorem-4 window with one lockstep QPA descent.
 
-    The per-pair engine runs the Zhang-Burns descent one lane at a time
+    The per-pair test runs the Zhang-Burns descent one lane at a time
     in Python; here all lanes descend together, one fused numpy pass per
     probe round over ``[lanes, tasks]`` arrays.  Per lane the result is
     ``("schedulable", 0)`` (the descent bottomed out below every step
@@ -529,7 +531,7 @@ def _qpa_taskset_windows(
             raise OverflowError(
                 f"theorem-4 window {entry_horizon} exceeds the "
                 f"int64-safe cap {INT64_SAFE_HORIZON}; route this lane "
-                f"to the per-pair engine instead"
+                f"to the per-pair test instead"
             )
     kmax = max(len(signature) for signature, _pi, _theta, _h in entries)
     deadlines = np.full((n, kmax), _PAD_DEADLINE, dtype=np.int64)
@@ -807,7 +809,7 @@ def _theorem4_bound_raw(
     """Integer twin of ``_theorem4_bound_from_slack``; needs ``num > 0``.
 
     ``ceil(numerator / (num / den)) == -((-numerator * den) // num)``
-    exactly, so the horizon matches the per-pair engine bit for bit.
+    exactly, so the horizon matches the per-pair test bit for bit.
     """
     numerator = tasks.max_laxity_gap + 2 * pi - theta - 1
     if numerator <= 0:
@@ -823,21 +825,13 @@ def _theorem4_bound_raw(
 def lsched_schedulable_batch(
     requests: Sequence[Tuple[int, int, TaskSet]],
     *,
-    engine: Optional[str] = None,
     stats: Optional[BatchStats] = None,
 ) -> List[LSchedResult]:
     """Theorem 4 over a whole batch of ``(pi, theta, tasks)`` lanes.
 
     Result ``i`` equals ``lsched_schedulable(*requests[i])`` bit for bit
-    -- same decisions, witnesses, horizons and methods.  Any engine but
-    ``"scalar"`` packs the batch; ``"scalar"`` runs the per-pair
-    reference loop, which the differential tests compare against.
+    -- same decisions, witnesses, horizons and methods.
     """
-    if resolve_engine(engine) == "scalar":
-        return [
-            lsched_schedulable(pi, theta, tasks, engine="scalar")
-            for pi, theta, tasks in requests
-        ]
     if stats is not None:
         stats.lanes += len(requests)
     results: List[Optional[LSchedResult]] = [None] * len(requests)
@@ -872,9 +866,7 @@ def lsched_schedulable_batch(
         elif num == 0:
             # Theorem-3 fallback, exactly as the per-pair test; exact
             # windows are the classic ragged outlier (LCM horizons).
-            results[index] = lsched_schedulable_exact(
-                pi, theta, tasks, engine="vectorized"
-            )
+            results[index] = lsched_schedulable_exact(pi, theta, tasks)
             if stats is not None:
                 stats.fallback_lanes += 1
         else:
@@ -882,11 +874,9 @@ def lsched_schedulable_batch(
             if horizon > INT64_SAFE_HORIZON:
                 # Near-zero slack blows the Theorem-4 window past what
                 # the int64 lane arrays can represent; decide this lane
-                # with the per-pair engine (whose QPA descent runs on
+                # with the per-pair test (whose QPA descent runs on
                 # Python ints) instead of poisoning the whole batch.
-                results[index] = lsched_schedulable(
-                    pi, theta, tasks, engine="vectorized"
-                )
+                results[index] = lsched_schedulable(pi, theta, tasks)
                 if stats is not None:
                     stats.fallback_lanes += 1
                 continue
@@ -938,7 +928,7 @@ def lsched_schedulable_batch(
             index, pi, theta, signature, horizon, slack_f, names, verdict, bound = entry
             if _is_ragged(size, median):
                 results[index] = lsched_schedulable(
-                    pi, theta, tasks=_taskset_of(requests[index]), engine="vectorized"
+                    pi, theta, _taskset_of(requests[index])
                 )
                 if stats is not None:
                     stats.fallback_lanes += 1
@@ -978,7 +968,7 @@ def lsched_schedulable_batch(
                     if lane.must_fail:
                         raise AssertionError(
                             "QPA reported a failing point but the batched "
-                            "sweep found none; the engines disagree"
+                            "sweep found none; the kernels disagree"
                         )
                     results[index] = LSchedResult(
                         schedulable=True,
@@ -1013,20 +1003,13 @@ def _taskset_of(request: Tuple[int, int, TaskSet]) -> TaskSet:
 def gsched_schedulable_batch(
     requests: Sequence[Tuple[TimeSlotTable, Sequence[Tuple[int, int]]]],
     *,
-    engine: Optional[str] = None,
     stats: Optional[BatchStats] = None,
 ) -> List[GSchedResult]:
     """Theorem 2 over a whole batch of ``(table, servers)`` lanes.
 
     Result ``i`` equals ``gsched_schedulable(*requests[i])`` bit for
-    bit; see :func:`lsched_schedulable_batch` for the ``engine``
-    semantics.
+    bit.
     """
-    if resolve_engine(engine) == "scalar":
-        return [
-            gsched_schedulable(table, servers, engine="scalar")
-            for table, servers in requests
-        ]
     if stats is not None:
         stats.lanes += len(requests)
     results: List[Optional[GSchedResult]] = [None] * len(requests)
@@ -1061,9 +1044,7 @@ def gsched_schedulable_batch(
                 servers=servers,
             )
         elif slack == 0:
-            results[index] = gsched_schedulable_exact(
-                table, servers, engine="vectorized"
-            )
+            results[index] = gsched_schedulable_exact(table, servers)
             if stats is not None:
                 stats.fallback_lanes += 1
         else:
@@ -1091,9 +1072,7 @@ def gsched_schedulable_batch(
         for entry, size in zip(pending, sizes):
             index, table, servers, horizon, slack_f, verdict, bound = entry
             if _is_ragged(size, median):
-                results[index] = gsched_schedulable(
-                    table, servers, engine="vectorized"
-                )
+                results[index] = gsched_schedulable(table, servers)
                 if stats is not None:
                     stats.fallback_lanes += 1
                 continue
@@ -1126,7 +1105,7 @@ def gsched_schedulable_batch(
                     if lane.must_fail:
                         raise AssertionError(
                             "QPA reported a failing point but the batched "
-                            "sweep found none; the engines disagree"
+                            "sweep found none; the kernels disagree"
                         )
                     results[index] = GSchedResult(
                         schedulable=True,

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.demand import dbf_server, server_step_points
-from repro.analysis.engine import VECTORIZE_MIN_POINTS, resolve_engine
+from repro.analysis.engine import VECTORIZE_MIN_POINTS
 from repro.analysis.hyperperiod import lcm_capped
 from repro.core.timeslot import TimeSlotTable
 
@@ -99,9 +99,7 @@ def theorem2_bound(table: TimeSlotTable, servers: Sequence[Tuple[int, int]]) -> 
 
 
 def gsched_schedulable(
-    table: TimeSlotTable,
-    servers: Sequence[Tuple[int, int]],
-    engine: Optional[str] = None,
+    table: TimeSlotTable, servers: Sequence[Tuple[int, int]]
 ) -> GSchedResult:
     """Theorem 2: pseudo-polynomial G-Sched test.
 
@@ -109,53 +107,23 @@ def gsched_schedulable(
     to the Theorem-2 horizon.  Over-utilized systems (non-positive slack)
     are immediately unschedulable in the long run; we report them with a
     witness at the table hyper-period scale.
-
-    ``engine`` selects the step-point sweep implementation (``"scalar"``
-    or ``"vectorized"``; see :mod:`repro.analysis.engine`).  Both return
-    bit-identical results.
     """
-    servers = [(int(pi), int(theta)) for pi, theta in servers]
-    h = table.total_slots
-    f = table.free_slots
-    server_bandwidth(servers)  # validates the pairs
-    slack = Fraction(f, h) - sum(
-        (Fraction(theta, pi) for pi, theta in servers), Fraction(0)
-    )
-    if not servers:
-        return GSchedResult(
-            schedulable=True,
-            horizon=0,
-            slack=float(slack),
-            method="theorem2",
-            servers=[],
-        )
-    if slack < 0:
-        witness = _overload_witness(table, servers)
-        return GSchedResult(
-            schedulable=False,
-            horizon=witness[0],
-            slack=float(slack),
-            failing_t=witness[0],
-            failing_demand=witness[1],
-            failing_supply=witness[2],
-            method="utilization",
-            servers=servers,
-        )
-    if slack == 0:
-        # Theorem 2 does not apply; fall back to the exact test when the
-        # hyper-period is tractable.
-        return gsched_schedulable_exact(table, servers, engine=engine)
-    horizon = theorem2_bound(table, servers)
-    return _check_window(
-        table, servers, horizon, float(slack), method="theorem2", engine=engine
-    )
+    return _theorem2(table, servers, _check_window)
+
+
+def gsched_schedulable_reference(
+    table: TimeSlotTable, servers: Sequence[Tuple[int, int]]
+) -> GSchedResult:
+    """:func:`gsched_schedulable` with the plain per-``t`` loop at every
+    window size: the reference the production kernels are tested
+    against, bit for bit."""
+    return _theorem2(table, servers, _scan_window)
 
 
 def gsched_schedulable_exact(
     table: TimeSlotTable,
     servers: Sequence[Tuple[int, int]],
     cap: int = EXACT_TEST_CAP,
-    engine: Optional[str] = None,
 ) -> GSchedResult:
     """Theorem 1: exact test up to lcm({H} u {Pi_i}).
 
@@ -164,24 +132,37 @@ def gsched_schedulable_exact(
     ``lcm * F/H``; when bandwidth <= F/H and the inequality holds over
     the first repetition it holds forever.
     """
-    servers = [(int(pi), int(theta)) for pi, theta in servers]
-    h = table.total_slots
-    f = table.free_slots
-    server_bandwidth(servers)  # validates the pairs
-    slack = Fraction(f, h) - sum(
-        (Fraction(theta, pi) for pi, theta in servers), Fraction(0)
+    return _theorem1(table, servers, cap, _check_window)
+
+
+#: A step-point sweep over ``[0, horizon]``: ``(table, servers, horizon,
+#: slack, method)`` to the verdict.
+_Window = Callable[
+    [TimeSlotTable, List[Tuple[int, int]], int, float, str], GSchedResult
+]
+
+
+def _preamble(
+    table: TimeSlotTable, servers: Sequence[Tuple[int, int]], method: str
+) -> Tuple[List[Tuple[int, int]], Fraction, Optional[GSchedResult]]:
+    """Normalized pairs, exact slack and the verdict when no window is
+    needed (no servers, or over-utilized)."""
+    pairs = [(int(pi), int(theta)) for pi, theta in servers]
+    server_bandwidth(pairs)  # validates the pairs
+    slack = Fraction(table.free_slots, table.total_slots) - sum(
+        (Fraction(theta, pi) for pi, theta in pairs), Fraction(0)
     )
-    if not servers:
-        return GSchedResult(
+    if not pairs:
+        return pairs, slack, GSchedResult(
             schedulable=True,
             horizon=0,
             slack=float(slack),
-            method="theorem1",
+            method=method,
             servers=[],
         )
     if slack < 0:
-        witness = _overload_witness(table, servers)
-        return GSchedResult(
+        witness = _overload_witness(table, pairs)
+        return pairs, slack, GSchedResult(
             schedulable=False,
             horizon=witness[0],
             slack=float(slack),
@@ -189,12 +170,36 @@ def gsched_schedulable_exact(
             failing_demand=witness[1],
             failing_supply=witness[2],
             method="utilization",
-            servers=servers,
+            servers=pairs,
         )
-    horizon = lcm_capped([h] + [pi for pi, _ in servers], cap)
-    return _check_window(
-        table, servers, horizon, float(slack), method="theorem1", engine=engine
-    )
+    return pairs, slack, None
+
+
+def _theorem2(
+    table: TimeSlotTable, servers: Sequence[Tuple[int, int]], window: _Window
+) -> GSchedResult:
+    pairs, slack, decided = _preamble(table, servers, "theorem2")
+    if decided is not None:
+        return decided
+    if slack == 0:
+        # Theorem 2 does not apply; fall back to the exact test when the
+        # hyper-period is tractable.
+        return _theorem1(table, pairs, EXACT_TEST_CAP, window)
+    horizon = theorem2_bound(table, pairs)
+    return window(table, pairs, horizon, float(slack), "theorem2")
+
+
+def _theorem1(
+    table: TimeSlotTable,
+    servers: Sequence[Tuple[int, int]],
+    cap: int,
+    window: _Window,
+) -> GSchedResult:
+    pairs, slack, decided = _preamble(table, servers, "theorem1")
+    if decided is not None:
+        return decided
+    horizon = lcm_capped([table.total_slots] + [pi for pi, _ in pairs], cap)
+    return window(table, pairs, horizon, float(slack), "theorem1")
 
 
 def _check_window(
@@ -203,13 +208,21 @@ def _check_window(
     horizon: int,
     slack: float,
     method: str,
-    engine: Optional[str] = None,
 ) -> GSchedResult:
-    if (
-        resolve_engine(engine) != "scalar"
-        and sum(horizon // pi for pi, _theta in servers) >= VECTORIZE_MIN_POINTS
-    ):
+    """The production sweep: numpy kernels on large windows, the plain
+    loop below :data:`VECTORIZE_MIN_POINTS` step points."""
+    if sum(horizon // pi for pi, _theta in servers) >= VECTORIZE_MIN_POINTS:
         return _check_window_vectorized(table, servers, horizon, slack, method)
+    return _scan_window(table, servers, horizon, slack, method)
+
+
+def _scan_window(
+    table: TimeSlotTable,
+    servers: List[Tuple[int, int]],
+    horizon: int,
+    slack: float,
+    method: str,
+) -> GSchedResult:
     for t in server_step_points(servers, horizon):
         demand = sum(dbf_server(pi, theta, t) for pi, theta in servers)
         supply = table.sbf(t)
@@ -240,7 +253,7 @@ def _check_window_vectorized(
     slack: float,
     method: str,
 ) -> GSchedResult:
-    """QPA descent + numpy witness scan; bit-identical to _check_window."""
+    """QPA descent + numpy witness scan; bit-identical to _scan_window."""
     from repro.analysis import vectorized as vec
 
     failure = vec.server_failure(table, servers, horizon)

@@ -11,14 +11,14 @@ experiment.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable
 
 from repro.analysis.demand import (
     dbf_signature_demand,
     dbf_step_points,
     demand_signature,
 )
-from repro.analysis.engine import VECTORIZE_MIN_POINTS, resolve_engine
+from repro.analysis.engine import VECTORIZE_MIN_POINTS
 from repro.analysis.lsched_test import (
     LSchedResult,
     _exact_slack,
@@ -29,15 +29,14 @@ from repro.analysis.lsched_test import (
 from repro.analysis.supply import linear_supply_lower_bound
 from repro.tasks.taskset import TaskSet
 
-__all__ = ["lsched_schedulable_linear", "theorem4_bound"]
+__all__ = [
+    "lsched_schedulable_linear",
+    "lsched_schedulable_linear_reference",
+    "theorem4_bound",
+]
 
 
-def lsched_schedulable_linear(
-    pi: int,
-    theta: int,
-    tasks: TaskSet,
-    engine: Optional[str] = None,
-) -> LSchedResult:
+def lsched_schedulable_linear(pi: int, theta: int, tasks: TaskSet) -> LSchedResult:
     """Sufficient test: demand against the linear supply lower bound.
 
     Accepting here implies Theorem 4 accepts (the line never exceeds the
@@ -45,11 +44,28 @@ def lsched_schedulable_linear(
     applies because the proof's inequality chain is built on this very
     line.
     """
+    return _linear(pi, theta, tasks, _check_window)
+
+
+def lsched_schedulable_linear_reference(
+    pi: int, theta: int, tasks: TaskSet
+) -> LSchedResult:
+    """:func:`lsched_schedulable_linear` with the plain per-``t`` loop at
+    every window size: the reference the numpy path is tested against,
+    bit for bit."""
+    return _linear(pi, theta, tasks, _scan_window)
+
+
+#: A step-point sweep over ``[0, horizon]``: ``(pi, theta, tasks,
+#: horizon, slack)`` to the verdict.
+_Window = Callable[[int, int, TaskSet, int, float], LSchedResult]
+
+
+def _linear(pi: int, theta: int, tasks: TaskSet, window: _Window) -> LSchedResult:
     if pi < 1 or not 0 < theta <= pi:
         raise ValueError(
             f"invalid server (pi={pi}, theta={theta})"
         )
-    names = [task.name for task in tasks]
     slack = _exact_slack(pi, theta, tasks)
     if len(tasks) == 0:
         return LSchedResult(
@@ -60,14 +76,26 @@ def lsched_schedulable_linear(
         return LSchedResult(
             schedulable=False, horizon=0, slack=float(slack),
             failing_t=0, method="linear", server=(pi, theta),
-            task_names=names,
+            task_names=[task.name for task in tasks],
         )
     horizon = _theorem4_bound_from_slack(pi, theta, tasks, slack)
-    if (
-        resolve_engine(engine) != "scalar"
-        and _step_point_estimate(tasks, horizon) >= VECTORIZE_MIN_POINTS
-    ):
-        return _linear_window_vectorized(pi, theta, tasks, horizon, float(slack))
+    return window(pi, theta, tasks, horizon, float(slack))
+
+
+def _check_window(
+    pi: int, theta: int, tasks: TaskSet, horizon: int, slack: float
+) -> LSchedResult:
+    """The production sweep: numpy kernels on large windows, the plain
+    loop below :data:`VECTORIZE_MIN_POINTS` step points."""
+    if _step_point_estimate(tasks, horizon) >= VECTORIZE_MIN_POINTS:
+        return _linear_window_vectorized(pi, theta, tasks, horizon, slack)
+    return _scan_window(pi, theta, tasks, horizon, slack)
+
+
+def _scan_window(
+    pi: int, theta: int, tasks: TaskSet, horizon: int, slack: float
+) -> LSchedResult:
+    names = [task.name for task in tasks]
     signature = demand_signature(tasks)
     for t in dbf_step_points(tasks, horizon):
         demand = dbf_signature_demand(signature, t)
@@ -76,7 +104,7 @@ def lsched_schedulable_linear(
             return LSchedResult(
                 schedulable=False,
                 horizon=horizon,
-                slack=float(slack),
+                slack=slack,
                 failing_t=t,
                 failing_demand=demand,
                 failing_supply=int(max(0.0, supply)),
@@ -87,7 +115,7 @@ def lsched_schedulable_linear(
     return LSchedResult(
         schedulable=True,
         horizon=horizon,
-        slack=float(slack),
+        slack=slack,
         method="linear",
         server=(pi, theta),
         task_names=names,
@@ -100,7 +128,7 @@ def _linear_inverse(pi: int, theta: int, demand: int) -> int:
     Computed in exact rational arithmetic, then bumped forward while the
     *float* evaluation (the comparison the scalar loop actually performs)
     still falls short -- the bump keeps the QPA skip range sound under
-    IEEE rounding, so both engines agree bit-for-bit.
+    IEEE rounding, so the numpy path and the loop agree bit for bit.
     """
     if demand <= 0:
         return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.demand import (
     dbf_signature_demand,
@@ -21,7 +21,7 @@ from repro.analysis.demand import (
     dbf_taskset,
     demand_signature,
 )
-from repro.analysis.engine import VECTORIZE_MIN_POINTS, resolve_engine
+from repro.analysis.engine import VECTORIZE_MIN_POINTS
 from repro.analysis.hyperperiod import lcm_capped
 from repro.analysis.supply import sbf_server, sbf_server_inverse
 from repro.tasks.taskset import TaskSet
@@ -106,48 +106,18 @@ def _exact_slack(pi: int, theta: int, tasks: TaskSet) -> Fraction:
     return Fraction(num, den)
 
 
-def lsched_schedulable(
-    pi: int,
-    theta: int,
-    tasks: TaskSet,
-    engine: Optional[str] = None,
-) -> LSchedResult:
-    """Theorem 4: pseudo-polynomial L-Sched test for one VM.
+def lsched_schedulable(pi: int, theta: int, tasks: TaskSet) -> LSchedResult:
+    """Theorem 4: pseudo-polynomial L-Sched test for one VM."""
+    return _theorem4(pi, theta, tasks, _check_window)
 
-    ``engine`` selects the step-point sweep implementation (``"scalar"``
-    or ``"vectorized"``; see :mod:`repro.analysis.engine`).  Both return
-    bit-identical results.
-    """
-    _validate_server(pi, theta)
-    slack = _exact_slack(pi, theta, tasks)
-    names = [task.name for task in tasks]
-    if len(tasks) == 0:
-        return LSchedResult(
-            schedulable=True,
-            horizon=0,
-            slack=float(slack),
-            method="theorem4",
-            server=(pi, theta),
-        )
-    if slack < 0:
-        witness = _overload_witness(pi, theta, tasks)
-        return LSchedResult(
-            schedulable=False,
-            horizon=witness[0],
-            slack=float(slack),
-            failing_t=witness[0],
-            failing_demand=witness[1],
-            failing_supply=witness[2],
-            method="utilization",
-            server=(pi, theta),
-            task_names=names,
-        )
-    if slack == 0:
-        return lsched_schedulable_exact(pi, theta, tasks, engine=engine)
-    horizon = _theorem4_bound_from_slack(pi, theta, tasks, slack)
-    return _check_window(
-        pi, theta, tasks, horizon, float(slack), "theorem4", engine=engine
-    )
+
+def lsched_schedulable_reference(
+    pi: int, theta: int, tasks: TaskSet
+) -> LSchedResult:
+    """:func:`lsched_schedulable` with the plain per-``t`` loop at every
+    window size: the reference the production kernels are tested
+    against, bit for bit."""
+    return _theorem4(pi, theta, tasks, _scan_window)
 
 
 def lsched_schedulable_exact(
@@ -155,7 +125,6 @@ def lsched_schedulable_exact(
     theta: int,
     tasks: TaskSet,
     cap: int = EXACT_TEST_CAP,
-    engine: Optional[str] = None,
 ) -> LSchedResult:
     """Theorem 3: exact test up to lcm({Pi} u {T_k}) + max(D_k).
 
@@ -164,20 +133,40 @@ def lsched_schedulable_exact(
     checking the first repetition (shifted by the largest deadline to
     cover all staircase offsets) decides the infinite condition.
     """
+    return _theorem3(pi, theta, tasks, cap, _check_window)
+
+
+def lsched_schedulable_exact_reference(
+    pi: int, theta: int, tasks: TaskSet, cap: int = EXACT_TEST_CAP
+) -> LSchedResult:
+    """:func:`lsched_schedulable_exact` with the plain per-``t`` loop at
+    every window size."""
+    return _theorem3(pi, theta, tasks, cap, _scan_window)
+
+
+#: A step-point sweep over ``[0, horizon]``: ``(pi, theta, tasks,
+#: horizon, slack, method)`` to the verdict.
+_Window = Callable[[int, int, TaskSet, int, float, str], LSchedResult]
+
+
+def _preamble(
+    pi: int, theta: int, tasks: TaskSet, method: str
+) -> Tuple[Fraction, Optional[LSchedResult]]:
+    """Exact slack and the verdict when no window is needed (no tasks,
+    or over-utilized)."""
     _validate_server(pi, theta)
     slack = _exact_slack(pi, theta, tasks)
-    names = [task.name for task in tasks]
     if len(tasks) == 0:
-        return LSchedResult(
+        return slack, LSchedResult(
             schedulable=True,
             horizon=0,
             slack=float(slack),
-            method="theorem3",
+            method=method,
             server=(pi, theta),
         )
     if slack < 0:
         witness = _overload_witness(pi, theta, tasks)
-        return LSchedResult(
+        return slack, LSchedResult(
             schedulable=False,
             horizon=witness[0],
             slack=float(slack),
@@ -186,13 +175,30 @@ def lsched_schedulable_exact(
             failing_supply=witness[2],
             method="utilization",
             server=(pi, theta),
-            task_names=names,
+            task_names=[task.name for task in tasks],
         )
+    return slack, None
+
+
+def _theorem4(pi: int, theta: int, tasks: TaskSet, window: _Window) -> LSchedResult:
+    slack, decided = _preamble(pi, theta, tasks, "theorem4")
+    if decided is not None:
+        return decided
+    if slack == 0:
+        return _theorem3(pi, theta, tasks, EXACT_TEST_CAP, window)
+    horizon = _theorem4_bound_from_slack(pi, theta, tasks, slack)
+    return window(pi, theta, tasks, horizon, float(slack), "theorem4")
+
+
+def _theorem3(
+    pi: int, theta: int, tasks: TaskSet, cap: int, window: _Window
+) -> LSchedResult:
+    slack, decided = _preamble(pi, theta, tasks, "theorem3")
+    if decided is not None:
+        return decided
     lcm = lcm_capped([pi] + [task.period for task in tasks], cap)
     horizon = lcm + max(task.deadline for task in tasks)
-    return _check_window(
-        pi, theta, tasks, horizon, float(slack), "theorem3", engine=engine
-    )
+    return window(pi, theta, tasks, horizon, float(slack), "theorem3")
 
 
 def _check_window(
@@ -202,13 +208,22 @@ def _check_window(
     horizon: int,
     slack: float,
     method: str,
-    engine: Optional[str] = None,
 ) -> LSchedResult:
-    if (
-        resolve_engine(engine) != "scalar"
-        and _step_point_estimate(tasks, horizon) >= VECTORIZE_MIN_POINTS
-    ):
+    """The production sweep: numpy kernels on large windows, the plain
+    loop below :data:`VECTORIZE_MIN_POINTS` step points."""
+    if _step_point_estimate(tasks, horizon) >= VECTORIZE_MIN_POINTS:
         return _check_window_vectorized(pi, theta, tasks, horizon, slack, method)
+    return _scan_window(pi, theta, tasks, horizon, slack, method)
+
+
+def _scan_window(
+    pi: int,
+    theta: int,
+    tasks: TaskSet,
+    horizon: int,
+    slack: float,
+    method: str,
+) -> LSchedResult:
     names = [task.name for task in tasks]
     signature = demand_signature(tasks)
     for t in dbf_step_points(tasks, horizon):
@@ -253,7 +268,7 @@ def _check_window_vectorized(
     slack: float,
     method: str,
 ) -> LSchedResult:
-    """QPA descent + numpy witness scan; bit-identical to _check_window."""
+    """QPA descent + numpy witness scan; bit-identical to _scan_window."""
     from repro.analysis import vectorized as vec
 
     names = [task.name for task in tasks]

@@ -24,10 +24,9 @@ soundness against simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.demand import dbf_sporadic
-from repro.analysis.engine import resolve_engine
 from repro.analysis.supply import sbf_server, sbf_server_inverse
 from repro.tasks.task import IOTask
 from repro.tasks.taskset import TaskSet
@@ -73,37 +72,40 @@ def edf_demand_before(tasks: TaskSet, task: IOTask, window: int) -> int:
     return total
 
 
+def _window_demand(tasks: TaskSet, task_name: str) -> Tuple[IOTask, int]:
+    """The task and the demand its response window must cover: its own
+    WCET plus all competing EDF demand in its deadline window."""
+    task = tasks[task_name]
+    return task, task.wcet + edf_demand_before(tasks, task, task.deadline)
+
+
 def response_time_bound(
-    pi: int,
-    theta: int,
-    tasks: TaskSet,
-    task_name: str,
-    *,
-    engine: Optional[str] = None,
+    pi: int, theta: int, tasks: TaskSet, task_name: str
 ) -> ResponseTimeBound:
     """Sound WCRT bound for one task under EDF on server (pi, theta).
 
     Finds the smallest ``f`` such that the server's guaranteed supply in
     ``f`` covers the task's own WCET plus all competing EDF demand in
     its deadline window.  Diverging past the deadline yields ``None``
-    (consistent with a failed Theorem-3 test at that point).
-
-    ``engine`` selects between the scalar reference loop and the
-    closed-form supply inverse (Eq. 8's inverse, the ``"vectorized"``
-    path); both return the identical bound -- the chain property suite
-    cross-checks them on every hop.
+    (consistent with a failed Theorem-3 test at that point).  The
+    window comes from the closed-form supply inverse (Eq. 8's inverse);
+    :func:`response_time_bound_reference` scans for it.
     """
-    task = tasks[task_name]
-    demand = task.wcet + edf_demand_before(tasks, task, task.deadline)
-    if resolve_engine(engine) != "scalar":
-        # The scalar loop scans f = 0, 1, ... and gives up at the first
-        # unsatisfied f past the deadline, so the smallest satisfying
-        # window is reported iff it is <= deadline + 1.
-        f = sbf_server_inverse(pi, theta, demand)
-        wcrt: Optional[int] = f if f <= task.deadline + 1 else None
-        return ResponseTimeBound(
-            task_name=task_name, wcrt=wcrt, deadline=task.deadline
-        )
+    task, demand = _window_demand(tasks, task_name)
+    # The reference scans f = 0, 1, ... and gives up at the first
+    # unsatisfied f past the deadline, so the smallest satisfying
+    # window is reported iff it is <= deadline + 1.
+    f = sbf_server_inverse(pi, theta, demand)
+    wcrt: Optional[int] = f if f <= task.deadline + 1 else None
+    return ResponseTimeBound(task_name=task_name, wcrt=wcrt, deadline=task.deadline)
+
+
+def response_time_bound_reference(
+    pi: int, theta: int, tasks: TaskSet, task_name: str
+) -> ResponseTimeBound:
+    """:func:`response_time_bound` by a scan over ``f = 0, 1, ...``: the
+    reference the closed form is tested against."""
+    task, demand = _window_demand(tasks, task_name)
     f = 0
     for _ in range(MAX_ITERATIONS):
         if sbf_server(pi, theta, f) >= demand:
@@ -121,17 +123,11 @@ def response_time_bound(
 
 
 def response_time_bounds(
-    pi: int,
-    theta: int,
-    tasks: TaskSet,
-    *,
-    engine: Optional[str] = None,
+    pi: int, theta: int, tasks: TaskSet
 ) -> Dict[str, ResponseTimeBound]:
     """WCRT bounds for every task in the VM."""
     return {
-        task.name: response_time_bound(
-            pi, theta, tasks, task.name, engine=engine
-        )
+        task.name: response_time_bound(pi, theta, tasks, task.name)
         for task in tasks
     }
 

@@ -166,7 +166,6 @@ def minimum_budgets_batched(
     candidates: Sequence[Tuple[int, TaskSet]],
     *,
     bandwidth_bounds: Optional[Sequence[Optional[float]]] = None,
-    engine: Optional[str] = None,
     stats: Optional[BudgetSearchStats] = None,
 ) -> List[Optional[int]]:
     """Smallest ``theta`` passing Theorem 4 for each ``(pi, tasks)`` lane.
@@ -203,10 +202,7 @@ def minimum_budgets_batched(
     :func:`~repro.analysis.batched.lsched_schedulable_batch` probe at
     ``c`` instead: a pass answers ``c`` when it is a lower bound and
     restarts the lane at the floor otherwise; a failure lifts ``c`` to
-    the per-point budget at the reported ``failing_t``.  The control
-    flow depends on no engine: ``engine`` only selects the probes'
-    implementation, so the rounds and lane evaluations are identical
-    under every engine.
+    the per-point budget at the reported ``failing_t``.
 
     ``bandwidth_bounds`` enables the synthesis search's incumbent-bound
     early exit: a lane whose utilization floor already implies
@@ -243,7 +239,7 @@ def minimum_budgets_batched(
         if stats is not None:
             stats.rounds += 1
             stats.oracle_calls += len(open_lanes)
-        needs = _round_needs(candidates, open_lanes, floors, engine)
+        needs = _round_needs(candidates, open_lanes, floors)
         advanced: Dict[int, Tuple[int, bool]] = {}
         for index, (candidate, lower) in open_lanes.items():
             need = needs[index]
@@ -274,7 +270,6 @@ def _round_needs(
     candidates: Sequence[Tuple[int, TaskSet]],
     open_lanes: Dict[int, Tuple[int, bool]],
     floors: Dict[int, int],
-    engine: Optional[str],
 ) -> Dict[int, int]:
     """One fixpoint round: each open lane's next budget lower bound ``g``.
 
@@ -317,8 +312,7 @@ def _round_needs(
             [
                 (candidates[index][0], open_lanes[index][0], candidates[index][1])
                 for index in probes
-            ],
-            engine=engine,
+            ]
         )
         for index, verdict in zip(probes, verdicts):
             candidate, lower = open_lanes[index]
@@ -427,7 +421,6 @@ def design_servers(
     *,
     periods: Optional[Dict[int, int]] = None,
     global_validation: bool = True,
-    engine: Optional[str] = None,
     stats: Optional[BudgetSearchStats] = None,
 ) -> ServerDesign:
     """Dimension one server per VM and validate the set globally.
@@ -446,7 +439,7 @@ def design_servers(
         (pins[vm] if vm in pins else choose_period(vm_tasksets[vm]), vm_tasksets[vm])
         for vm in vm_ids
     ]
-    budgets = minimum_budgets_batched(lanes, engine=engine, stats=stats)
+    budgets = minimum_budgets_batched(lanes, stats=stats)
     servers: Dict[int, Tuple[int, int]] = {}
     failures: Dict[int, str] = {}
     for vm_id, (pi, tasks), theta in zip(vm_ids, lanes, budgets):
@@ -462,7 +455,7 @@ def design_servers(
     if global_validation and servers:
         pairs = [servers[vm] for vm in sorted(servers)]
         try:
-            global_result = gsched_schedulable(table, pairs, engine=engine)
+            global_result = gsched_schedulable(table, pairs)
         except ValueError as error:
             failures[-1] = f"global validation rejected the design: {error}"
             local_ok = False

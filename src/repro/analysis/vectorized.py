@@ -1,9 +1,10 @@
 """Vectorized schedulability kernels with QPA-style early termination.
 
-The scalar tests of :mod:`repro.analysis.lsched_test` /
+The reference tests of :mod:`repro.analysis.lsched_test` /
 :mod:`repro.analysis.gsched_test` walk every dbf step point up to the
-Theorem-2/4 horizon in a Python loop.  This module provides the
-high-throughput engine behind ``engine="vectorized"``:
+Theorem-2/4 horizon in a Python loop.  This module provides the kernels
+the production tests run on every window of at least
+:data:`~repro.analysis.engine.VECTORIZE_MIN_POINTS` step points:
 
 * **numpy kernels** evaluating the Eq. (3)/(9) demand curves and the
   Eq. (1)/(2)/(8) supply curves over *arrays* of step points at once
@@ -19,7 +20,7 @@ high-throughput engine behind ``engine="vectorized"``:
   decided after a handful of probes instead of a full horizon sweep.
 * a **vectorized witness scan** for unschedulable systems: once the
   descent finds *a* failing point, the first failing point (the witness
-  the scalar engine reports) is located by evaluating demand and supply
+  the reference loop reports) is located by evaluating demand and supply
   over chunks of the step-point grid below it.
 
 Every function here is decision-bit-identical to its scalar counterpart:
@@ -455,7 +456,7 @@ def _first_taskset_failure(
     if t is None:
         raise AssertionError(
             "QPA reported a failing point but the vectorized scan found "
-            "none; the engines disagree"
+            "none; the kernels disagree"
         )
     return _taskset_point_detail(signature, t, supply_at)
 
@@ -470,7 +471,7 @@ def _first_server_failure(
     if t is None:
         raise AssertionError(
             "QPA reported a failing point but the vectorized scan found "
-            "none; the engines disagree"
+            "none; the kernels disagree"
         )
     demand = sum((t // pi) * theta for pi, theta in servers)
     return t, demand, table.sbf(t)

@@ -21,9 +21,9 @@ witness, ``summary()`` for a rendering.
 
 The commonly needed building blocks (:class:`~repro.tasks.task.IOTask`,
 :class:`~repro.tasks.taskset.TaskSet`,
-:class:`~repro.core.timeslot.TimeSlotTable`, the dbf/sbf kernels,
-``resolve_engine``) are re-exported here so example code and downstream
-scripts need exactly one import.
+:class:`~repro.core.timeslot.TimeSlotTable`, the dbf/sbf kernels) are
+re-exported here so example code and downstream scripts need exactly
+one import.
 """
 
 from __future__ import annotations
@@ -36,17 +36,19 @@ from repro.analysis.batched import (
     lsched_schedulable_batch,
 )
 from repro.analysis.demand import dbf_server, dbf_sporadic, dbf_taskset
-from repro.analysis.engine import INT64_SAFE_HORIZON, resolve_engine
+from repro.analysis.engine import INT64_SAFE_HORIZON
 from repro.analysis.gsched_test import (
     GSchedResult,
     gsched_schedulable,
     gsched_schedulable_exact,
+    gsched_schedulable_reference,
     theorem2_bound,
 )
 from repro.analysis.lsched_test import (
     LSchedResult,
     lsched_schedulable,
     lsched_schedulable_exact,
+    lsched_schedulable_reference,
     theorem4_bound,
 )
 from repro.analysis.result import ReportBase, SchedulabilityResult
@@ -159,15 +161,15 @@ __all__ = [
     "sbf_server",
     "gsched_schedulable",
     "gsched_schedulable_exact",
+    "gsched_schedulable_reference",
     "lsched_schedulable",
     "lsched_schedulable_exact",
+    "lsched_schedulable_reference",
     "theorem2_bound",
     "theorem4_bound",
     "minimum_budget",
     "design_servers",
     "ServerDesign",
-    # engine selection
-    "resolve_engine",
 ]
 
 
@@ -237,9 +239,6 @@ class SystemConfig:
     stagger: bool = True
     #: Slot length for simulation (cycles).
     cycles_per_slot: int = 2_000
-    #: Analysis engine ("scalar"/"vectorized"); ``None`` means
-    #: "vectorized" (see :mod:`repro.analysis.engine`).
-    engine: Optional[str] = None
 
 
 class System:
@@ -458,8 +457,6 @@ def _synthesize_servers_for(
     config: SystemConfig,
     table: TimeSlotTable,
     taskset: TaskSet,
-    *,
-    engine: Optional[str] = None,
 ) -> Tuple[Optional[SynthesisReport], Optional[ServerSearchOutcome]]:
     """Run server synthesis for every VM the config leaves open.
 
@@ -482,13 +479,8 @@ def _synthesize_servers_for(
             vm_tasksets.setdefault(vm_id, TaskSet(name=f"vm{vm_id}"))
     if not vm_tasksets:
         return None, None
-    engine = engine if engine is not None else config.engine
     outcome = synthesize_servers(
-        table,
-        vm_tasksets,
-        fixed=fixed,
-        pinned_periods=pinned_periods,
-        engine=engine,
+        table, vm_tasksets, fixed=fixed, pinned_periods=pinned_periods
     )
     seed_bandwidth: Optional[float] = None
     if outcome.seed is not None and outcome.seed.servers:
@@ -505,7 +497,6 @@ def _synthesize_servers_for(
             ServerSpec(vm_id, pi, theta)
             for vm_id, (pi, theta) in sorted(outcome.servers.items())
         ],
-        engine=resolve_engine(engine),
         global_result=outcome.global_result,
         local_results=dict(outcome.local_results),
         reason=reason,
@@ -614,9 +605,7 @@ def build_system(config: SystemConfig) -> System:
     return System(config, taskset, predefined, table, servers, design, synthesis)
 
 
-def synthesize(
-    config: SystemConfig, *, engine: Optional[str] = None
-) -> SynthesisReport:
+def synthesize(config: SystemConfig) -> SynthesisReport:
     """Compute a verified design for the config's open parameters.
 
     The design-time counterpart of :func:`analyze`: builds sigma*
@@ -632,15 +621,12 @@ def synthesize(
     if config.stagger and not config.table_constraints:
         predefined = stagger_offsets(predefined)
     table = _build_table(config, predefined)
-    report, _outcome = _synthesize_servers_for(
-        config, table, taskset, engine=engine
-    )
+    report, _outcome = _synthesize_servers_for(config, table, taskset)
     if report is None:
         return SynthesisReport(
             schedulable=True,
             table=table,
             servers=[],
-            engine=resolve_engine(engine if engine is not None else config.engine),
             reason="nothing to synthesize: no run-time VMs",
         )
     return report
@@ -657,20 +643,20 @@ def _population_signature(tasks: TaskSet) -> Tuple[Tuple[int, str, int, int, int
 
 
 def _synthesis_verdicts(
-    system: System, engine: str
+    system: System,
 ) -> Optional[Tuple[GSchedResult, Dict[int, LSchedResult]]]:
     """The Theorem-2/4 verdicts synthesis verified, if they still hold.
 
     :func:`build_system` verified its synthesized servers against the
     table and the configured population; analyzing that same design
-    under the same engine would recompute them bit for bit.  They are
-    reused while the system still holds the verified table (by
-    identity) and ``(vm_id, pi, theta)`` servers (by value), no
-    admission controller exists and ``System.tasks`` holds the run-time
-    tasks as built (by :func:`_population_signature`, so an edit of the
-    set or of a task recomputes), ``engine`` is the one synthesis ran,
-    and synthesis holds a global result and a result for every server
-    (a design that failed before its final verification has none).
+    would recompute them bit for bit.  They are reused while the system
+    still holds the verified table (by identity) and ``(vm_id, pi,
+    theta)`` servers (by value), no admission controller exists,
+    ``System.tasks`` holds the run-time tasks as built (by
+    :func:`_population_signature`, so an edit of the set or of a task
+    recomputes), and synthesis holds a global result and a result for
+    every server (a design that failed before its final verification
+    has none).
     Otherwise ``None``: the caller recomputes.  The returned dict is
     new, so a caller's edits cannot reach the synthesis report.
     """
@@ -679,7 +665,6 @@ def _synthesis_verdicts(
         synthesis is None
         or system._controller is not None
         or synthesis.table is not system.table
-        or synthesis.engine != engine
         or synthesis.global_result is None
         or _population_signature(system.tasks) != system._verified_population
     ):
@@ -700,31 +685,42 @@ def analyze(system: System, *, engine: Optional[str] = None) -> AnalysisReport:
 
     Theorem 2 over the servers against the table, then Theorem 4 per VM
     over its run-time tasks (tasks admitted via :func:`admit` count).
-    ``engine`` overrides the config's analysis engine for this call.
 
     A freshly built system whose servers synthesis designed returns
     synthesis's verified verdicts instead of proving both theorems
     again: the reuse holds while the table and servers are the ones
-    synthesis verified, no task was admitted, withdrawn or edited in
-    ``System.tasks``, and the engine is the one synthesis ran (so
-    ``engine="scalar"`` on a vectorized design still runs the scalar
-    engine).
+    synthesis verified and no task was admitted, withdrawn or edited in
+    ``System.tasks``.
+
+    ``engine="scalar"`` instead runs the scalar reference tests
+    (:func:`~repro.analysis.gsched_test.gsched_schedulable_reference`,
+    :func:`~repro.analysis.lsched_test.lsched_schedulable_reference`)
+    and never reuses synthesis verdicts; any other value but ``None``
+    raises ``ValueError``.  The keyword stays only because the benchmark
+    harness (``bench/worker.py``) re-checks every accepted design with
+    ``analyze(system, engine="scalar")`` and ``bench/`` changes only
+    together with the benchmark; once the harness calls the reference
+    functions, the keyword goes.  Other callers use the reference
+    functions directly.
     """
-    engine = resolve_engine(engine if engine is not None else system.config.engine)
-    verdicts = _synthesis_verdicts(system, engine)
-    if verdicts is not None:
-        return _assemble_report(system, *verdicts)
+    if engine is None:
+        verdicts = _synthesis_verdicts(system)
+        if verdicts is not None:
+            return _assemble_report(system, *verdicts)
+        gsched, lsched = gsched_schedulable, lsched_schedulable
+    elif engine == "scalar":
+        gsched, lsched = gsched_schedulable_reference, lsched_schedulable_reference
+    else:
+        raise ValueError(
+            f"analyze: engine must be None or 'scalar', got {engine!r}"
+        )
     population = system.runtime_population()
     pairs = [(spec.pi, spec.theta) for spec in system.servers]
-    global_result = (
-        gsched_schedulable(system.table, pairs, engine=engine) if pairs else None
-    )
+    global_result = gsched(system.table, pairs) if pairs else None
     local_results: Dict[int, LSchedResult] = {}
     for spec in system.servers:
         tasks = population.get(spec.vm_id, TaskSet(name=f"vm{spec.vm_id}"))
-        local_results[spec.vm_id] = lsched_schedulable(
-            spec.pi, spec.theta, tasks, engine=engine
-        )
+        local_results[spec.vm_id] = lsched(spec.pi, spec.theta, tasks)
     return _assemble_report(system, global_result, local_results)
 
 
@@ -762,22 +758,17 @@ def _assemble_report(
     )
 
 
-def analyze_many(
-    systems: Sequence[System], *, engine: Optional[str] = None
-) -> List[AnalysisReport]:
+def analyze_many(systems: Sequence[System]) -> List[AnalysisReport]:
     """:func:`analyze` over many systems, batching the analysis kernels.
 
-    Unless ``engine`` is ``"scalar"``, every system's Theorem-2 request
-    and every VM's Theorem-4 lane across *all* systems are packed into
-    two batch calls (:mod:`repro.analysis.batched`) instead of one
-    engine dispatch per pair; report ``i`` is bit-identical to
-    ``analyze(systems[i])``.  ``"scalar"`` runs the per-system reference
-    loop.  A system whose synthesis verdicts :func:`analyze` would reuse
-    reuses them here too and sends no lanes to the batch.
+    Every system's Theorem-2 request and every VM's Theorem-4 lane
+    across *all* systems are packed into two batch calls
+    (:mod:`repro.analysis.batched`) instead of one test per pair;
+    report ``i`` is bit-identical to ``analyze(systems[i])``.  A system
+    whose synthesis verdicts :func:`analyze` would reuse reuses them
+    here too and sends no lanes to the batch.
     """
     systems = list(systems)
-    if resolve_engine(engine) == "scalar":
-        return [analyze(system, engine="scalar") for system in systems]
     global_results: List[Optional[GSchedResult]] = [None] * len(systems)
     local_results: List[Dict[int, LSchedResult]] = [{} for _ in systems]
     gsched_requests = []
@@ -785,10 +776,7 @@ def analyze_many(
     lsched_requests = []
     lsched_owners: List[Tuple[int, int]] = []
     for index, system in enumerate(systems):
-        verdicts = _synthesis_verdicts(
-            system,
-            resolve_engine(engine if engine is not None else system.config.engine),
-        )
+        verdicts = _synthesis_verdicts(system)
         if verdicts is not None:
             global_results[index], local_results[index] = verdicts
             continue
@@ -844,7 +832,6 @@ class ChainConfig:
     workload: ChainWorkloadConfig = field(default_factory=ChainWorkloadConfig)
     name: str = "chains"
     cycles_per_slot: int = 2_000
-    engine: Optional[str] = None
 
 
 @dataclass
@@ -861,7 +848,6 @@ class ChainAnalysisReport(ReportBase):
 
     base: AnalysisReport
     chains: Dict[str, ChainBound]
-    engine: str
 
     @property
     def bounded(self) -> bool:
@@ -899,7 +885,6 @@ def build_chain_system(
             tasks=workload.taskset.tasks,
             name=config.name,
             cycles_per_slot=config.cycles_per_slot,
-            engine=config.engine,
         )
     )
     return system, workload.chains
@@ -908,8 +893,6 @@ def build_chain_system(
 def analyze_chains(
     system: System,
     chains: Sequence[CauseEffectChain],
-    *,
-    engine: Optional[str] = None,
 ) -> ChainAnalysisReport:
     """Bound every chain's end-to-end latency over the system's schedule.
 
@@ -920,8 +903,7 @@ def analyze_chains(
     see :mod:`repro.chains.analysis` for the semantics.  Tasks admitted
     via :func:`admit` count toward the interfering demand.
     """
-    engine = engine if engine is not None else system.config.engine
-    base = analyze(system, engine=engine)
+    base = analyze(system)
     population = system.runtime_population()
     tasks = TaskSet(name=f"{system.config.name}.population")
     for task in system.predefined:
@@ -930,12 +912,8 @@ def analyze_chains(
         for task in population[vm_id]:
             tasks.add(task)
     servers = {spec.vm_id: spec for spec in system.servers}
-    bounds = analyze_chain_set(
-        tuple(chains), tasks, servers, engine=engine
-    )
-    return ChainAnalysisReport(
-        base=base, chains=bounds, engine=resolve_engine(engine)
-    )
+    bounds = analyze_chain_set(tuple(chains), tasks, servers)
+    return ChainAnalysisReport(base=base, chains=bounds)
 
 
 #: Device-name prefixes mapped to their protocol controller; anything

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.analysis.engine import resolve_engine
 from repro.analysis.response_time import (
     pchannel_response_bound,
     response_time_bound,
@@ -106,8 +105,6 @@ def analyze_chain(
     chain: CauseEffectChain,
     tasks: TaskSet,
     servers: Mapping[int, ServerSpec],
-    *,
-    engine: Optional[str] = None,
 ) -> ChainBound:
     """Bound one chain's end-to-end latencies over the two-layer schedule.
 
@@ -115,7 +112,6 @@ def analyze_chain(
     run-time population (the competing EDF demand); ``servers`` maps
     each hop VM to its ``(Pi, Theta)`` reservation.
     """
-    resolved = resolve_engine(engine)
     populations: Dict[int, TaskSet] = tasks.runtime().by_vm()
     hops = []
     for task in chain.resolve(tasks):
@@ -131,11 +127,7 @@ def analyze_chain(
                 )
             spec = servers[task.vm_id]
             bound = response_time_bound(
-                spec.pi,
-                spec.theta,
-                populations[task.vm_id],
-                task.name,
-                engine=resolved,
+                spec.pi, spec.theta, populations[task.vm_id], task.name
             )
             channel = "runtime"
         hops.append(
@@ -154,11 +146,6 @@ def analyze_chain_set(
     chains: Tuple[CauseEffectChain, ...],
     tasks: TaskSet,
     servers: Mapping[int, ServerSpec],
-    *,
-    engine: Optional[str] = None,
 ) -> Dict[str, ChainBound]:
     """Per-chain bounds for a whole workload, keyed by chain name."""
-    return {
-        chain.name: analyze_chain(chain, tasks, servers, engine=engine)
-        for chain in chains
-    }
+    return {chain.name: analyze_chain(chain, tasks, servers) for chain in chains}

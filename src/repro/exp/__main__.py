@@ -30,9 +30,9 @@ end-to-end bounds against simulated chain latencies, writes
 ``chains.json``/``chains.csv`` artifacts to ``--out`` and exits 2 when
 any simulated instance violates its bound -- CI runs it as a
 regression gate.
-``synth`` runs the pinned synthesis sweep (one cell per scenario with
-the default analysis engine) and exits 2 unless each design passes
-scalar re-verification and is at or below the hand-written baselines.
+``synth`` runs the pinned synthesis sweep (one cell per scenario) and
+exits 2 unless each design passes scalar re-verification and is at or
+below the hand-written baselines.
 Performance is measured by the standalone harness under ``bench/``.
 """
 

@@ -41,13 +41,9 @@ class AcceptanceCell:
 
     Task-set draws are keyed by ``seed + sample index`` and a name
     encoding the cell's utilization, exactly as in the serial loop, so
-    parallel execution reproduces serial ratios bit for bit.
-
-    ``engine`` selects the Theorem-4 implementation; the cell's whole
-    column of task sets goes to one
-    :func:`~repro.analysis.batched.lsched_schedulable_batch` call, which
-    packs it unless the engine is ``"scalar"``.  Verdicts are
-    bit-identical either way.
+    parallel execution reproduces serial ratios bit for bit.  The
+    cell's whole column of task sets goes to one
+    :func:`~repro.analysis.batched.lsched_schedulable_batch` call.
     """
 
     pi: int
@@ -59,7 +55,6 @@ class AcceptanceCell:
     period_min: int
     period_max: int
     implicit_deadlines: bool
-    engine: Optional[str] = None
 
 
 def run_acceptance_cell(cell: AcceptanceCell) -> AcceptancePoint:
@@ -79,8 +74,7 @@ def run_acceptance_cell(cell: AcceptanceCell) -> AcceptancePoint:
         for index in range(cell.samples)
     ]
     verdicts = lsched_schedulable_batch(
-        [(cell.pi, cell.theta, tasks) for tasks in tasksets],
-        engine=cell.engine,
+        [(cell.pi, cell.theta, tasks) for tasks in tasksets]
     )
     for tasks, verdict in zip(tasksets, verdicts):
         if tasks.utilization <= bandwidth:
@@ -116,7 +110,6 @@ def run_acceptance(
     period_min: int = 40,
     period_max: int = 400,
     implicit_deadlines: bool = True,
-    engine: Optional[str] = None,
     jobs: Optional[int] = None,
     runner: Optional[ExperimentRunner] = None,
 ) -> AcceptanceResult:
@@ -125,8 +118,6 @@ def run_acceptance(
     Utilization levels fan out over the :mod:`repro.exp.runner` backend
     when ``jobs``/``runner`` ask for parallelism; each level's draws are
     independently seeded, so the ratios never depend on worker count.
-    ``engine`` is forwarded to every cell (see :class:`AcceptanceCell`);
-    the ratios are engine-independent by the batch parity contract.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -142,7 +133,6 @@ def run_acceptance(
             period_min=period_min,
             period_max=period_max,
             implicit_deadlines=implicit_deadlines,
-            engine=engine,
         )
         for utilization in utilizations
     ]

@@ -3,18 +3,18 @@
 ``python -m repro.exp synth`` runs a pinned set of synthesis scenarios
 -- the hand-configured example workloads plus a harmonic fast-path case
 and a precedence-constrained table case -- through
-:func:`repro.api.synthesize` with the default analysis engine, one cell
-per scenario, and asserts the redesign contract:
+:func:`repro.api.synthesize`, one cell per scenario, and asserts the
+redesign contract:
 
 * **feasible**: every synthesized design passes its Theorem-2 and
-  Theorem-4 verification, re-checked here with the ``"scalar"``
-  reference engine (the oracle the search used is not trusted to grade
-  its own homework);
+  Theorem-4 verification, re-checked here with the scalar reference
+  tests (the oracle the search used is not trusted to grade its own
+  homework);
 * **no worse than the integrator**: ``sum Theta/Pi`` is at or below the
   hand-written example baseline where one exists, and at or below the
   policy designer's seed everywhere;
-* **deterministic**: the canonical payload (engine field excluded) is
-  byte-identical across engines, reruns and ``--jobs`` worker counts.
+* **deterministic**: the canonical payload is byte-identical across
+  reruns and ``--jobs`` worker counts.
 
 Search effort (oracle calls, pruned nodes) is reported per scenario;
 call counts are host-independent, so the tests pin them exactly.
@@ -26,8 +26,8 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.analysis.gsched_test import gsched_schedulable
-from repro.analysis.lsched_test import lsched_schedulable
+from repro.analysis.gsched_test import gsched_schedulable_reference
+from repro.analysis.lsched_test import lsched_schedulable_reference
 from repro.exp.reporting import render_table
 from repro.exp.runner import ExperimentRunner
 from repro.tasks.task import IOTask, TaskKind
@@ -150,10 +150,9 @@ def _scenario(name: str) -> Tuple[object, Optional[float]]:
 
 @dataclass(frozen=True)
 class SynthCell:
-    """One scenario's synthesis run (``engine=None``: the default)."""
+    """One scenario's synthesis run."""
 
     scenario: str
-    engine: Optional[str] = None
 
 
 @dataclass
@@ -190,14 +189,14 @@ def run_synth_cell(cell: SynthCell) -> SynthCellResult:
     """Synthesize one scenario and independently re-verify it.
 
     The scalar re-check below is the differential half of the contract:
-    the searched design must pass the *reference* engine's Theorem-2 and
+    the searched design must pass the *reference* Theorem-2 and
     Theorem-4 tests, not just the numpy oracle that steered the search.
     """
     from repro.api import synthesize
 
     builder, baseline = _scenario(cell.scenario)
     config = builder()
-    report = synthesize(config, engine=cell.engine)
+    report = synthesize(config)
 
     scalar_verified = bool(report.schedulable)
     if report.schedulable:
@@ -206,22 +205,18 @@ def run_synth_cell(cell: SynthCell) -> SynthCellResult:
         by_vm = TaskSet(list(config.tasks), name=config.name).runtime().by_vm()
         pairs = report.server_pairs()
         if pairs:
-            scalar_verified &= gsched_schedulable(
-                report.table, pairs, engine="scalar"
+            scalar_verified &= gsched_schedulable_reference(
+                report.table, pairs
             ).schedulable
         for spec in report.servers:
             tasks = by_vm.get(spec.vm_id)
             if tasks is None:
                 continue
-            scalar_verified &= lsched_schedulable(
-                spec.pi, spec.theta, tasks, engine="scalar"
+            scalar_verified &= lsched_schedulable_reference(
+                spec.pi, spec.theta, tasks
             ).schedulable
 
-    payload = report.to_payload()
-    # The engine is the one field *allowed* to differ across engines; the
-    # digest pins everything else byte-for-byte.
-    payload.pop("engine")
-    digest = json.dumps(payload, sort_keys=True)
+    digest = json.dumps(report.to_payload(), sort_keys=True)
     return SynthCellResult(
         scenario=cell.scenario,
         schedulable=report.schedulable,
@@ -280,7 +275,7 @@ class SynthSweepResult:
 def run_synth_sweep(
     *, runner: Optional[ExperimentRunner] = None
 ) -> SynthSweepResult:
-    """The pinned sweep: one cell per scenario, default engine."""
+    """The pinned sweep: one cell per scenario."""
     runner = runner if runner is not None else ExperimentRunner(1)
     cells = [SynthCell(scenario=scenario) for scenario in scenario_names()]
     results = runner.map(run_synth_cell, cells, label="synth")

@@ -4,7 +4,7 @@ The repository's value is *reproducible* real-time guarantees --
 byte-identical traces and exact Theorem 1-4 admission results.  This
 package turns that determinism contract into a checked property: an
 two-phase analyzer with project-specific rules: file-local
-(IOL001-IOL006, one module at a time) and whole-program (IOL007-IOL010,
+(IOL001-IOL006, one module at a time) and whole-program (IOL007-IOL009,
 over a project-wide symbol table and call graph), inline justified
 suppressions, a baseline file for tracked debt, a content-hash record
 cache with a deterministic ``--jobs`` parallel mode, and CLI output

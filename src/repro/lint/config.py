@@ -117,10 +117,6 @@ class LintConfig:
     #: worker process rather than shared).
     runner_shared_whitelist: Tuple[str, ...] = ()
 
-    #: Where IOL010 finds the engine registry: module and constant name.
-    engine_registry_module: str = "repro.analysis.engine"
-    engine_registry_name: str = "ENGINES"
-
     #: Relative-path fragments excluded from analysis entirely.  The
     #: fixture corpus contains deliberate violations and must never be
     #: linted as production code.

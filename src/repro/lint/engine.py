@@ -16,7 +16,7 @@ buys two things for free:
   byte-identical to serial output.
 
 Phase two is *whole-program* and serial: link the summaries into a
-:class:`~repro.lint.graph.CallGraph` and run IOL007-IOL010 over it.
+:class:`~repro.lint.graph.CallGraph` and run IOL007-IOL009 over it.
 Program findings are routed back through each file's stored suppression
 map, merged with the file-local findings, renumbered for fingerprint
 stability and baselined exactly like v1 findings.
@@ -50,7 +50,7 @@ from repro.lint.suppressions import (
 
 #: Bump when FileRecord layout or rule semantics change; invalidates
 #: every cached record.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 DEFAULT_CACHE_DIR = ".iolint-cache"
 
@@ -345,7 +345,7 @@ def _run_program_phase(
     program_rules: Sequence[ProgramRule],
     result: LintResult,
 ) -> Dict[str, List[Finding]]:
-    """Link the graph, run IOL007-IOL010, route through suppressions."""
+    """Link the graph, run IOL007-IOL009, route through suppressions."""
     graph_started = time.perf_counter()
     summaries = [r.summary for r in records if r.summary is not None]
     graph = CallGraph.build(summaries, config)

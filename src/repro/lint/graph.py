@@ -1,16 +1,15 @@
 """Phase one of iolint v2: project-wide symbol table and call graph.
 
 The file-local rules (IOL001-IOL006) see one module at a time; the
-whole-program rules (IOL007-IOL010) need to know *who calls whom across
+whole-program rules (IOL007-IOL009) need to know *who calls whom across
 the project* -- entropy reachable from a digest scope three modules
-away, a worker function imported into the experiment driver, an
-``engine=`` string that never meets the registry.  This module builds
-that view in two steps:
+away, a worker function imported into the experiment driver.  This
+module builds that view in two steps:
 
 1. **Extraction** (:func:`summarize_module`): one pass over a parsed
    module produces a :class:`ModuleSummary` -- imports, definitions,
    per-function call sites, entropy sites, global reads/writes and the
-   ``engine=`` observations the rules consume.  Summaries are pure
+   runner submissions the rules consume.  Summaries are pure
    picklable data, which is what makes the engine's content-hash cache
    and ``--jobs`` fan-out possible: a cached or worker-computed summary
    is indistinguishable from a locally computed one.
@@ -72,19 +71,6 @@ class EntropySite:
 
 
 @dataclass(frozen=True)
-class EngineCompare:
-    """A comparison of an engine value against a string literal."""
-
-    lineno: int
-    col: int
-    literal: str
-    #: ``"param"`` -- the raw ``engine`` parameter; ``"resolved"`` -- the
-    #: result of ``resolve_engine(...)``; ``"other"`` -- an engine-named
-    #: attribute or variable.
-    kind: str
-
-
-@dataclass(frozen=True)
 class RunnerSubmit:
     """A worker function handed to a parallel-runner ``map``/``starmap``."""
 
@@ -115,11 +101,6 @@ class FunctionSummary:
     free_reads: Tuple[str, ...] = ()
     #: Module-level names this function rebinds or mutates in place.
     writes_globals: Tuple[str, ...] = ()
-    engine_compares: List[EngineCompare] = field(default_factory=list)
-    #: ``engine=<string literal>`` keyword arguments passed to calls.
-    engine_kwarg_literals: List[Tuple[int, int, str]] = field(default_factory=list)
-    #: Whether the ``engine`` parameter is passed on to some call.
-    engine_forwarded: bool = False
     runner_submits: List[RunnerSubmit] = field(default_factory=list)
     #: IOL008 lattice results, precomputed at extraction so they cache
     #: with the summary (only populated for top-level functions in
@@ -164,9 +145,6 @@ class ModuleSummary:
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: module-level names bound to mutable containers
     mutable_globals: Tuple[str, ...] = ()
-    #: module-level names whose value is a static literal (str/int or
-    #: tuple/list of those) -- feeds the IOL010 ENGINES registry lookup
-    constants: Dict[str, object] = field(default_factory=dict)
     #: module-level aliases of local functions, e.g.
     #: ``cached = register_cache("k", lru_cache()(f))`` -> {"cached": "f"}
     function_aliases: Dict[str, str] = field(default_factory=dict)
@@ -262,21 +240,6 @@ def _is_mutable_value(node: ast.AST) -> bool:
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         return name in _MUTABLE_FACTORIES
     return False
-
-
-def _literal_value(node: ast.AST) -> Optional[object]:
-    """Static value of a str/int literal or a tuple/list of those."""
-    try:
-        value = ast.literal_eval(node)
-    except (ValueError, SyntaxError, TypeError):
-        return None
-    if isinstance(value, (str, int)):
-        return value
-    if isinstance(value, (tuple, list)) and all(
-        isinstance(item, (str, int)) for item in value
-    ):
-        return tuple(value)
-    return None
 
 
 def _arg_names(args: ast.arguments) -> Tuple[str, ...]:
@@ -425,10 +388,6 @@ class _FunctionExtractor(ast.NodeVisitor):
                 self.local_names.add(sub.id)
         self.generic_visit(node)
 
-    def visit_Compare(self, node: ast.Compare) -> None:
-        self._record_engine_compare(node)
-        self.generic_visit(node)
-
     # -- call sites ----------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -438,7 +397,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         )
         self._record_entropy(node)
         self._record_mutation(node)
-        self._record_engine_kwargs(node)
         self._record_runner_submit(node, ref)
         self.generic_visit(node)
 
@@ -510,64 +468,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             name = func.value.id
             if name not in self.local_names and name not in self.summary.params:
                 self.writes.add(name)
-
-    def _record_engine_compare(self, node: ast.Compare) -> None:
-        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-            return
-        sides = [node.left, *node.comparators]
-        literals = [
-            s.value
-            for s in sides
-            if isinstance(s, ast.Constant) and isinstance(s.value, str)
-        ]
-        if not literals:
-            return
-        kind: Optional[str] = None
-        for side in sides:
-            if isinstance(side, ast.Name):
-                if side.id == "engine" and "engine" in self.summary.params:
-                    kind = "param"
-                    break
-                if "engine" in side.id.lower():
-                    kind = kind or "other"
-            elif isinstance(side, ast.Call):
-                callee = side.func
-                callee_name = (
-                    callee.id
-                    if isinstance(callee, ast.Name)
-                    else getattr(callee, "attr", "")
-                )
-                if callee_name == "resolve_engine":
-                    kind = "resolved"
-                    break
-            elif isinstance(side, ast.Attribute) and "engine" in side.attr.lower():
-                kind = kind or "other"
-        if kind is None:
-            return
-        for literal in literals:
-            self.summary.engine_compares.append(
-                EngineCompare(
-                    lineno=node.lineno,
-                    col=node.col_offset,
-                    literal=literal,
-                    kind=kind,
-                )
-            )
-
-    def _record_engine_kwargs(self, node: ast.Call) -> None:
-        for kw in node.keywords:
-            if kw.arg == "engine" and isinstance(kw.value, ast.Constant):
-                if isinstance(kw.value.value, str):
-                    self.summary.engine_kwarg_literals.append(
-                        (node.lineno, node.col_offset, kw.value.value)
-                    )
-        if "engine" in self.summary.params:
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id == "engine":
-                    self.summary.engine_forwarded = True
-            for kw in node.keywords:
-                if isinstance(kw.value, ast.Name) and kw.value.id == "engine":
-                    self.summary.engine_forwarded = True
 
     def _record_runner_submit(self, node: ast.Call, ref: CalleeRef) -> None:
         func = node.func
@@ -712,10 +612,6 @@ def _collect_toplevel(summary: ModuleSummary, tree: ast.Module) -> None:
                 continue
             if _is_mutable_value(value):
                 mutable.extend(names)
-            literal = _literal_value(value)
-            if literal is not None:
-                for name in names:
-                    summary.constants[name] = literal
             aliased = _alias_target(value)
             if aliased is not None:
                 for name in names:
@@ -1149,7 +1045,6 @@ __all__ = [
     "CallGraph",
     "CallSite",
     "ClassSummary",
-    "EngineCompare",
     "EntropySite",
     "FunctionSummary",
     "GraphStats",

@@ -1,4 +1,4 @@
-"""Whole-program rules IOL007-IOL010: phase two of the v2 analyzer.
+"""Whole-program rules IOL007-IOL009: phase two of the v2 analyzer.
 
 These rules consume the linked :class:`~repro.lint.graph.CallGraph`
 instead of a single module's AST, so they can see violations that are
@@ -329,100 +329,10 @@ class RunnerClosureRule(ProgramRule):
         return None
 
 
-class EngineParityRule(ProgramRule):
-    """IOL010: ``engine=`` dispatch goes through the registry, period.
-
-    The two analysis engines are interchangeable by contract; that
-    only stays true if every entry point resolves the ``engine``
-    argument through ``resolve_engine``/``ENGINES`` rather than
-    comparing the raw string.  Raw comparison silently mis-dispatches
-    the ``None`` default (which means ``"vectorized"``), and a literal
-    outside the registry would never match anything.
-    """
-
-    rule_id = "IOL010"
-    severity = Severity.ERROR
-    summary = "engine dispatch bypasses the ENGINES registry"
-    fix_hint = (
-        "call resolve_engine(engine) before comparing, and only pass "
-        "engine literals that appear in repro.analysis.engine.ENGINES"
-    )
-
-    def _registry(self, program: Program) -> Optional[Tuple[str, ...]]:
-        module = program.graph.modules.get(
-            program.config.engine_registry_module
-        )
-        if module is None:
-            return None
-        value = module.constants.get(program.config.engine_registry_name)
-        if isinstance(value, tuple) and all(
-            isinstance(item, str) for item in value
-        ):
-            return value
-        return None
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        engines = self._registry(program)
-        for summary in program.modules():
-            for fn in summary.functions:
-                yield from self._check_function(program, summary, fn, engines)
-
-    def _check_function(
-        self,
-        program: Program,
-        summary: ModuleSummary,
-        fn: FunctionSummary,
-        engines: Optional[Tuple[str, ...]],
-    ) -> Iterator[Finding]:
-        for cmp in sorted(
-            fn.engine_compares, key=lambda c: (c.lineno, c.col)
-        ):
-            if cmp.kind == "param":
-                yield self.finding(
-                    program,
-                    summary.rel_path,
-                    cmp.lineno,
-                    cmp.col,
-                    (
-                        f"'{fn.qualname}' compares the raw engine "
-                        f"parameter against '{cmp.literal}'; resolve it "
-                        f"via resolve_engine() first (env/default "
-                        f"overrides never match raw comparisons)"
-                    ),
-                )
-            elif engines is not None and cmp.literal not in engines:
-                yield self.finding(
-                    program,
-                    summary.rel_path,
-                    cmp.lineno,
-                    cmp.col,
-                    (
-                        f"'{fn.qualname}' compares an engine value "
-                        f"against '{cmp.literal}', which is not in "
-                        f"ENGINES {engines}"
-                    ),
-                )
-        if engines is not None:
-            for lineno, col, literal in sorted(fn.engine_kwarg_literals):
-                if literal not in engines:
-                    yield self.finding(
-                        program,
-                        summary.rel_path,
-                        lineno,
-                        col,
-                        (
-                            f"engine='{literal}' passed in "
-                            f"'{fn.qualname}' is not in ENGINES "
-                            f"{engines}"
-                        ),
-                    )
-
-
 _PROGRAM_RULES: Tuple[ProgramRule, ...] = (
     EntropyTaintRule(),
     Int64OverflowRule(),
     RunnerClosureRule(),
-    EngineParityRule(),
 )
 
 
@@ -435,7 +345,6 @@ def program_rule_ids() -> Tuple[str, ...]:
 
 
 __all__ = [
-    "EngineParityRule",
     "EntropyTaintRule",
     "Int64OverflowRule",
     "Program",

@@ -21,7 +21,7 @@ Request flow
   :class:`repro.api.System` per request and submits the whole column
   through :func:`repro.api.analyze_many`, which packs the column into
   the batched analysis kernels -- one numpy pass for the batch instead
-  of one engine dispatch per request.  ``epoch`` counts the flushed
+  of one test per request.  ``epoch`` counts the flushed
   batches.  The server starts no thread and runs no timer task.
 * Overload sheds load instead of queueing without bound: when a
   shard's in-flight count (requests parked at their yield) reaches
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from collections import deque
@@ -70,8 +70,9 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.serve.shard import ShardHandle, ShardPool, check_shard_count
-from repro.tasks.task import IOTask
+from repro.tasks.task import IOTask, TaskKind
 from repro.tasks.serialization import canonical_json, task_from_dict
+from repro.tasks.taskset import TaskSet
 
 
 @dataclass
@@ -171,6 +172,8 @@ class AdmissionServer:
         self.port: Optional[int] = None
         self._pending: List[_PendingAnalyze] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Live connection handlers and their writers, closed by stop().
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown_event: Optional[asyncio.Event] = None
 
@@ -190,9 +193,16 @@ class AdmissionServer:
         await self.stop()
 
     async def stop(self) -> None:
+        """Stop listening, close every live connection and wait for its
+        handler to finish, so none is left to be cancelled at loop
+        teardown."""
         self._flush_epoch()  # answer any straggling analyze futures
         if self._server is not None:
             self._server.close()
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         self.pool.stop()
@@ -202,6 +212,9 @@ class AdmissionServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
         try:
             first = await reader.readline()
             if not first:
@@ -218,6 +231,7 @@ class AdmissionServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            del self._connections[handler]
 
     async def _serve_lines(
         self,
@@ -533,7 +547,7 @@ class AdmissionServer:
 
         Returns one report dict per request, or the message of the
         ``ValueError`` its system raised when built (a what-if task whose
-        name is already taken), so one bad request fails alone.
+        name its VM already holds), so one bad request fails alone.
         """
         from repro.api import (
             ServerConfig,
@@ -552,13 +566,16 @@ class AdmissionServer:
             for vm_id, pi, theta in sorted(self.config.servers)
         ]
         systems: Dict[int, Any] = {}
+        aliases: Dict[int, Dict[str, str]] = {}
         errors: Dict[int, str] = {}
         for index, extra in enumerate(extras):
+            name = f"{self.config.name}.epoch{self.epoch}.{index}"
             try:
+                tasks, aliases[index] = _distinct_names(base_tasks + extra, name)
                 systems[index] = build_system(
                     SystemConfig(
-                        tasks=base_tasks + extra,
-                        name=f"{self.config.name}.epoch{self.epoch}.{index}",
+                        tasks=tasks,
+                        name=name,
                         servers=server_configs,
                         table_pattern=self.config.table_pattern,
                         stagger=False,
@@ -568,21 +585,28 @@ class AdmissionServer:
                 errors[index] = str(exc)
         reports = dict(zip(systems, analyze_many(list(systems.values()))))
         return [
-            errors[index] if index in errors else self._report_to_dict(reports[index])
+            errors[index]
+            if index in errors
+            else self._report_to_dict(reports[index], aliases[index])
             for index in range(len(extras))
         ]
 
     @staticmethod
-    def _report_to_dict(report: Any) -> Dict[str, Any]:
+    def _report_to_dict(report: Any, aliases: Dict[str, str]) -> Dict[str, Any]:
+        local_results = {}
+        for vm_id in sorted(report.local_results):
+            result = result_to_dict(report.local_results[vm_id])
+            assert result is not None
+            result["task_names"] = [
+                aliases.get(name, name) for name in result["task_names"]
+            ]
+            local_results[str(vm_id)] = result
         return {
             "schedulable": report.schedulable,
             "reason": report.reason,
             "failing_t": report.failing_t,
             "global_result": gsched_result_to_dict(report.global_result),
-            "local_results": {
-                str(vm_id): result_to_dict(report.local_results[vm_id])
-                for vm_id in sorted(report.local_results)
-            },
+            "local_results": local_results,
         }
 
     # -- decision log -------------------------------------------------------
@@ -607,6 +631,37 @@ class AdmissionServer:
         interleaving, which is what the CI smoke job byte-compares.
         """
         return [text for _seq, text in sorted(self.log)]
+
+
+def _distinct_names(
+    tasks: List[IOTask], set_name: str
+) -> Tuple[List[IOTask], Dict[str, str]]:
+    """``tasks`` with no name repeated across VMs, and alias -> name.
+
+    Admission keeps task names unique per VM, but a system's task set
+    needs them unique overall.  A name repeated within one VM raises the
+    task set's own ``ValueError``.  A run-time task whose name a task of
+    another VM already holds is renamed to an alias no task uses; the
+    reply maps the alias back.  Without repeats the tasks pass through
+    unchanged.
+    """
+    by_vm: Dict[int, TaskSet] = {}
+    owners: Dict[str, int] = {}
+    taken = {task.name for task in tasks}
+    aliases: Dict[str, str] = {}
+    renamed: List[IOTask] = []
+    for task in tasks:
+        by_vm.setdefault(task.vm_id, TaskSet(name=set_name)).add(task)
+        owner = owners.setdefault(task.name, task.vm_id)
+        if owner != task.vm_id and task.kind == TaskKind.RUNTIME:
+            alias = f"{task.name}@vm{task.vm_id}"
+            while alias in taken:
+                alias += "'"
+            taken.add(alias)
+            aliases[alias] = task.name
+            task = replace(task, name=alias)
+        renamed.append(task)
+    return renamed, aliases
 
 
 def load_system_file(path: str) -> Dict[str, Any]:

@@ -7,7 +7,7 @@ integrator is assumed to supply.  This package computes them:
 * :func:`~repro.synth.servers.synthesize_servers` searches a
   bandwidth-minimal server design (``min sum Theta/Pi`` s.t. Theorems
   1-4) by deterministic branch-and-bound with the batched analysis
-  engine as the feasibility oracle;
+  kernels as the feasibility oracle;
 * the P-channel table sigma* comes from the one table builder,
   :func:`~repro.core.timeslot.build_pchannel_table`, which also honours
   :class:`~repro.core.timeslot.TableConstraint` precedence/time-lag
@@ -15,8 +15,8 @@ integrator is assumed to supply.  This package computes them:
 * :class:`~repro.synth.report.SynthesisReport` is the verdict type the
   :func:`repro.api.synthesize` facade returns.
 
-Everything is deterministic: byte-identical designs across reruns,
-analysis engines and ``REPRO_JOBS`` settings.
+Everything is deterministic: byte-identical designs across reruns and
+``REPRO_JOBS`` settings.
 """
 
 from repro.core.timeslot import TableConstraint

@@ -38,15 +38,13 @@ class SynthesisReport(ReportBase):
 
     :func:`repro.api.analyze` returns ``global_result`` and a copy of
     ``local_results`` for a built system while it still holds this
-    table and these servers, no task was admitted or withdrawn, the
-    engine is ``engine`` and both results are present; otherwise it
-    recomputes.
+    table and these servers, no task was admitted or withdrawn and both
+    results are present; otherwise it recomputes.
     """
 
     schedulable: bool
     table: TimeSlotTable
     servers: List[ServerSpec] = field(default_factory=list)
-    engine: str = "vectorized"
     global_result: Optional[GSchedResult] = None
     local_results: Dict[int, LSchedResult] = field(default_factory=dict)
     reason: str = ""
@@ -95,7 +93,6 @@ class SynthesisReport(ReportBase):
         """
         return {
             "schedulable": self.schedulable,
-            "engine": self.engine,
             "hyperperiod": self.table.total_slots,
             "free_slots": self.table.free_slots,
             "servers": [

@@ -107,7 +107,7 @@ def best_first_assignment(
 
     ``feasible_batch`` receives a *frontier* of up to ``batch_width``
     assignments (index tuples) and returns one verdict per assignment;
-    internally it should pack them into one batched-engine pass.  Ties
+    internally it should pack them into one batched-kernel pass.  Ties
     in cost break on the index tuple itself, so the result is unique and
     byte-identical across processes.  Returns ``None`` when the grid is
     exhausted (or ``max_nodes`` is hit) without a feasible assignment.

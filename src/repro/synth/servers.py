@@ -130,7 +130,6 @@ def synthesize_servers(
     *,
     fixed: Optional[Dict[int, Tuple[int, int]]] = None,
     pinned_periods: Optional[Dict[int, int]] = None,
-    engine: Optional[str] = None,
     stats: Optional[SearchStats] = None,
 ) -> ServerSearchOutcome:
     """Search a bandwidth-minimal verified server design.
@@ -165,7 +164,6 @@ def synthesize_servers(
         {vm: vm_tasksets[vm] for vm in open_vms},
         periods=seed_periods,
         global_validation=False,
-        engine=engine,
         stats=budget_stats,
     )
     outcome.seed = seed
@@ -187,7 +185,6 @@ def synthesize_servers(
     budgets = minimum_budgets_batched(
         [(pi, tasks) for _vm, pi, tasks in lane_specs],
         bandwidth_bounds=bounds,
-        engine=engine,
         stats=budget_stats,
     )
     stats.absorb_budget(budget_stats)
@@ -232,9 +229,7 @@ def synthesize_servers(
     accepted: Dict[Tuple[int, ...], GSchedResult] = {}
 
     def feasible_batch(nodes: Sequence[Tuple[int, ...]]) -> List[bool]:
-        verdicts = gsched_schedulable_batch(
-            [(table, pairs_of(node)) for node in nodes], engine=engine
-        )
+        verdicts = gsched_schedulable_batch([(table, pairs_of(node)) for node in nodes])
         for node, verdict in zip(nodes, verdicts):
             if verdict.schedulable:
                 accepted[node] = verdict
@@ -273,14 +268,12 @@ def synthesize_servers(
     # chosen node, reused, or the seed fallback's check below.
     stats.oracle_calls += len(lanes) + 1
     stats.rounds += 1
-    local = lsched_schedulable_batch(lanes, engine=engine)
+    local = lsched_schedulable_batch(lanes)
     outcome.local_results = {vm: result for (vm, _), result in zip(ordered, local)}
     if chosen is not None:
         outcome.global_result = accepted[chosen]
     else:
-        outcome.global_result = gsched_schedulable(
-            table, [pair for _vm, pair in ordered], engine=engine
-        )
+        outcome.global_result = gsched_schedulable(table, [pair for _vm, pair in ordered])
     outcome.feasible = (
         all(result.schedulable for result in local)
         and outcome.global_result.schedulable

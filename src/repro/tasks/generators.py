@@ -37,7 +37,7 @@ class HyperperiodBasis:
     sub-multiset.  Every candidate period divides
     :meth:`hyperperiod`, so the LCM of any set of sampled periods does
     too: exact tests stay tractable by construction and the batched
-    engine's hyper-period-tiled grids always engage.
+    kernels' hyper-period-tiled grids always engage.
 
     Attributes
     ----------

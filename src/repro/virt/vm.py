@@ -38,12 +38,6 @@ class VirtualMachine:
         self.jobs_completed = 0
         self.jobs_missed = 0
         self.jobs_rejected = 0
-        #: Buffered jobs the hypervisor discarded when it quarantined
-        #: this VM (graceful degradation, not silent loss).
-        self.jobs_dropped = 0
-        #: Slot at which the degradation policy quarantined this VM;
-        #: None while the VM is in good standing.
-        self.quarantined_at: Optional[int] = None
         self.completed_jobs: List[Job] = []
 
     # -- accounting --------------------------------------------------------
@@ -53,10 +47,6 @@ class VirtualMachine:
 
     def record_rejection(self) -> None:
         self.jobs_rejected += 1
-
-    @property
-    def is_quarantined(self) -> bool:
-        return self.quarantined_at is not None
 
     def record_completion(self, job: Job) -> None:
         if job.task.vm_id != self.vm_id:
@@ -86,8 +76,6 @@ class VirtualMachine:
             "completed": self.jobs_completed,
             "missed": self.jobs_missed,
             "rejected": self.jobs_rejected,
-            "dropped": self.jobs_dropped,
-            "quarantined": 1.0 if self.is_quarantined else 0.0,
             "utilization": self.utilization,
         }
 

@@ -5,8 +5,8 @@ Theorem-2/Theorem-4 results the synthesis verified.  ``analyze`` (and
 ``analyze_many``) reuse them instead of proving both theorems again,
 so the reused report must equal a recomputed one field by field, and
 any change that could move a verdict -- an admission, a withdrawal,
-an edit of the task set or of a task in it, new servers, another
-engine -- must recompute.
+an edit of the task set or of a task in it, new servers -- must
+recompute, and ``engine="scalar"`` always runs the scalar references.
 """
 
 import pytest
@@ -226,11 +226,25 @@ class TestWhenAnalysisRecomputes:
         assert not report.schedulable
         assert_same_report(report, analyze(system, engine="scalar"))
 
-    def test_under_another_engine(self, lsched_calls):
+    def test_under_another_engine(self, lsched_calls, monkeypatch):
+        """``engine="scalar"`` runs the references even on a fresh
+        design whose verdicts ``analyze`` would otherwise reuse."""
+        reference_calls = []
+        for name in ("gsched_schedulable_reference", "lsched_schedulable_reference"):
+            original = getattr(api, name)
+
+            def counting(*args, _name=name, _original=original):
+                reference_calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(api, name, counting)
         system = build_system(demo_config())
-        assert system.synthesis.engine == "vectorized"
-        analyze(system, engine="scalar")
-        assert len(lsched_calls) == len(system.servers)
+        report = analyze(system, engine="scalar")
+        assert lsched_calls == []
+        assert sorted(reference_calls) == ["gsched_schedulable_reference"] + [
+            "lsched_schedulable_reference"
+        ] * len(system.servers)
+        assert_same_report(report, analyze(system))
 
     def test_design_failure_without_results_recomputes(self, lsched_calls):
         system = build_system(design_failure_config())

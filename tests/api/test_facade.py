@@ -203,10 +203,16 @@ class TestAnalyze:
     def test_engine_override_is_bit_identical(self):
         system = build_system(SystemConfig(tasks=sample_tasks()))
         scalar = analyze(system, engine="scalar")
-        fast = analyze(system, engine="vectorized")
+        fast = analyze(system)
         assert scalar.schedulable == fast.schedulable
         assert scalar.global_result == fast.global_result
         assert scalar.local_results == fast.local_results
+
+    @pytest.mark.parametrize("engine", ["vectorized", "batched", "", "SCALAR"])
+    def test_engine_other_than_scalar_rejected(self, engine):
+        system = build_system(SystemConfig(tasks=sample_tasks()))
+        with pytest.raises(ValueError, match="engine must be None or 'scalar'"):
+            analyze(system, engine=engine)
 
 
 class TestAnalyzeMany:
@@ -246,13 +252,14 @@ class TestAnalyzeMany:
             assert report.local_results == reference.local_results
 
     def test_every_engine_matches_per_system_analyze(self):
+        """The batched reports equal the scalar references' too."""
         systems = self.systems()
-        for engine in ("scalar", "vectorized"):
-            reports = analyze_many(systems, engine=engine)
-            for system, report in zip(systems, reports):
-                reference = analyze(system, engine=engine)
-                assert report.schedulable == reference.schedulable
-                assert report.local_results == reference.local_results
+        reports = analyze_many(systems)
+        for system, report in zip(systems, reports):
+            reference = analyze(system, engine="scalar")
+            assert report.schedulable == reference.schedulable
+            assert report.global_result == reference.global_result
+            assert report.local_results == reference.local_results
 
     def test_mixed_verdicts_keep_order(self):
         reports = analyze_many(self.systems())

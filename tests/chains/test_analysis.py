@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.analysis.response_time import response_time_bound
+from repro.analysis.response_time import (
+    response_time_bound,
+    response_time_bound_reference,
+)
 from repro.chains.analysis import analyze_chain, analyze_chain_set
 from repro.chains.model import CauseEffectChain
 from repro.core.gsched import ServerSpec
@@ -84,10 +87,13 @@ class TestAnalyzeChain:
             analyze_chain(chain, tasks, {3: ServerSpec(3, 5, 5)})
 
     def test_engines_agree(self):
+        """Every hop bound equals the reference scan's."""
         chain, tasks, servers = _two_hop()
-        scalar = analyze_chain(chain, tasks, servers, engine="scalar")
-        vectorized = analyze_chain(chain, tasks, servers, engine="vectorized")
-        assert scalar == vectorized
+        bound = analyze_chain(chain, tasks, servers)
+        assert [hop.response_bound for hop in bound.hops] == [
+            response_time_bound_reference(5, 5, tasks, name).wcrt
+            for name in ("rx", "tx")
+        ]
 
 
 class TestAnalyzeChainSet:

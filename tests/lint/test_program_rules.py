@@ -1,4 +1,4 @@
-"""Whole-program rule tests: IOL007-IOL010 over in-memory projects.
+"""Whole-program rule tests: IOL007-IOL009 over in-memory projects.
 
 Each fixture is a multi-module project dict fed through
 :func:`repro.lint.lint_sources` with the file-local rules disabled, so
@@ -12,7 +12,6 @@ from pathlib import Path
 
 from repro.lint import LintConfig, lint_sources
 from repro.lint.program_rules import (
-    EngineParityRule,
     EntropyTaintRule,
     Int64OverflowRule,
     RunnerClosureRule,
@@ -304,77 +303,6 @@ class TestIOL009RunnerClosure:
             "    return runner.map(cell, cells)\n"
         )
         assert run_rule(project, RunnerClosureRule()) == []
-
-
-ENGINE_REGISTRY = 'ENGINES = ("scalar", "vectorized")\n'
-
-
-class TestIOL010EngineParity:
-    def project(self, source):
-        return {
-            "src/repro/analysis/engine.py": ENGINE_REGISTRY,
-            "src/repro/analysis/pick.py": source,
-        }
-
-    def test_raw_param_compare_flagged(self):
-        project = self.project(
-            "def decide(tasks, engine=None):\n"
-            '    if engine == "scalar":\n'
-            "        return 0\n"
-            "    return 1\n"
-        )
-        findings = run_rule(project, EngineParityRule())
-        assert locations(findings) == [("src/repro/analysis/pick.py", 2, "IOL010")]
-        assert "resolve_engine" in findings[0].message
-
-    def test_resolved_compare_against_registry_member_allowed(self):
-        project = self.project(
-            "from repro.analysis.engine import resolve_engine\n"
-            "\n"
-            "\n"
-            "def decide(tasks, engine=None):\n"
-            '    if resolve_engine(engine) == "scalar":\n'
-            "        return 0\n"
-            "    return 1\n"
-        )
-        assert run_rule(project, EngineParityRule()) == []
-
-    def test_resolved_compare_against_unknown_literal_flagged(self):
-        project = self.project(
-            "from repro.analysis.engine import resolve_engine\n"
-            "\n"
-            "\n"
-            "def decide(tasks, engine=None):\n"
-            '    if resolve_engine(engine) == "warp":\n'
-            "        return 0\n"
-            "    return 1\n"
-        )
-        findings = run_rule(project, EngineParityRule())
-        assert locations(findings) == [("src/repro/analysis/pick.py", 5, "IOL010")]
-        assert "warp" in findings[0].message
-
-    def test_unknown_engine_kwarg_flagged(self):
-        project = self.project(
-            "def run(tasks, engine=None):\n"
-            "    return tasks\n"
-            "\n"
-            "\n"
-            "def drive(tasks):\n"
-            '    return run(tasks, engine="warp")\n'
-        )
-        findings = run_rule(project, EngineParityRule())
-        assert locations(findings) == [("src/repro/analysis/pick.py", 6, "IOL010")]
-
-    def test_known_engine_kwarg_allowed(self):
-        project = self.project(
-            "def run(tasks, engine=None):\n"
-            "    return tasks\n"
-            "\n"
-            "\n"
-            "def drive(tasks):\n"
-            '    return run(tasks, engine="vectorized")\n'
-        )
-        assert run_rule(project, EngineParityRule()) == []
 
 
 class TestShippedKernelRegressions:

@@ -1,10 +1,11 @@
-"""Bit-identity of the packed (batched) analysis path against both engines.
+"""Bit-identity of the packed (batched) analysis path against the per-pair
+tests and their scalar references.
 
 The batch entry points (:mod:`repro.analysis.batched`) evaluate whole
 columns of Theorem-1/2/4 requests per numpy pass -- hyper-period-tiled
 event grids, one lock-step QPA descent, one flat failure sweep.  It is
-a pure optimization: every lane of a batch must equal the scalar AND
-vectorized per-pair result bit for bit (decision, horizon, slack,
+a pure optimization: every lane of a batch must equal the per-pair
+production result AND the scalar reference bit for bit (decision, horizon, slack,
 witness triple, method).  These properties enforce that contract over
 random batches, including the edges the batch strategy introduces:
 ragged outlier lanes, lanes sharing one grid, hyper-period-compressed
@@ -23,8 +24,14 @@ from repro.analysis.batched import (
     lsched_schedulable_batch,
 )
 from repro.analysis.demand import dbf_signature_demand, demand_signature
-from repro.analysis.gsched_test import gsched_schedulable
-from repro.analysis.lsched_test import lsched_schedulable
+from repro.analysis.gsched_test import (
+    gsched_schedulable,
+    gsched_schedulable_reference,
+)
+from repro.analysis.lsched_test import (
+    lsched_schedulable,
+    lsched_schedulable_reference,
+)
 from repro.core.timeslot import TimeSlotTable
 from repro.tasks.generators import HyperperiodBasis
 from repro.tasks.task import IOTask
@@ -113,11 +120,11 @@ class TestLSchedBatchMatchesPerPair:
         for lane, (result, (pi, theta, tasks)) in enumerate(
             zip(results, requests)
         ):
-            for engine in ("scalar", "vectorized"):
+            for per_pair in (lsched_schedulable_reference, lsched_schedulable):
                 assert_lane_equal(
                     result,
-                    lsched_schedulable(pi, theta, tasks, engine=engine),
-                    (lane, engine),
+                    per_pair(pi, theta, tasks),
+                    (lane, per_pair.__name__),
                 )
 
     @settings(max_examples=40, deadline=None)
@@ -196,13 +203,9 @@ class TestRaggedAndSharedLanes:
 
     def test_per_pair_engine_degrade(self):
         tasks = TaskSet([IOTask(name="d", period=9, wcet=3)], name="degrade")
-        for engine in ("scalar", "vectorized"):
-            (result,) = lsched_schedulable_batch(
-                [(10, 6, tasks)], engine=engine
-            )
-            assert_lane_equal(
-                result, lsched_schedulable(10, 6, tasks, engine=engine), engine
-            )
+        (result,) = lsched_schedulable_batch([(10, 6, tasks)])
+        for per_pair in (lsched_schedulable_reference, lsched_schedulable):
+            assert_lane_equal(result, per_pair(10, 6, tasks), per_pair.__name__)
 
 
 class TestGSchedBatchMatchesPerPair:
@@ -213,24 +216,24 @@ class TestGSchedBatchMatchesPerPair:
     )
     def test_random_batches(self, pattern, servers):
         table = TimeSlotTable.from_pattern(pattern)
-        results = gsched_schedulable_batch([(table, servers)])
-        reference = gsched_schedulable(table, servers)
-        (result,) = results
-        assert (
-            result.schedulable,
-            result.horizon,
-            result.failing_t,
-            result.failing_demand,
-            result.failing_supply,
-            result.method,
-        ) == (
-            reference.schedulable,
-            reference.horizon,
-            reference.failing_t,
-            reference.failing_demand,
-            reference.failing_supply,
-            reference.method,
-        )
+        (result,) = gsched_schedulable_batch([(table, servers)])
+        for per_pair in (gsched_schedulable_reference, gsched_schedulable):
+            reference = per_pair(table, servers)
+            assert (
+                result.schedulable,
+                result.horizon,
+                result.failing_t,
+                result.failing_demand,
+                result.failing_supply,
+                result.method,
+            ) == (
+                reference.schedulable,
+                reference.horizon,
+                reference.failing_t,
+                reference.failing_demand,
+                reference.failing_supply,
+                reference.method,
+            ), per_pair.__name__
 
     def test_mixed_batch(self):
         lanes = []

@@ -1,25 +1,40 @@
-"""Engine differential for the chain-analysis composition path.
+"""Reference differential for the chain-analysis composition path.
 
-PR 5's property suite proved the scalar and vectorized engines agree on
-the Theorem 2/4 verdicts; chain analysis adds one more shared kernel --
-the per-hop response-time bound, where ``"vectorized"`` routes through
-the closed-form supply inverse instead of the scalar fixed-point scan.
-This suite pins their equality on every hop bound the chain analysis
-produces, across randomized servers, task sets and whole systems.
+The Theorem 2/4 property suites prove the production tests agree with
+their scalar references; chain analysis adds one more shared kernel --
+the per-hop response-time bound, which production computes with the
+closed-form supply inverse and :func:`response_time_bound_reference`
+with the fixed-point scan.  This suite pins their equality on every hop
+bound the chain analysis produces, across randomized servers, task sets
+and whole systems.
 """
 
 import pytest
 
 from repro.analysis import response_time
-from repro.analysis.response_time import response_time_bound
+from repro.analysis.response_time import (
+    response_time_bound,
+    response_time_bound_reference,
+)
 from repro.api import (
     ChainConfig,
     ChainWorkloadConfig,
+    analyze,
     analyze_chains,
     build_chain_system,
 )
+from repro.chains import analysis as chain_analysis
 from repro.sim.rng import RandomSource
 from repro.tasks.generators import generate_random_taskset
+
+
+def reference_report(system, chains, monkeypatch):
+    """``analyze_chains`` with every hop bound from the reference scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            chain_analysis, "response_time_bound", response_time_bound_reference
+        )
+        return analyze_chains(system, chains)
 
 
 class TestResponseTimeEngineDifferential:
@@ -37,15 +52,11 @@ class TestResponseTimeEngineDifferential:
             name=f"rtb{seed}",
         )
         for task in tasks:
-            scalar = response_time_bound(
-                pi, theta, tasks, task.name, engine="scalar"
-            )
-            vectorized = response_time_bound(
-                pi, theta, tasks, task.name, engine="vectorized"
-            )
-            assert scalar == vectorized, (
-                f"engines disagree for {task.name!r} on server "
-                f"({pi}, {theta}): scalar={scalar} vectorized={vectorized}"
+            reference = response_time_bound_reference(pi, theta, tasks, task.name)
+            production = response_time_bound(pi, theta, tasks, task.name)
+            assert reference == production, (
+                f"bounds disagree for {task.name!r} on server "
+                f"({pi}, {theta}): reference={reference} production={production}"
             )
 
     def test_divergent_case_agrees_on_none(self):
@@ -54,21 +65,22 @@ class TestResponseTimeEngineDifferential:
             period_min=5, period_max=40,
         )
         results = {
-            engine: [
-                response_time_bound(10, 1, tasks, task.name, engine=engine)
-                for task in tasks
-            ]
-            for engine in ("scalar", "vectorized")
+            bound.__name__: [bound(10, 1, tasks, task.name) for task in tasks]
+            for bound in (response_time_bound_reference, response_time_bound)
         }
-        assert results["scalar"] == results["vectorized"]
+        assert results["response_time_bound_reference"] == (
+            results["response_time_bound"]
+        )
         # A starved server must actually produce unbounded hops, or this
         # case tests nothing.
-        assert any(bound.wcrt is None for bound in results["scalar"])
+        assert any(
+            bound.wcrt is None for bound in results["response_time_bound"]
+        )
 
 
 class TestChainAnalysisEngineDifferential:
     @pytest.mark.parametrize("seed", range(12))
-    def test_whole_chain_reports_agree(self, seed):
+    def test_whole_chain_reports_agree(self, seed, monkeypatch):
         config = ChainConfig(
             seed=seed,
             workload=ChainWorkloadConfig(
@@ -82,22 +94,25 @@ class TestChainAnalysisEngineDifferential:
             ),
         )
         system, chains = build_chain_system(config)
-        scalar = analyze_chains(system, chains, engine="scalar")
-        vectorized = analyze_chains(system, chains, engine="vectorized")
-        assert scalar.chains == vectorized.chains
-        assert scalar.schedulable == vectorized.schedulable
+        scalar = reference_report(system, chains, monkeypatch)
+        production = analyze_chains(system, chains)
+        assert scalar.chains == production.chains
+        assert scalar.schedulable == production.schedulable
+        assert analyze(system, engine="scalar").schedulable == (
+            production.base.schedulable
+        )
         for chain in chains:
             assert scalar.data_age_bound(chain.name) == (
-                vectorized.data_age_bound(chain.name)
+                production.data_age_bound(chain.name)
             )
             assert scalar.reaction_time_bound(chain.name) == (
-                vectorized.reaction_time_bound(chain.name)
+                production.reaction_time_bound(chain.name)
             )
 
     def test_default_engine_gives_scalar_bound_on_every_hop(self, monkeypatch):
-        """The default engine takes the closed-form supply inverse (not
-        a silent fallback to the scalar scan) and matches the scalar
-        bound on every hop."""
+        """Production takes the closed-form supply inverse (not a silent
+        fallback to the scalar scan) and matches the reference bound on
+        every hop."""
         config = ChainConfig(
             seed=5,
             workload=ChainWorkloadConfig(
@@ -106,7 +121,7 @@ class TestChainAnalysisEngineDifferential:
             ),
         )
         system, chains = build_chain_system(config)
-        scalar = analyze_chains(system, chains, engine="scalar")
+        scalar = reference_report(system, chains, monkeypatch)
         inverse_calls = []
         inverse = response_time.sbf_server_inverse
 
@@ -116,6 +131,5 @@ class TestChainAnalysisEngineDifferential:
 
         monkeypatch.setattr(response_time, "sbf_server_inverse", counting_inverse)
         default = analyze_chains(system, chains)
-        assert default.engine == "vectorized"
         assert default.chains == scalar.chains
         assert inverse_calls

@@ -1,11 +1,11 @@
-"""Bit-identity of the vectorized analysis engine and the incremental
+"""Bit-identity of the numpy analysis kernels and the incremental
 admission path against the scalar reference implementations.
 
-The vectorized engine (:mod:`repro.analysis.vectorized`) and the
+The numpy kernels (:mod:`repro.analysis.vectorized`) and the
 incremental admission curve (:mod:`repro.core.admission`) are pure
 optimizations: every value and every verdict must equal the scalar
 ground truth exactly.  These properties enforce that contract over
-random tasksets/tables, including the edges called out in the engine's
+random tasksets/tables, including the edges called out in the kernels'
 docstring: empty tasksets, full-bandwidth servers (``theta == pi``) and
 horizon caps below/above all step points.
 """
@@ -65,7 +65,7 @@ def forced_vectorization():
     """Route every window, however small, through the vectorized path.
 
     The production cutoff (``VECTORIZE_MIN_POINTS``) sends small grids
-    to the scalar loop purely for speed; disabling it here makes the
+    to the plain loop purely for speed; disabling it here makes the
     property actually exercise the numpy/QPA code on the small systems
     hypothesis favours.
     """
@@ -152,50 +152,38 @@ class TestResultsMatchScalar:
     @given(tasksets(), server_pairs())
     def test_lsched(self, tasks, server):
         pi, theta = server
-        scalar = lsched_test.lsched_schedulable(pi, theta, tasks, engine="scalar")
+        reference = lsched_test.lsched_schedulable_reference(pi, theta, tasks)
         with forced_vectorization():
-            fast = lsched_test.lsched_schedulable(
-                pi, theta, tasks, engine="vectorized"
-            )
-        assert scalar == fast
+            fast = lsched_test.lsched_schedulable(pi, theta, tasks)
+        assert reference == fast
 
     @settings(max_examples=60)
     @given(tasksets(), server_pairs())
     def test_linear(self, tasks, server):
         pi, theta = server
-        scalar = linear_test.lsched_schedulable_linear(
-            pi, theta, tasks, engine="scalar"
-        )
+        reference = linear_test.lsched_schedulable_linear_reference(pi, theta, tasks)
         with forced_vectorization():
-            fast = linear_test.lsched_schedulable_linear(
-                pi, theta, tasks, engine="vectorized"
-            )
-        assert scalar == fast
+            fast = linear_test.lsched_schedulable_linear(pi, theta, tasks)
+        assert reference == fast
 
     @settings(max_examples=60)
     @given(patterns, st.lists(server_pairs(), max_size=3))
     def test_gsched(self, pattern, servers):
         table = TimeSlotTable.from_pattern(pattern)
-        scalar = gsched_test.gsched_schedulable(table, servers, engine="scalar")
+        reference = gsched_test.gsched_schedulable_reference(table, servers)
         with forced_vectorization():
-            fast = gsched_test.gsched_schedulable(
-                table, servers, engine="vectorized"
-            )
-        assert scalar == fast
+            fast = gsched_test.gsched_schedulable(table, servers)
+        assert reference == fast
 
     @settings(max_examples=30)
     @given(tasksets(max_tasks=3), st.integers(min_value=1, max_value=12))
     def test_lsched_exact_horizon_cap_edges(self, tasks, pi):
-        """Theorem-3 windows (lcm-based horizons) agree across engines."""
+        """Theorem-3 windows (lcm-based horizons): numpy path vs loop."""
         theta = pi  # full-bandwidth server: zero blackout edge case
-        scalar = lsched_test.lsched_schedulable_exact(
-            pi, theta, tasks, engine="scalar"
-        )
+        reference = lsched_test.lsched_schedulable_exact_reference(pi, theta, tasks)
         with forced_vectorization():
-            fast = lsched_test.lsched_schedulable_exact(
-                pi, theta, tasks, engine="vectorized"
-            )
-        assert scalar == fast
+            fast = lsched_test.lsched_schedulable_exact(pi, theta, tasks)
+        assert reference == fast
 
 
 class TestIncrementalAdmissionMatchesFullRetest:

@@ -10,6 +10,7 @@ fairness, rebalance with parked requests) stay deterministic.
 
 import asyncio
 import json
+import logging
 import threading
 
 import pytest
@@ -385,6 +386,34 @@ class TestEpochBatching:
 
         run_with_server(body)
 
+    def test_same_task_name_in_two_vms(self):
+        """Admission allows one name per VM, so ``s`` in VM 0 and in VM 1
+        is a valid population; analyze must not reject it as a duplicate,
+        and each VM's result names its own ``s``."""
+
+        async def body(server, request):
+            assert (await request(admit(1, 0, "s", period=50, wcet=2)))["ok"]
+            assert (await request(admit(2, 1, "s", period=40, wcet=1)))["ok"]
+            probe = {"name": "s", "vm_id": 2, "period": 100, "wcet": 1}
+            response = await request(
+                {"op": "analyze", "seq": 3, "tasks": [probe]}
+            )
+            assert response["ok"], response
+            local = response["report"]["local_results"]
+            assert [local[vm]["task_names"] for vm in ("0", "1", "2", "3")] == [
+                ["s"], ["s"], ["s"], []
+            ]
+            # A repeat within one VM is still the request's own error.
+            again = {"name": "s", "vm_id": 1, "period": 100, "wcet": 1}
+            response = await request(
+                {"op": "analyze", "seq": 4, "tasks": [again]}
+            )
+            assert not response["ok"]
+            assert response["error"]["kind"] == "protocol"
+            assert "duplicate task name 's'" in response["error"]["message"]
+
+        run_with_server(body)
+
 
 class TestBatchRule:
     """A batch is flushed on the loop turn after its first request parks."""
@@ -755,6 +784,29 @@ class TestHttpFraming:
                 await server.stop()
 
         asyncio.run(_main())
+
+
+class TestStop:
+    def test_idle_client_sees_eof_and_nothing_is_logged(self, caplog):
+        """``stop`` closes live connections and waits for their handlers,
+        so none is cancelled (and logged) at loop teardown."""
+
+        async def _main():
+            server = AdmissionServer(make_config())
+            await server.start()
+            idle = await asyncio.open_connection("127.0.0.1", server.port)
+            served = await open_connections(server, 1)
+            await server.stop()
+            eof = [
+                await asyncio.wait_for(reader.read(), timeout=10)
+                for reader, _writer in [idle] + served
+            ]
+            await close_connections([idle] + served)
+            return eof
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert asyncio.run(_main()) == [b"", b""]
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestStartupValidation:

@@ -4,8 +4,7 @@
 minimum-budget search: the seed designer, the synthesis grid and
 :func:`~repro.analysis.servers.minimum_budget` all run through it.  These
 properties pin what it returns, lane by lane, against the scalar
-engine's :func:`~repro.analysis.lsched_test.lsched_schedulable` under
-every analysis engine:
+reference :func:`~repro.analysis.lsched_test.lsched_schedulable_reference`:
 
 * a returned ``theta`` passes and ``theta - 1`` fails (or ``theta`` is
   the utilization floor, below which the search never probes);
@@ -20,8 +19,7 @@ every analysis engine:
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.engine import ENGINES
-from repro.analysis.lsched_test import lsched_schedulable
+from repro.analysis.lsched_test import lsched_schedulable_reference
 from repro.analysis.servers import (
     BudgetSearchStats,
     harmonic_fast_budget,
@@ -78,16 +76,15 @@ def lanes(draw):
 
 
 def passes(pi, theta, tasks):
-    return lsched_schedulable(pi, theta, tasks, engine="scalar").schedulable
+    return lsched_schedulable_reference(pi, theta, tasks).schedulable
 
 
 class TestOneBudgetSearch:
     @settings(max_examples=150, deadline=None)
-    @given(candidates=lanes(), engine=st.sampled_from(ENGINES))
-    @example(candidates=[(pi, HARMONIC) for pi in (2, 4, 5, 8, 10, 16)], engine="vectorized")
-    @example(candidates=[(pi, HARMONIC) for pi in (2, 4, 5, 8, 10, 16)], engine="scalar")
-    def test_minimal_sufficient_and_none_exactly_when_cap_fails(self, candidates, engine):
-        budgets = minimum_budgets_batched(candidates, engine=engine)
+    @given(candidates=lanes())
+    @example(candidates=[(pi, HARMONIC) for pi in (2, 4, 5, 8, 10, 16)])
+    def test_minimal_sufficient_and_none_exactly_when_cap_fails(self, candidates):
+        budgets = minimum_budgets_batched(candidates)
         assert len(budgets) == len(candidates)
         for (pi, tasks), theta in zip(candidates, budgets):
             if len(tasks) == 0:
@@ -111,15 +108,13 @@ class TestOneBudgetSearch:
     @given(
         candidates=lanes(),
         bound=st.floats(min_value=0.05, max_value=1.0),
-        engine=st.sampled_from(ENGINES),
     )
-    def test_pruning_only_drops_lanes_at_or_above_the_bound(self, candidates, bound, engine):
-        unpruned = minimum_budgets_batched(candidates, engine=engine)
+    def test_pruning_only_drops_lanes_at_or_above_the_bound(self, candidates, bound):
+        unpruned = minimum_budgets_batched(candidates)
         stats = BudgetSearchStats()
         pruned = minimum_budgets_batched(
             candidates,
             bandwidth_bounds=[bound] * len(candidates),
-            engine=engine,
             stats=stats,
         )
         dropped = 0

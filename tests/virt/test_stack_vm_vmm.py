@@ -89,6 +89,9 @@ class TestVirtualMachine:
         vm.record_release()
         vm.record_rejection()
         stats = vm.stats()
+        assert sorted(stats) == [
+            "completed", "missed", "rejected", "released", "utilization", "vm_id"
+        ]
         assert stats["released"] == 1
         assert stats["rejected"] == 1
         assert stats["utilization"] == pytest.approx(0.2)
